@@ -12,8 +12,9 @@
 //! runs the shards on a scoped worker pool with work-stealing over a
 //! shared atomic shard cursor, and returns results **in index order** —
 //! the reduction is order-independent under any scheduling, but the
-//! output is deterministic. Three rules make the whole stack
-//! bit-reproducible:
+//! output is deterministic. The calling thread is worker 0, so a sweep
+//! spawns only `workers − 1` helper threads (none with one worker or one
+//! shard). Three rules make the whole stack bit-reproducible:
 //!
 //! 1. **Results may depend only on the item index** (and the caller's
 //!    explicit seeds). A call site that needs randomness derives it per

@@ -150,8 +150,10 @@ pub struct SweepOutcome<U> {
 /// Workers claim shards from a shared atomic cursor (work-stealing:
 /// whoever is free takes the next shard), build one `W` each via
 /// `make_ctx`, and reuse it across their shards with
-/// [`ShardCtx::begin_shard`] between shards. With one worker the sweep
-/// runs inline on the caller's thread — no spawn, same bits.
+/// [`ShardCtx::begin_shard`] between shards. The calling thread is
+/// worker 0; only `workers − 1` scoped helpers are spawned (fewer when
+/// there are fewer shards), so a one-worker or one-shard sweep runs
+/// inline with no spawn at all — same bits either way.
 pub fn sweep<W, U, M, F>(n: usize, cfg: &SweepConfig, make_ctx: M, f: F) -> SweepOutcome<U>
 where
     W: ShardCtx,
@@ -183,52 +185,14 @@ where
         per_shard: Vec::with_capacity(shards),
     };
 
-    if workers <= 1 || shards <= 1 {
-        // True serial path: no thread spawn, one context, same bits.
-        let mut ctx = make_ctx();
-        let mut results = Vec::with_capacity(n);
-        for s in 0..shards {
-            let shard = shard_at(s);
-            let st = Instant::now();
-            ctx.begin_shard(&shard);
-            for i in shard.start..shard.end {
-                results.push(f(&mut ctx, &ItemCtx { index: i, shard }));
-            }
-            let elapsed_ns = st.elapsed().as_nanos();
-            if trace_on {
-                pmorph_obs::trace::thread_name(pmorph_obs::trace::TID_EXEC_BASE, "exec worker 0");
-                pmorph_obs::trace::complete_tid(
-                    "exec.shard",
-                    "exec",
-                    pmorph_obs::trace::TID_EXEC_BASE,
-                    st,
-                    elapsed_ns as u64,
-                );
-                pmorph_obs::trace::counter("exec.shards_remaining", (shards - s - 1) as f64);
-            }
-            stats.per_shard.push(ShardStat {
-                index: s,
-                start: shard.start,
-                end: shard.end,
-                worker: 0,
-                elapsed_ns,
-            });
-        }
-        stats.elapsed_ns = t0.elapsed().as_nanos();
-        if trace_on {
-            pmorph_obs::trace::complete("exec.sweep", "exec", t0, stats.elapsed_ns as u64);
-        }
-        obs_flush_sweep(&stats);
-        return SweepOutcome { results, stats };
-    }
-
     // Lock-free result slots, same construction as `pool::par_map_range`:
     // each index is written by exactly one worker (the one whose claimed
     // shard covers it), so plain `UnsafeCell` writes are race-free.
     struct Slots<U>(Vec<UnsafeCell<Option<U>>>);
     // SAFETY: shared across worker threads, but each cell is written at
     // most once, by the single thread that claimed the covering shard via
-    // `fetch_add`; reads happen only after `thread::scope` joins.
+    // `fetch_add`; reads happen only after `thread::scope` joins (worker
+    // 0 runs on the caller's thread inside the same scope).
     unsafe impl<U: Send> Sync for Slots<U> {}
 
     let slots: Slots<U> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
@@ -241,68 +205,67 @@ where
     let shard_stats_ref = &shard_stats;
 
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let make_ctx = &make_ctx;
-            let f = &f;
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut ctx: Option<W> = None;
-                loop {
-                    // Claim latency: how long the shared-cursor claim takes
-                    // under contention. Clock reads only when the layer is
-                    // on — results never depend on them either way.
-                    let claim_t = if obs_on { Some(Instant::now()) } else { None };
-                    let s = cursor.fetch_add(1, Ordering::Relaxed);
-                    if s >= shards {
-                        break;
-                    }
-                    let shard = shard_at(s);
-                    if let Some(t) = claim_t {
-                        pmorph_obs::histogram!("exec.claim_ns", pmorph_obs::bounds::TIME_NS)
-                            .observe(t.elapsed().as_nanos() as u64);
-                    }
-                    let st = Instant::now();
-                    let ctx = ctx.get_or_insert_with(make_ctx);
-                    ctx.begin_shard(&shard);
-                    for i in shard.start..shard.end {
-                        let out = f(ctx, &ItemCtx { index: i, shard });
-                        // SAFETY: shard `s` (hence index `i`) was claimed
-                        // exclusively above; the scope join orders this
-                        // write before the caller's reads.
-                        unsafe { *slots_ref.0[i].get() = Some(out) };
-                    }
-                    let stat = ShardStat {
-                        index: s,
-                        start: shard.start,
-                        end: shard.end,
-                        worker: w,
-                        elapsed_ns: st.elapsed().as_nanos(),
-                    };
-                    if trace_on {
-                        // One stable track per logical worker (keyed by
-                        // worker index, not OS thread: scoped threads are
-                        // fresh every sweep).
-                        let tid = pmorph_obs::trace::TID_EXEC_BASE + w as u64;
-                        pmorph_obs::trace::thread_name(tid, &format!("exec worker {w}"));
-                        pmorph_obs::trace::complete_tid(
-                            "exec.shard",
-                            "exec",
-                            tid,
-                            st,
-                            stat.elapsed_ns as u64,
-                        );
-                        let claimed = cursor.load(Ordering::Relaxed).min(shards);
-                        pmorph_obs::trace::counter(
-                            "exec.shards_remaining",
-                            (shards - claimed) as f64,
-                        );
-                    }
-                    // SAFETY: same exclusive-claim argument, cell `s`.
-                    unsafe { *shard_stats_ref.0[s].get() = Some(stat) };
-                }
-            });
+    let run_worker = |w: usize| {
+        let mut ctx: Option<W> = None;
+        loop {
+            // Claim latency: how long the shared-cursor claim takes under
+            // contention. Clock reads only when the layer is on — results
+            // never depend on them either way.
+            let claim_t = if obs_on { Some(Instant::now()) } else { None };
+            let s = cursor.fetch_add(1, Ordering::Relaxed);
+            if s >= shards {
+                break;
+            }
+            let shard = shard_at(s);
+            if let Some(t) = claim_t {
+                pmorph_obs::histogram!("exec.claim_ns", pmorph_obs::bounds::TIME_NS)
+                    .observe(t.elapsed().as_nanos() as u64);
+            }
+            let st = Instant::now();
+            let ctx = ctx.get_or_insert_with(&make_ctx);
+            ctx.begin_shard(&shard);
+            for i in shard.start..shard.end {
+                let out = f(ctx, &ItemCtx { index: i, shard });
+                // SAFETY: shard `s` (hence index `i`) was claimed
+                // exclusively above; the scope join orders this write
+                // before the caller's reads.
+                unsafe { *slots_ref.0[i].get() = Some(out) };
+            }
+            let stat = ShardStat {
+                index: s,
+                start: shard.start,
+                end: shard.end,
+                worker: w,
+                elapsed_ns: st.elapsed().as_nanos(),
+            };
+            if trace_on {
+                // One stable track per logical worker (keyed by worker
+                // index, not OS thread: helper threads are fresh every
+                // sweep).
+                let tid = pmorph_obs::trace::TID_EXEC_BASE + w as u64;
+                pmorph_obs::trace::thread_name(tid, &format!("exec worker {w}"));
+                pmorph_obs::trace::complete_tid(
+                    "exec.shard",
+                    "exec",
+                    tid,
+                    st,
+                    stat.elapsed_ns as u64,
+                );
+                let claimed = cursor.load(Ordering::Relaxed).min(shards);
+                pmorph_obs::trace::counter("exec.shards_remaining", (shards - claimed) as f64);
+            }
+            // SAFETY: same exclusive-claim argument, cell `s`.
+            unsafe { *shard_stats_ref.0[s].get() = Some(stat) };
         }
+    };
+    // The caller is worker 0; spawn helpers only for the rest, and none
+    // past the shard count (a helper with no shard to claim is pure cost).
+    std::thread::scope(|scope| {
+        for w in 1..workers.min(shards) {
+            let run_worker = &run_worker;
+            scope.spawn(move || run_worker(w));
+        }
+        run_worker(0);
     });
 
     let merge_t = if obs_on { Some(Instant::now()) } else { None };
@@ -463,6 +426,31 @@ mod tests {
         let cfg = SweepConfig::new().with_workers(1).with_shard_size(4);
         let out = sweep(16, &cfg, || (), |_, _| std::thread::current().id());
         assert!(out.results.iter().all(|&id| id == caller), "serial path stayed inline");
+    }
+
+    #[test]
+    fn caller_thread_is_worker_zero() {
+        // One single-item shard per worker, each held at a barrier sized
+        // to the worker count: all `w` workers must hold a shard at once,
+        // so the participants are exactly the worker threads.
+        let w = 4;
+        let barrier = std::sync::Barrier::new(w);
+        let cfg = SweepConfig::new().with_workers(w).with_shard_size(1);
+        let out = sweep(
+            w,
+            &cfg,
+            || (),
+            |_, _| {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
+        let participants: std::collections::HashSet<_> = out.results.iter().copied().collect();
+        assert_eq!(participants.len(), w, "each worker held one shard");
+        assert!(
+            participants.contains(&std::thread::current().id()),
+            "the calling thread runs as worker 0"
+        );
     }
 
     #[test]

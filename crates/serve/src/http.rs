@@ -17,7 +17,7 @@
 //! the difference between "tests need curl" and "tests are hermetic".
 
 use pmorph_util::json::{self, Value};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -197,8 +197,18 @@ pub fn write_response_bytes<S: Write>(mut stream: S, status: u16, body: &[u8]) -
         reason(status),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // Head and body in one vectored write, without copying the body: as
+    // two writes, the body could wait for the head's ACK.
+    let mut bufs = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -242,13 +252,15 @@ pub fn request_raw(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let head = format!(
+    stream.set_nodelay(true)?;
+    let mut req = format!(
         "{method} {path} HTTP/1.1\r\nhost: pmorph\r\ncontent-type: application/json\r\n\
          content-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    req.extend_from_slice(body);
+    stream.write_all(&req)?;
     stream.flush()?;
 
     let mut reader = BufReader::new(stream);
@@ -359,6 +371,30 @@ mod tests {
             parse(b"GET / HTTP/1.1\r\nx-bin: \xff\xfe\r\n\r\n"),
             Err(HttpError::Malformed("header line"))
         );
+    }
+
+    #[test]
+    fn response_survives_short_writes() {
+        // A sink that takes at most 5 bytes per call: the vectored write
+        // loop must resume mid-head and mid-body without loss.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(5);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let body = br#"{"payload":"0123456789abcdef"}"#;
+        let mut whole = Vec::new();
+        write_response_bytes(&mut whole, 200, body).unwrap();
+        let mut trickle = Trickle(Vec::new());
+        write_response_bytes(&mut trickle, 200, body).unwrap();
+        assert_eq!(trickle.0, whole);
+        assert!(whole.ends_with(body));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`job`] | job spec schema, canonical form, cache keys, execution |
 //! | [`cache`] | content-addressed artifact cache (results + mapped designs) |
 //! | [`registry`] | job lifecycle state machine, worker queue, drain |
-//! | [`server`] | routing, accept loop, graceful shutdown |
+//! | [`server`] | routing, submit hold, accept loop + reused handler threads, graceful shutdown |
 //!
 //! Start one in-process (the e2e suite does exactly this):
 //!

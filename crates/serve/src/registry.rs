@@ -23,13 +23,16 @@
 //!
 //! One mutex over all registry state, two condvars: `queue_cv` wakes
 //! workers when a job is queued (or shutdown begins), `state_cv` wakes
-//! anyone waiting on a job's state (pollers, the shutdown drain). Job
-//! execution happens *outside* the lock; only bookkeeping is inside.
+//! anyone waiting on a job's state (held submits, the shutdown drain).
+//! The same lock keeps the count of workers parked in [`Registry::claim`],
+//! which tells a submit whether its job starts at once
+//! ([`Receipt::worker_ready`]). Job execution happens *outside* the
+//! lock; only bookkeeping is inside.
 
 use crate::cache::ArtifactCache;
 use crate::job::{self, JobError, JobSpec};
 use pmorph_util::json::Value;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -84,8 +87,9 @@ impl JobState {
 
 /// One job's bookkeeping.
 struct Job {
+    /// The canonical spec string is rebuilt from this when needed rather
+    /// than stored: every job is kept for the server's lifetime.
     spec: Arc<JobSpec>,
-    canonical: String,
     state: JobState,
     history: Vec<JobState>,
     cache_hit: bool,
@@ -99,19 +103,31 @@ struct Job {
 }
 
 struct Inner {
-    jobs: BTreeMap<u64, Job>,
+    /// Every job ever submitted; job `id` sits at index `id - 1` (ids are
+    /// dense and assigned in order, and jobs are never removed).
+    jobs: Vec<Job>,
     queue: VecDeque<u64>,
     running: usize,
+    /// Workers parked in [`Registry::claim`] waiting for work.
+    idle_workers: usize,
     shutting_down: bool,
 }
 
 impl Inner {
+    fn job(&self, id: u64) -> Option<&Job> {
+        self.jobs.get(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
+        self.jobs.get_mut(usize::try_from(id).ok()?.checked_sub(1)?)
+    }
+
     /// The single transition choke point: asserts legality, appends to
     /// history. An illegal transition is a server bug, so it panics
     /// (tests catch it; in production the worker thread dies loudly
     /// rather than corrupting the record).
     fn set_state(&mut self, id: u64, to: JobState) {
-        let job = self.jobs.get_mut(&id).expect("transition on unknown job");
+        let job = self.job_mut(id).expect("transition on unknown job");
         assert!(
             job.state.can_transition(to),
             "illegal job transition {} -> {} (job {id})",
@@ -132,6 +148,10 @@ pub struct Receipt {
     pub state: JobState,
     /// Did the artifact cache satisfy this submission?
     pub cache_hit: bool,
+    /// Was an idle worker parked in [`Registry::claim`], not already
+    /// spoken for by an earlier queued job, when this job was queued? If
+    /// so the job starts at once; the server holds such submits open.
+    pub worker_ready: bool,
 }
 
 /// Why a submission was refused.
@@ -173,9 +193,10 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             inner: Mutex::new(Inner {
-                jobs: BTreeMap::new(),
+                jobs: Vec::new(),
                 queue: VecDeque::new(),
                 running: 0,
+                idle_workers: 0,
                 shutting_down: false,
             }),
             queue_cv: Condvar::new(),
@@ -194,9 +215,8 @@ impl Registry {
     /// spec whose artifact is already stored completes instantly
     /// (`Queued → Done`, `cache_hit: true`) without touching the queue.
     pub fn submit(&self, spec: JobSpec) -> Result<Receipt, SubmitError> {
-        let canonical = spec.canonical();
         let cached = if spec.cacheable() {
-            self.cache.lookup_result(spec.cache_key(), &canonical)
+            self.cache.lookup_result(spec.cache_key(), &spec.canonical())
         } else {
             None
         };
@@ -204,23 +224,22 @@ impl Registry {
         if inner.shutting_down {
             return Err(SubmitError::ShuttingDown);
         }
-        let id = inner.jobs.last_key_value().map_or(1, |(&last, _)| last + 1);
+        let id = inner.jobs.len() as u64 + 1;
         let cache_hit = cached.is_some();
-        inner.jobs.insert(
-            id,
-            Job {
-                spec: Arc::new(spec),
-                canonical,
-                state: JobState::Queued,
-                history: vec![JobState::Queued],
-                cache_hit,
-                error: None,
-                result: cached,
-                metrics: None,
-                cancel: Arc::new(AtomicBool::new(false)),
-                run_ns: None,
-            },
-        );
+        inner.jobs.push(Job {
+            spec: Arc::new(spec),
+            state: JobState::Queued,
+            history: vec![JobState::Queued],
+            cache_hit,
+            error: None,
+            result: cached,
+            metrics: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            run_ns: None,
+        });
+        // Every job already queued has an idle worker (if any) spoken
+        // for, so this one starts at once only if one more is parked.
+        let worker_ready = !cache_hit && inner.idle_workers > inner.queue.len();
         let state = if cache_hit {
             inner.set_state(id, JobState::Done);
             self.state_cv.notify_all();
@@ -235,7 +254,7 @@ impl Registry {
             pmorph_obs::gauge!("serve.jobs.queue_depth").set(inner.queue.len() as f64);
             pmorph_obs::trace::counter("serve.jobs.queue_depth", inner.queue.len() as f64);
         }
-        Ok(Receipt { id, state, cache_hit })
+        Ok(Receipt { id, state, cache_hit, worker_ready })
     }
 
     /// Worker side: block until a job is claimable, claim it (`Queued →
@@ -248,7 +267,7 @@ impl Registry {
             if let Some(id) = inner.queue.pop_front() {
                 inner.set_state(id, JobState::Running);
                 inner.running += 1;
-                let job = &inner.jobs[&id];
+                let job = inner.job(id).expect("queued jobs exist");
                 let out = (id, Arc::clone(&job.spec), Arc::clone(&job.cancel));
                 self.state_cv.notify_all();
                 if pmorph_obs::enabled() {
@@ -260,8 +279,15 @@ impl Registry {
             if inner.shutting_down {
                 return None;
             }
+            inner.idle_workers += 1;
             inner = self.queue_cv.wait(inner).unwrap();
+            inner.idle_workers -= 1;
         }
+    }
+
+    /// Workers currently parked in [`Registry::claim`] waiting for work.
+    pub fn idle_workers(&self) -> usize {
+        self.inner.lock().unwrap().idle_workers
     }
 
     /// Worker side: record a finished run. On success the payload is
@@ -274,9 +300,15 @@ impl Registry {
         metrics: Option<Value>,
         run_ns: u64,
     ) {
-        // Serialize outside the lock; these payloads can be large.
+        // Serialize outside the lock; these payloads can be large. The
+        // bytes are kept for the server's lifetime, so drop the growth
+        // slack (over a quarter of the buffer on average).
         let done = match outcome {
-            Ok(payload) => Ok(Arc::new(payload.to_string_compact().into_bytes())),
+            Ok(payload) => {
+                let mut bytes = payload.to_string_compact().into_bytes();
+                bytes.shrink_to_fit();
+                Ok(Arc::new(bytes))
+            }
             Err(e) => Err(e),
         };
         let mut inner = self.inner.lock().unwrap();
@@ -287,13 +319,13 @@ impl Registry {
         };
         inner.set_state(id, to);
         inner.running -= 1;
-        let job = inner.jobs.get_mut(&id).expect("completed unknown job");
+        let job = inner.job_mut(id).expect("completed unknown job");
         job.metrics = metrics;
         job.run_ns = Some(run_ns);
         let publish = match done {
             Ok(bytes) => {
                 job.result = Some(Arc::clone(&bytes));
-                job.spec.cacheable().then(|| (job.spec.cache_key(), job.canonical.clone(), bytes))
+                job.spec.cacheable().then(|| (Arc::clone(&job.spec), bytes))
             }
             Err(JobError::Failed(msg)) => {
                 job.error = Some(msg);
@@ -302,8 +334,8 @@ impl Registry {
             Err(JobError::Cancelled) => None,
         };
         drop(inner);
-        if let Some((key, canonical, bytes)) = publish {
-            self.cache.store_result(key, &canonical, bytes);
+        if let Some((spec, bytes)) = publish {
+            self.cache.store_result(spec.cache_key(), &spec.canonical(), bytes);
         }
         self.state_cv.notify_all();
         if pmorph_obs::enabled() {
@@ -318,7 +350,7 @@ impl Registry {
     /// untouched (cancellation is idempotent). `None` means no such job.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let mut inner = self.inner.lock().unwrap();
-        let state = inner.jobs.get(&id)?.state;
+        let state = inner.job(id)?.state;
         match state {
             JobState::Queued => {
                 inner.queue.retain(|&q| q != id);
@@ -332,7 +364,7 @@ impl Registry {
                 Some(JobState::Cancelled)
             }
             JobState::Running => {
-                inner.jobs[&id].cancel.store(true, Ordering::Relaxed);
+                inner.job(id).expect("looked up above").cancel.store(true, Ordering::Relaxed);
                 Some(JobState::Running)
             }
             terminal => Some(terminal),
@@ -341,25 +373,25 @@ impl Registry {
 
     /// A job's current state.
     pub fn state(&self, id: u64) -> Option<JobState> {
-        self.inner.lock().unwrap().jobs.get(&id).map(|j| j.state)
+        self.inner.lock().unwrap().job(id).map(|j| j.state)
     }
 
     /// A job's full transition history (the property suite's audit
     /// trail).
     pub fn history(&self, id: u64) -> Option<Vec<JobState>> {
-        self.inner.lock().unwrap().jobs.get(&id).map(|j| j.history.clone())
+        self.inner.lock().unwrap().job(id).map(|j| j.history.clone())
     }
 
     /// The status record served at `GET /jobs/{id}`.
     pub fn status_json(&self, id: u64) -> Option<Value> {
         let inner = self.inner.lock().unwrap();
-        let job = inner.jobs.get(&id)?;
+        let job = inner.job(id)?;
         let mut rec = Value::object();
         rec.set("id", Value::Str(format!("j-{id}")));
         rec.set("type", Value::Str(job.spec.kind().into()));
         rec.set("state", Value::Str(job.state.name().into()));
         rec.set("cache_hit", Value::Bool(job.cache_hit));
-        rec.set("spec", Value::Str(job.canonical.clone()));
+        rec.set("spec", Value::Str(job.spec.canonical()));
         rec.set(
             "history",
             Value::Array(job.history.iter().map(|s| Value::Str(s.name().into())).collect()),
@@ -384,9 +416,10 @@ impl Registry {
             inner
                 .jobs
                 .iter()
-                .map(|(id, job)| {
+                .enumerate()
+                .map(|(i, job)| {
                     let mut rec = Value::object();
-                    rec.set("id", Value::Str(format!("j-{id}")));
+                    rec.set("id", Value::Str(format!("j-{}", i + 1)));
                     rec.set("type", Value::Str(job.spec.kind().into()));
                     rec.set("state", Value::Str(job.state.name().into()));
                     rec
@@ -399,7 +432,7 @@ impl Registry {
     pub fn counts_json(&self) -> Value {
         let inner = self.inner.lock().unwrap();
         let mut counts = [0u64; 5];
-        for job in inner.jobs.values() {
+        for job in &inner.jobs {
             let i = match job.state {
                 JobState::Queued => 0,
                 JobState::Running => 1,
@@ -429,20 +462,21 @@ impl Registry {
     /// `GET /jobs/{id}/result`).
     pub fn result_bytes(&self, id: u64) -> Result<Arc<Vec<u8>>, ResultError> {
         let inner = self.inner.lock().unwrap();
-        let job = inner.jobs.get(&id).ok_or(ResultError::Unknown)?;
+        let job = inner.job(id).ok_or(ResultError::Unknown)?;
         match (&job.result, job.state) {
             (Some(bytes), JobState::Done) => Ok(Arc::clone(bytes)),
             (_, state) => Err(ResultError::NotDone(state)),
         }
     }
 
-    /// Block until `id` reaches a terminal state (bench/test helper; the
-    /// HTTP protocol polls instead). `false` on timeout or unknown id.
+    /// Block until `id` reaches a terminal state. `POST /jobs` uses this
+    /// for its bounded hold; benches and tests wait on it directly.
+    /// `false` on timeout or unknown id.
     pub fn wait_terminal(&self, id: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().unwrap();
         loop {
-            match inner.jobs.get(&id) {
+            match inner.job(id) {
                 None => return false,
                 Some(job) if job.state.is_terminal() => return true,
                 Some(_) => {}
@@ -634,6 +668,26 @@ mod tests {
             run_one(&reg, id, &s, &cancel);
             assert_eq!(reg.state(r.id), Some(JobState::Done));
         }
+    }
+
+    #[test]
+    fn worker_ready_only_while_an_idle_worker_is_unclaimed() {
+        let reg = Arc::new(Registry::new());
+        // No worker parked yet: the job has to wait.
+        assert!(!reg.submit(sleep_spec(0, 0)).unwrap().worker_ready);
+        reg.claim().unwrap();
+        let claimer = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || reg.claim().map(|(id, _, _)| id))
+        };
+        while reg.idle_workers() == 0 {
+            std::thread::yield_now();
+        }
+        let first = reg.submit(sleep_spec(0, 0)).unwrap();
+        assert!(first.worker_ready, "one worker parked and unclaimed");
+        // That worker is spoken for, whether or not it has woken yet.
+        assert!(!reg.submit(sleep_spec(0, 0)).unwrap().worker_ready);
+        assert_eq!(claimer.join().unwrap(), Some(first.id));
     }
 
     #[test]

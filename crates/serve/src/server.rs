@@ -5,7 +5,7 @@
 //!
 //! | method & path | body | does |
 //! |---|---|---|
-//! | `POST /jobs` | job spec JSON | submit; `200 {id, state, cache_hit}` or `400`/`503` |
+//! | `POST /jobs` | job spec JSON | submit; `200 {id, state, cache_hit}` or `400`/`503`; `state` may already be terminal (see below) |
 //! | `GET /jobs` | — | list `[{id, type, state}, …]` |
 //! | `GET /jobs/{id}` | — | full status record (state, history, cache_hit, metrics) |
 //! | `GET /jobs/{id}/result` | — | the payload, verbatim bytes; `409` until `done` |
@@ -13,17 +13,36 @@
 //! | `GET /metrics` | — | obs snapshot + cache stats + per-state job counts |
 //! | `POST /shutdown` | optional `{"drain": bool}` | drain and stop; responds after the drain |
 //!
+//! ## Submit hold
+//!
+//! When an idle worker is parked in [`Registry::claim`] to start a new
+//! job at once, `POST /jobs` holds its answer until the job is terminal
+//! or [`SUBMIT_HOLD`] passes (the bounded server-side wait of RFC 7240
+//! `Prefer: wait`, applied by default). A small job's receipt then says
+//! `done` or `failed` and the client fetches the result without polling;
+//! a longer one answers `running`. A job that must wait for a worker is
+//! answered `queued` at once, so batch submitters are never slowed.
+//! Cache hits answer `done` at once, as before.
+//!
+//! ## Connection handlers
+//!
+//! The accept loop hands each connection to a parked handler thread
+//! over a channel and spawns a new handler only when none is parked.
+//! After its request a handler parks again for the next connection,
+//! unless `MAX_PARKED_HANDLERS` (8) already are, in which case it exits.
+//! Parked handlers exit when the accept loop stops.
+//!
 //! ## Shutdown choreography
 //!
 //! `POST /shutdown` marks the registry as draining (new submits → 503),
 //! waits for running (and, with `drain: true`, queued) jobs to finish,
 //! *then* answers the request, *then* stops the accept loop (in that
-//! order — the handler runs detached, so the response has to be on the
+//! order — handlers are never joined, so the response has to be on the
 //! wire before the acceptor's exit lets the process tear down). Workers
 //! exit
 //! when [`Registry::claim`] returns `None`; [`ServerHandle::join`] joins
-//! the accept thread and the pool, so when it returns the process holds
-//! no serve threads at all.
+//! the accept thread and the pool; handler threads still parked then
+//! see the closed channel and exit.
 
 use crate::http::{self, HttpError, Request};
 use crate::job::JobSpec;
@@ -31,8 +50,18 @@ use crate::registry::{parse_job_id, Registry, ResultError, SubmitError, WorkerPo
 use pmorph_util::json::{self, Value};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
+
+/// Longest time `POST /jobs` holds its answer for a job an idle worker
+/// starts at once. Long enough for small jobs to finish inside the
+/// submit round trip; short enough that a long job's client soon gets
+/// its `running` receipt and polls.
+pub const SUBMIT_HOLD: Duration = Duration::from_millis(50);
+
+/// Most connection handler threads kept parked between connections.
+const MAX_PARKED_HANDLERS: usize = 8;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -88,47 +117,95 @@ pub fn serve(cfg: &ServeConfig) -> io::Result<ServerHandle> {
     let pool = WorkerPool::spawn(Arc::clone(&registry), cfg.workers);
     let stopping = Arc::new(AtomicBool::new(false));
 
-    let accept_registry = Arc::clone(&registry);
-    let accept_stopping = Arc::clone(&stopping);
+    let (to_parked, from_accept) = mpsc::channel();
+    let handlers = Handlers {
+        registry: Arc::clone(&registry),
+        stopping: Arc::clone(&stopping),
+        parked: Arc::new(AtomicUsize::new(0)),
+        next: Arc::new(Mutex::new(from_accept)),
+    };
     let accept = std::thread::Builder::new()
         .name("pmorph-serve-accept".into())
         .spawn(move || {
             for stream in listener.incoming() {
-                if accept_stopping.load(Ordering::Acquire) {
+                if handlers.stopping.load(Ordering::Acquire) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let registry = Arc::clone(&accept_registry);
-                let stopping = Arc::clone(&accept_stopping);
-                // One detached thread per connection: requests are short
-                // (submit/poll) and the protocol is one-request-per-
-                // connection, so a thread pool here would be ceremony.
-                let _ =
-                    std::thread::Builder::new().name("pmorph-serve-conn".into()).spawn(move || {
-                        // One trace span per request on a single shared
-                        // HTTP track (connection threads are ephemeral,
-                        // so per-thread tracks would never reuse a tid).
-                        let t0 = pmorph_obs::trace::enabled().then(std::time::Instant::now);
-                        let _ = handle_connection(&stream, &registry, &stopping);
-                        if let Some(t0) = t0 {
-                            pmorph_obs::trace::thread_name(
-                                pmorph_obs::trace::TID_HTTP,
-                                "serve http",
-                            );
-                            pmorph_obs::trace::complete_tid(
-                                "serve.http",
-                                "serve",
-                                pmorph_obs::trace::TID_HTTP,
-                                t0,
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                    });
+                // Claim a parked handler if there is one; each claimed
+                // unit of `parked` is a handler committed to one `recv`,
+                // so the stream is always picked up.
+                if handlers
+                    .parked
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    let _ = to_parked.send(stream);
+                } else {
+                    let handlers = handlers.clone();
+                    let _ = std::thread::Builder::new()
+                        .name("pmorph-serve-conn".into())
+                        .spawn(move || handlers.run(stream));
+                }
             }
+            // Dropping `to_parked` here wakes every parked handler with a
+            // closed channel, and they exit.
         })
         .expect("spawn accept thread");
 
     Ok(ServerHandle { addr, registry, accept: Some(accept), pool: Some(pool), stopping })
+}
+
+/// What every connection handler thread shares.
+#[derive(Clone)]
+struct Handlers {
+    registry: Arc<Registry>,
+    stopping: Arc<AtomicBool>,
+    /// Handlers parked (or about to park) on `next`, not yet claimed by
+    /// the accept loop.
+    parked: Arc<AtomicUsize>,
+    /// Where parked handlers receive their next connection.
+    next: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
+}
+
+impl Handlers {
+    /// Serve `stream`, then park for further connections until the pool
+    /// of parked handlers is full or the accept loop stops.
+    fn run(&self, mut stream: TcpStream) {
+        loop {
+            self.serve(&stream);
+            let park = |n: usize| (n < MAX_PARKED_HANDLERS).then_some(n + 1);
+            let parked = self.parked.fetch_update(Ordering::AcqRel, Ordering::Acquire, park);
+            // Close only once parked: the client sees EOF now, so its
+            // next connection finds this handler instead of a new thread.
+            drop(stream);
+            if parked.is_err() {
+                return;
+            }
+            match self.next.lock().expect("no handler panics holding the receiver").recv() {
+                Ok(next) => stream = next,
+                Err(mpsc::RecvError) => return,
+            }
+        }
+    }
+
+    fn serve(&self, stream: &TcpStream) {
+        // One trace span per request on a single shared HTTP track
+        // (handler threads come and go, so per-thread tracks would not
+        // line up with requests).
+        let t0 = pmorph_obs::trace::enabled().then(std::time::Instant::now);
+        let _ = handle_connection(stream, &self.registry, &self.stopping);
+        if let Some(t0) = t0 {
+            pmorph_obs::trace::thread_name(pmorph_obs::trace::TID_HTTP, "serve http");
+            pmorph_obs::trace::complete_tid(
+                "serve.http",
+                "serve",
+                pmorph_obs::trace::TID_HTTP,
+                t0,
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+    }
 }
 
 impl ServerHandle {
@@ -178,7 +255,8 @@ fn handle_connection(
     registry: &Arc<Registry>,
     stopping: &Arc<AtomicBool>,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.set_nodelay(true)?;
     if pmorph_obs::enabled() {
         pmorph_obs::counter!("serve.http.requests").add(1);
     }
@@ -205,7 +283,7 @@ fn handle_connection(
 /// bounded amount of the remainder on a short clock first.
 fn drain_peer(stream: &TcpStream) {
     const DRAIN_CAP: usize = 256 * 1024;
-    if stream.set_read_timeout(Some(std::time::Duration::from_millis(250))).is_err() {
+    if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
         return;
     }
     let mut sink = [0u8; 4096];
@@ -275,9 +353,17 @@ fn post_job(stream: &TcpStream, req: &Request, registry: &Arc<Registry>) -> io::
     };
     match registry.submit(spec) {
         Ok(receipt) => {
+            // The submit hold (module docs): only a job an idle worker
+            // starts at once is worth waiting for.
+            let state = if receipt.worker_ready {
+                registry.wait_terminal(receipt.id, SUBMIT_HOLD);
+                registry.state(receipt.id).unwrap_or(receipt.state)
+            } else {
+                receipt.state
+            };
             let mut body = Value::object();
             body.set("id", Value::Str(format!("j-{}", receipt.id)));
-            body.set("state", Value::Str(receipt.state.name().into()));
+            body.set("state", Value::Str(state.name().into()));
             body.set("cache_hit", Value::Bool(receipt.cache_hit));
             http::write_response(stream, 200, &body)
         }

@@ -433,6 +433,66 @@ fn submit_response_is_valid_json_with_wire_id() {
     server.shutdown(true);
 }
 
+/// Wait until `n` workers are parked in `Registry::claim`.
+fn wait_idle_workers(server: &ServerHandle, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.registry().idle_workers() < n {
+        assert!(Instant::now() < deadline, "workers never went idle");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn small_job_settles_inside_the_submit_round_trip() {
+    let server = start(2);
+    let addr = server.addr();
+    wait_idle_workers(&server, 2);
+    // An idle worker starts the job at once, so the submit holds until it
+    // is done: the receipt says so and the result is fetched unpolled.
+    let resp = post(addr, "/jobs", r#"{"type":"truth_sweep","circuit":"parity_tree","size":4}"#);
+    assert_eq!(resp.status, 200);
+    let receipt = resp.json().unwrap();
+    assert_eq!(receipt.get("state").and_then(Value::as_str), Some("done"), "{receipt:?}");
+    assert_eq!(receipt.get("cache_hit").and_then(Value::as_bool), Some(false));
+    let id = receipt.get("id").and_then(Value::as_str).unwrap();
+    let result = get(addr, &format!("/jobs/{id}/result"));
+    assert_eq!(result.status, 200);
+    let payload = result.json().unwrap();
+    assert_eq!(payload.get("type").and_then(Value::as_str), Some("truth_sweep"));
+    server.shutdown(true);
+}
+
+#[test]
+fn submit_hold_applies_only_when_a_worker_is_idle() {
+    use pmorph_serve::server::SUBMIT_HOLD;
+    let server = start(1);
+    let addr = server.addr();
+    wait_idle_workers(&server, 1);
+    let long = r#"{"type":"sleep","steps":2000,"step_ms":5}"#;
+
+    // The idle worker starts the pinning job at once: its submit holds
+    // for the whole bound, then answers `running`.
+    let t = Instant::now();
+    let pin = post(addr, "/jobs", long).json().unwrap();
+    let held = t.elapsed();
+    assert_eq!(pin.get("state").and_then(Value::as_str), Some("running"), "{pin:?}");
+    assert!(held >= SUBMIT_HOLD, "held only {held:?}");
+    assert!(held < SUBMIT_HOLD + Duration::from_secs(2), "held {held:?}");
+
+    // No worker is free for the second job: it is answered `queued` at once.
+    let t = Instant::now();
+    let queued = post(addr, "/jobs", long).json().unwrap();
+    let quick = t.elapsed();
+    assert_eq!(queued.get("state").and_then(Value::as_str), Some("queued"), "{queued:?}");
+    assert!(quick < SUBMIT_HOLD / 2, "a queued submit took {quick:?}");
+
+    for job in [&queued, &pin] {
+        let id = job.get("id").and_then(Value::as_str).unwrap();
+        assert_eq!(post(addr, &format!("/jobs/{id}/cancel"), "").status, 200);
+    }
+    server.shutdown(false);
+}
+
 #[test]
 fn poly_sweep_happy_path() {
     let server = start(2);

@@ -19,8 +19,13 @@ cargo build --workspace --benches --examples
 echo "== tests (debug, whole workspace) =="
 cargo test --workspace -q
 
-echo "== reproduction experiments (E1-E24, release) =="
+echo "== reproduction experiments (E1-E26, release) =="
 cargo run --release -q -p pmorph-bench --bin repro -- >/dev/null
+
+echo "== end-to-end benchmark unit tests (perfbench) =="
+# perfbench is its own Cargo workspace (it builds against the crates by
+# path), so the workspace test pass above does not reach it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== release-mode sim semantics (past-event clamp path) =="
 # The queue's past-event handling differs by build profile (debug
