@@ -5,8 +5,8 @@ use super::Experiment;
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{DefectMap, Fabric, FabricTiming, PowerModel};
 use pmorph_exec::{sweep, ShardCtx, SweepConfig};
-use pmorph_sim::{BitSim, Logic, NetId, Simulator, WideMask};
-use pmorph_synth::{lut3, map_function, mapk, TruthTable};
+use pmorph_sim::{BitSim, LevelizeError, Logic, NetId, Netlist, Simulator, WideMask};
+use pmorph_synth::{lut3, map_function, mapk, MappedFunction, TruthTable};
 use pmorph_util::pool;
 use pmorph_util::rng::Rng;
 use pmorph_util::rng::StdRng;
@@ -34,11 +34,33 @@ fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &TruthTa
     true
 }
 
-/// Same check through the 64-lane bit-parallel kernel: all `2^n` vectors
-/// ride the lanes of ONE word, so the faulty netlist is levelized once
-/// and evaluated once instead of `2^n` event-driven simulations.
-/// `expected` holds `tt`'s truth bits in the low `2^n` lanes. Falls back
-/// to the event engine if the elaborated netlist won't levelize.
+/// Does the combinational `netlist` compute `expected` on `out` for every
+/// assignment of `vars ≤ 6` inputs? All `2^vars` minterms ride the lanes
+/// of ONE bit-parallel word, so the netlist is levelized once and
+/// evaluated once instead of `2^vars` event-driven simulations. Lane `m`
+/// carries minterm `m`, each `(net, v)` in `inputs` is driven with
+/// variable `v`, and `expected` holds the truth bits in its low `2^vars`
+/// lanes. `Err` if the netlist won't levelize.
+fn truth_word_matches(
+    netlist: Netlist,
+    inputs: &[(NetId, usize)],
+    out: NetId,
+    vars: usize,
+    expected: u64,
+) -> Result<bool, LevelizeError> {
+    let mut bits = BitSim::new(netlist)?;
+    let planes: Vec<(NetId, u64, u64)> =
+        inputs.iter().map(|&(net, v)| (net, WideMask::var_plane(v, 0), u64::MAX)).collect();
+    bits.eval_planes(&planes);
+    let (v, k) = bits.plane(out);
+    let lanes = WideMask::lane_mask(vars);
+    Ok(k & lanes == lanes && v & lanes == expected & lanes)
+}
+
+/// [`lut_works_event`] through the bit-parallel kernel
+/// ([`truth_word_matches`]). `expected` holds `tt`'s truth bits in the
+/// low `2^n` lanes. Falls back to the event engine if the elaborated
+/// netlist won't levelize.
 fn lut_works(
     fabric: &Fabric,
     ports: &pmorph_synth::LutPorts,
@@ -46,17 +68,11 @@ fn lut_works(
     expected: u64,
 ) -> bool {
     let elab = elaborate(fabric, &FabricTiming::default());
-    let inputs: Vec<NetId> = ports.inputs.iter().map(|p| p.net(&elab)).collect();
+    let inputs: Vec<(NetId, usize)> =
+        ports.inputs.iter().enumerate().map(|(v, p)| (p.net(&elab), v)).collect();
     let out = ports.output.net(&elab);
-    match BitSim::new(elab.netlist) {
-        Ok(mut bits) => {
-            bits.eval_word(&inputs, 0);
-            let (v, k) = bits.plane(out);
-            let lanes = WideMask::lane_mask(tt.vars());
-            k & lanes == lanes && v & lanes == expected & lanes
-        }
-        Err(_) => lut_works_event(fabric, ports, tt),
-    }
+    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), expected)
+        .unwrap_or_else(|_| lut_works_event(fabric, ports, tt))
 }
 
 /// E19: defect tolerance — yield of a fixed-position mapping vs a
@@ -353,11 +369,12 @@ pub fn study_thermal() -> Experiment {
         let states = RtdStack::new(rtd.clone(), 0.9).stable_states().len();
         let (nml, nmh) = inv.noise_margins(0.0).unwrap_or((0.0, 0.0));
         let margin = nml + nmh;
+        let gain = inv.peak_gain(0.0);
         rows.push(format!(
             "{t:<6.0} {:>8.0} {:>9.0} {:>10.1} {:>11} {:>5.1}",
             nml * 1e3,
             nmh * 1e3,
-            inv.peak_gain(0.0),
+            gain,
             states,
             rtd.pvr()
         ));
@@ -365,7 +382,7 @@ pub fn study_thermal() -> Experiment {
         pass &= margin < last_margin + 0.02;
         last_margin = margin;
         pass &= states == 3;
-        pass &= inv.peak_gain(0.0) > 1.0;
+        pass &= gain > 1.0;
     }
     Experiment {
         id: "E23/§1+§5",
@@ -382,35 +399,49 @@ pub fn study_general_mapper() -> Experiment {
     study_general_mapper_scaled(6)
 }
 
+/// The random functions E21 maps: `(n, count functions of width n)` for
+/// n ∈ {4, 5, 6}, drawn in that order from one seeded stream.
+fn general_mapper_functions(count: usize) -> Vec<(usize, Vec<TruthTable>)> {
+    let mut rng = StdRng::seed_from_u64(0x21);
+    [4usize, 5, 6]
+        .into_iter()
+        .map(|n| (n, (0..count).map(|_| TruthTable::from_bits(n, rng.random::<u64>())).collect()))
+        .collect()
+}
+
+/// Map `tt` onto a fresh fabric sized for its width.
+fn map_general(tt: &TruthTable) -> (Fabric, MappedFunction) {
+    let (w, h) = mapk::fabric_size_for(tt.vars());
+    let mut fabric = Fabric::new(w, h);
+    let mapped = map_function(&mut fabric, tt).expect("maps");
+    (fabric, mapped)
+}
+
+/// Does the elaborated mapping compute `tt`? Every minterm is checked in
+/// one bit-parallel word; a netlist that won't levelize is not correct.
+fn mapping_correct(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) -> bool {
+    let elab = mapped.elaborate(fabric, &FabricTiming::default());
+    let mut inputs = Vec::new();
+    for (v, ports) in mapped.var_ports.iter().enumerate() {
+        inputs.extend(ports.iter().map(|p| (p.net(&elab), v)));
+    }
+    let out = mapped.output.net(&elab);
+    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), tt.bits()).unwrap_or(false)
+}
+
 /// E21 at an explicit function count per width (see `experiments::Scale`).
 pub fn study_general_mapper_scaled(count: usize) -> Experiment {
     let mut rows = vec!["n  functions  correct  tiles  stitches".into()];
     let mut pass = true;
-    let mut rng = StdRng::seed_from_u64(0x21);
-    for n in [4usize, 5, 6] {
+    for (n, functions) in general_mapper_functions(count) {
         let mut correct = 0;
         let mut tiles = 0;
         let mut stitches = 0;
-        for _ in 0..count {
-            let tt = TruthTable::from_bits(n, rng.random::<u64>());
-            let (w, h) = mapk::fabric_size_for(n);
-            let mut fabric = Fabric::new(w, h);
-            let mapped = map_function(&mut fabric, &tt).expect("maps");
+        for tt in &functions {
+            let (fabric, mapped) = map_general(tt);
             tiles = mapped.tiles;
             stitches = mapped.stitches.len();
-            let elab = mapped.elaborate(&fabric, &FabricTiming::default());
-            let mut all_ok = true;
-            for m in 0..(1u64 << n) {
-                let mut sim = Simulator::new(elab.netlist.clone());
-                for (v, ports) in mapped.var_ports.iter().enumerate() {
-                    for p in ports {
-                        sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
-                    }
-                }
-                sim.settle(2_000_000).unwrap();
-                all_ok &= sim.value(mapped.output.net(&elab)) == Logic::from_bool(tt.eval(m));
-            }
-            if all_ok {
+            if mapping_correct(&fabric, &mapped, tt) {
                 correct += 1;
             }
         }
@@ -424,5 +455,44 @@ pub fn study_general_mapper_scaled(count: usize) -> Experiment {
         paper: "the fabric provides primitives from which arbitrary logic is composed",
         rows,
         pass,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::Scale;
+
+    /// Event-driven oracle for [`mapping_correct`]: one fresh simulation
+    /// per minterm.
+    fn mapping_correct_event(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) -> bool {
+        let elab = mapped.elaborate(fabric, &FabricTiming::default());
+        (0..1u64 << tt.vars()).all(|m| {
+            let mut sim = Simulator::new(elab.netlist.clone());
+            for (v, ports) in mapped.var_ports.iter().enumerate() {
+                for p in ports {
+                    sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
+                }
+            }
+            sim.settle(2_000_000).unwrap();
+            sim.value(mapped.output.net(&elab)) == Logic::from_bool(tt.eval(m))
+        })
+    }
+
+    #[test]
+    fn e21_bitsim_verdict_matches_the_event_oracle() {
+        let functions = general_mapper_functions(Scale::fast().mapper_funcs);
+        for tt in functions.iter().flat_map(|(_, width)| width) {
+            let (fabric, mapped) = map_general(tt);
+            let verdict = mapping_correct(&fabric, &mapped, tt);
+            assert_eq!(verdict, mapping_correct_event(&fabric, &mapped, tt), "{tt:?}");
+            assert!(verdict, "{tt:?} maps correctly");
+            // one wrong expected bit, at either end of the lanes, must fail
+            for m in [0, (1u64 << tt.vars()) - 1] {
+                let flipped = TruthTable::from_bits(tt.vars(), tt.bits() ^ 1 << m);
+                assert!(!mapping_correct(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
+                assert!(!mapping_correct_event(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
+            }
+        }
     }
 }

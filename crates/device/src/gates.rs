@@ -11,7 +11,13 @@
 //! on the monotone EKV currents, then classified back to logic — the
 //! digital fabric in `pmorph-core` relies on exactly this classification
 //! being clean (rail-to-rail, no ambiguous levels).
+//!
+//! Both NAND bisections stop as soon as their bracket has closed to
+//! adjacent floats, the closed-bracket rule of [`crate::bisect`]. From
+//! then on every remaining step would recompute the same midpoint, so
+//! the early return is the exact f64 the full step count gives.
 
+use crate::bisect::bisect;
 use crate::leaf::Trit;
 use crate::mosfet::DgMosfet;
 use crate::vtc::ConfigurableInverter;
@@ -65,16 +71,7 @@ impl ConfigurableNand {
         let g = |vmid: f64| {
             self.nmos.current(vb, 0.0, vmid, vgb) - self.nmos.current(va, vmid, vout, vga)
         };
-        let (mut lo, mut hi) = (0.0, vout.max(1e-12));
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if g(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let vmid = 0.5 * (lo + hi);
+        let vmid = bisect(0.0, vout.max(1e-12), 60, |vmid| g(vmid) > 0.0);
         self.nmos.current(vb, 0.0, vmid, vgb)
     }
 
@@ -86,16 +83,7 @@ impl ConfigurableNand {
                 - self.pmos.current(va, self.vdd, vout, vga)
                 - self.pmos.current(vb, self.vdd, vout, vgb)
         };
-        let (mut lo, mut hi) = (0.0, self.vdd);
-        for _ in 0..70 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        bisect(0.0, self.vdd, 70, |vout| h(vout) > 0.0)
     }
 
     /// Logic value of a solved node, if unambiguous.

@@ -25,6 +25,7 @@
 //! * [`tech`] — technology bookkeeping: density and configuration-plane
 //!   static power claims (§3).
 
+mod bisect;
 pub mod dynamics;
 pub mod gates;
 pub mod leaf;

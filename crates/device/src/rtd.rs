@@ -19,6 +19,8 @@
 //! anti-symmetric for negative bias. Write dynamics integrate
 //! `C·dV/dt = I_top − I_bot + I_write` with RK4.
 
+use crate::bisect::bisect;
+
 /// One resonance peak.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Peak {
@@ -166,17 +168,7 @@ impl RtdStack {
             let fv = f(v);
             if prev_f == 0.0 || prev_f.signum() != fv.signum() {
                 // refine by bisection
-                let (mut lo, mut hi) = (prev_v, v);
-                let f_lo = prev_f;
-                for _ in 0..60 {
-                    let mid = 0.5 * (lo + hi);
-                    if f(mid).signum() == f_lo.signum() {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                let vn = 0.5 * (lo + hi);
+                let vn = bisect(prev_v, v, 60, |mid| f(mid).signum() != prev_f.signum());
                 let h = self.vdd / STEPS as f64;
                 let slope = (f(vn + h) - f(vn - h)) / (2.0 * h);
                 let eq = Equilibrium { vn, stable: slope < 0.0 };

@@ -78,25 +78,34 @@ pub fn run_study(
     run_study_cfg(model, samples, seed, lo_frac, hi_frac, &SweepConfig::new().with_seed(seed))
 }
 
+/// Sample `i`'s inverter: the nominal pair with per-device V_T0 offsets.
+/// Seeded from the item index alone (rule 1 of the exec determinism
+/// contract), so any schedule yields the same bits.
+fn sample_inverter(
+    sigma: f64,
+    nominal: &ConfigurableInverter,
+    seed: u64,
+    i: usize,
+) -> ConfigurableInverter {
+    let mut rng = StdRng::seed_from_u64(mix_seed(seed, i as u64));
+    let dvt_n = sigma * rng.std_normal();
+    let dvt_p = sigma * rng.std_normal();
+    ConfigurableInverter {
+        nmos: DgMosfet { vt0: nominal.nmos.vt0 + dvt_n, ..nominal.nmos },
+        pmos: DgMosfet { vt0: nominal.pmos.vt0 + dvt_p, ..nominal.pmos },
+        vdd: nominal.vdd,
+    }
+}
+
 /// One sample's switching-threshold solve — the per-item kernel shared by
-/// the sharded and flat paths. Seeded from the item index alone (rule 1
-/// of the exec determinism contract), so any schedule yields the same
-/// bits.
+/// the sharded and flat paths.
 fn sample_threshold(
     sigma: f64,
     nominal: &ConfigurableInverter,
     seed: u64,
     i: usize,
 ) -> Option<f64> {
-    let mut rng = StdRng::seed_from_u64(mix_seed(seed, i as u64));
-    let dvt_n = sigma * rng.std_normal();
-    let dvt_p = sigma * rng.std_normal();
-    let inv = ConfigurableInverter {
-        nmos: DgMosfet { vt0: nominal.nmos.vt0 + dvt_n, ..nominal.nmos },
-        pmos: DgMosfet { vt0: nominal.pmos.vt0 + dvt_p, ..nominal.pmos },
-        vdd: nominal.vdd,
-    };
-    inv.switching_threshold(0.0)
+    sample_inverter(sigma, nominal, seed, i).switching_threshold(0.0)
 }
 
 /// [`run_study`] under an explicit sweep configuration (worker count,
@@ -225,6 +234,7 @@ fn summarize(samples: usize, ok: &[f64], failures: usize) -> VariationStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vtc::tests::fixed_count_threshold;
 
     #[test]
     fn dg_sigma_much_smaller_than_bulk() {
@@ -248,6 +258,21 @@ mod tests {
             let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard_size);
             let sharded = run_study_cfg(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7, &cfg);
             assert_eq!(sharded, flat, "workers={workers} shard_size={shard_size}");
+        }
+    }
+
+    #[test]
+    fn e18_thresholds_match_the_fixed_count_solve_bit_for_bit() {
+        let nominal = ConfigurableInverter::default();
+        for model in [VariationModel::doped_bulk(), VariationModel::undoped_dg()] {
+            for i in 0..400 {
+                let inv = sample_inverter(model.sigma_total(), &nominal, 99, i);
+                assert_eq!(
+                    inv.switching_threshold(0.0).map(f64::to_bits),
+                    fixed_count_threshold(&inv, 0.0).map(f64::to_bits),
+                    "{model:?} sample {i}"
+                );
+            }
         }
     }
 

@@ -7,7 +7,17 @@
 //! into "interconnect" (stuck-on), "nothing" (stuck-off) or "logic"
 //! (active). This module solves the static transfer curve by bisection on
 //! the monotone current-balance equation.
+//!
+//! Both bisections stop early under the two exit rules of
+//! [`crate::bisect`], and neither rule moves a bit of any result. A
+//! bracket that has closed to adjacent floats would keep yielding the
+//! same midpoint, so the solve returns it at once. The switching
+//! threshold only asks whether `V_out(V_in) > VDD/2`, and the solved
+//! `V_out` never leaves its current bracket. So each inner solve stops
+//! with "no" once the bracket's top is at or below `VDD/2`, and with
+//! "yes" once its bottom is above it.
 
+use crate::bisect::{bisect, bisect_until};
 use crate::mosfet::DgMosfet;
 
 /// One sample of a voltage transfer curve.
@@ -61,20 +71,29 @@ impl ConfigurableInverter {
     /// Bisection on `I_N(V_out) − I_P(V_out)`, strictly increasing in
     /// `V_out`.
     pub fn solve_vout_biased(&self, vin: f64, vg_n: f64, vg_p: f64) -> f64 {
+        self.solve_vout_until(vin, vg_n, vg_p, |_, _| false)
+    }
+
+    /// [`Self::solve_vout_biased`], stopped early once `settled(lo, hi)`
+    /// holds for the current output bracket.
+    fn solve_vout_until(
+        &self,
+        vin: f64,
+        vg_n: f64,
+        vg_p: f64,
+        settled: impl FnMut(f64, f64) -> bool,
+    ) -> f64 {
         let f = |vout: f64| {
             self.nmos.current(vin, 0.0, vout, vg_n) - self.pmos.current(vin, self.vdd, vout, vg_p)
         };
-        let (mut lo, mut hi) = (0.0, self.vdd);
         // f(0) ≤ 0 (no NMOS current, PMOS sourcing), f(VDD) ≥ 0.
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        bisect_until(0.0, self.vdd, 80, |vout| f(vout) > 0.0, settled)
+    }
+
+    /// Whether `solve_vout(vin, vg2) > level`, decided as soon as the
+    /// output bracket lies wholly on one side of `level`.
+    fn vout_above(&self, vin: f64, vg2: f64, level: f64) -> bool {
+        self.solve_vout_until(vin, vg2, vg2, |lo, hi| hi <= level || lo > level) > level
     }
 
     /// Sample the full transfer curve with `points` samples.
@@ -97,16 +116,7 @@ impl ConfigurableInverter {
         if hi0 < mid || lo1 > mid {
             return None; // output never crosses the midpoint: stuck
         }
-        let (mut lo, mut hi) = (0.0, self.vdd);
-        for _ in 0..60 {
-            let m = 0.5 * (lo + hi);
-            if self.solve_vout(m, vg2) > mid {
-                lo = m;
-            } else {
-                hi = m;
-            }
-        }
-        Some(0.5 * (lo + hi))
+        Some(bisect(0.0, self.vdd, 60, |m| !self.vout_above(m, vg2, mid)))
     }
 
     /// Classify the configured behaviour (the trichotomy of Fig. 3).
@@ -190,8 +200,62 @@ impl ConfigurableInverter {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::bisect::tests::{evals_of, fixed_count};
+
+    /// Oracle for the output solve: 80 fixed halvings, no early exit.
+    fn fixed_count_vout(inv: &ConfigurableInverter, vin: f64, vg2: f64) -> f64 {
+        fixed_count(0.0, inv.vdd, 80, |vout| {
+            inv.nmos.current(vin, 0.0, vout, vg2) - inv.pmos.current(vin, inv.vdd, vout, vg2) > 0.0
+        })
+    }
+
+    /// Oracle for the switching threshold: 60 fixed halvings, each over a
+    /// full 80-step output solve.
+    pub(crate) fn fixed_count_threshold(inv: &ConfigurableInverter, vg2: f64) -> Option<f64> {
+        let mid = inv.vdd / 2.0;
+        if fixed_count_vout(inv, 0.0, vg2) < mid || fixed_count_vout(inv, inv.vdd, vg2) > mid {
+            return None;
+        }
+        let (mut lo, mut hi) = (0.0, inv.vdd);
+        for _ in 0..60 {
+            let m = 0.5 * (lo + hi);
+            if fixed_count_vout(inv, m, vg2) > mid {
+                lo = m;
+            } else {
+                hi = m;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    #[test]
+    fn solves_match_the_fixed_count_loops_bit_for_bit() {
+        let inv = ConfigurableInverter::default();
+        for k in 0..=30 {
+            let vg2 = -1.5 + 0.1 * k as f64;
+            for j in 0..=20 {
+                let vin = j as f64 / 20.0;
+                let (got, want) = (inv.solve_vout(vin, vg2), fixed_count_vout(&inv, vin, vg2));
+                assert_eq!(got.to_bits(), want.to_bits(), "vin {vin} vg2 {vg2}");
+            }
+        }
+        // E1's bias sweep: two stuck configurations and three active ones
+        for vg2 in [-1.5, -0.5, 0.0, 0.5, 1.5] {
+            assert_eq!(
+                inv.switching_threshold(vg2).map(f64::to_bits),
+                fixed_count_threshold(&inv, vg2).map(f64::to_bits),
+                "vg2 {vg2}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_output_solve_stops_once_its_bracket_closes() {
+        let n = evals_of(|| ConfigurableInverter::default().solve_vout(0.5, 0.0));
+        assert!(n < 80, "{n} predicate evaluations");
+    }
 
     #[test]
     fn active_inverter_switches_near_midpoint() {
