@@ -8,7 +8,11 @@
 //!   them to the socket verbatim, so a repeat submission returns a
 //!   byte-identical response. The canonical spec string is stored next to
 //!   the bytes and compared on lookup — an FNV collision degrades to a
-//!   miss, never to serving the wrong artifact.
+//!   miss, never to serving the wrong artifact. Results are held to
+//!   [`RESULT_CACHE_BYTES`], counting payload plus canonical bytes, with
+//!   least-recently-used eviction: a hit refreshes an entry, so a pool of
+//!   hot specs outlives a stream of one-off ones. A payload larger than
+//!   the whole budget is not stored; its job still serves it.
 //! * **designs** — tech-mapped [`MappedDesign`]s keyed by circuit
 //!   generator + size. Shared across job *types*: a `truth_sweep` and a
 //!   `place_route` over the same circuit map it once. This is the
@@ -21,8 +25,12 @@
 //! failure would pin a transient error forever).
 
 use pmorph_fpga::MappedDesign;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
+
+/// Byte budget of the result store: 4 MiB, four times the ~1 MB pool of
+/// hot payloads the end-to-end benchmark replays.
+pub const RESULT_CACHE_BYTES: usize = 4 << 20;
 
 /// One cached job result.
 struct CachedResult {
@@ -30,11 +38,26 @@ struct CachedResult {
     canonical: String,
     /// Serialized payload bytes, served verbatim on a hit.
     payload: Arc<Vec<u8>>,
+    /// Stamp of the last store or hit (its key in `Inner::recency`).
+    used: u64,
+}
+
+impl CachedResult {
+    /// Bytes charged against [`RESULT_CACHE_BYTES`].
+    fn bytes(&self) -> usize {
+        self.canonical.len() + self.payload.len()
+    }
 }
 
 #[derive(Default)]
 struct Inner {
     results: HashMap<u64, CachedResult>,
+    /// Result keys by last-use stamp, least recently used first.
+    recency: BTreeMap<u64, u64>,
+    /// Last stamp handed out.
+    clock: u64,
+    result_bytes: usize,
+    result_evictions: u64,
     designs: HashMap<u64, Arc<MappedDesign>>,
     result_hits: u64,
     result_misses: u64,
@@ -57,6 +80,10 @@ pub struct CacheStats {
     pub design_hits: u64,
     /// Design-lookup misses.
     pub design_misses: u64,
+    /// Bytes held by cached results (at most [`RESULT_CACHE_BYTES`]).
+    pub result_bytes: usize,
+    /// Results evicted to stay within [`RESULT_CACHE_BYTES`].
+    pub result_evictions: u64,
 }
 
 /// The process-wide artifact cache (one per server).
@@ -76,9 +103,14 @@ impl ArtifactCache {
     /// differs (an FNV collision) is treated as a miss.
     pub fn lookup_result(&self, key: u64, canonical: &str) -> Option<Arc<Vec<u8>>> {
         let mut inner = self.inner.lock().unwrap();
-        match inner.results.get(&key) {
+        let Inner { results, recency, clock, .. } = &mut *inner;
+        match results.get_mut(&key) {
             Some(hit) if hit.canonical == canonical => {
                 let payload = Arc::clone(&hit.payload);
+                recency.remove(&hit.used);
+                *clock += 1;
+                hit.used = *clock;
+                recency.insert(hit.used, key);
                 inner.result_hits += 1;
                 if pmorph_obs::enabled() {
                     pmorph_obs::counter!("serve.cache.result_hits").add(1);
@@ -96,16 +128,29 @@ impl ArtifactCache {
         }
     }
 
-    /// Store a finished payload under its content address. First write
-    /// wins; a concurrent duplicate (two identical jobs racing to finish)
-    /// is dropped, which keeps the "byte-identical repeat" guarantee
-    /// trivially true.
+    /// Store a finished payload under its content address, then evict
+    /// least-recently-used results until the store fits
+    /// [`RESULT_CACHE_BYTES`]. First write wins; a concurrent duplicate
+    /// (two identical jobs racing to finish) is dropped, which keeps the
+    /// "byte-identical repeat" guarantee trivially true. A payload larger
+    /// than the budget is not stored.
     pub fn store_result(&self, key: u64, canonical: &str, payload: Arc<Vec<u8>>) {
         let mut inner = self.inner.lock().unwrap();
-        inner
-            .results
-            .entry(key)
-            .or_insert_with(|| CachedResult { canonical: canonical.to_string(), payload });
+        if inner.results.contains_key(&key) || canonical.len() + payload.len() > RESULT_CACHE_BYTES
+        {
+            return;
+        }
+        inner.clock += 1;
+        let entry = CachedResult { canonical: canonical.to_string(), payload, used: inner.clock };
+        inner.result_bytes += entry.bytes();
+        inner.recency.insert(entry.used, key);
+        inner.results.insert(key, entry);
+        while inner.result_bytes > RESULT_CACHE_BYTES {
+            let (_, oldest) = inner.recency.pop_first().expect("a non-empty store is over budget");
+            let evicted = inner.results.remove(&oldest).expect("recency tracks every result");
+            inner.result_bytes -= evicted.bytes();
+            inner.result_evictions += 1;
+        }
     }
 
     /// Get-or-build the tech-mapped design under `key`. `build` runs
@@ -157,6 +202,8 @@ impl ArtifactCache {
             result_misses: inner.result_misses,
             design_hits: inner.design_hits,
             design_misses: inner.design_misses,
+            result_bytes: inner.result_bytes,
+            result_evictions: inner.result_evictions,
         }
     }
 }
@@ -193,6 +240,52 @@ mod tests {
             cache.lookup_result(7, "spec").as_deref().map(|b| b.as_slice()),
             Some(b"first".as_slice())
         );
+    }
+
+    /// A payload that, with its canonical spec `spec-<i>`, takes an
+    /// eighth of the budget.
+    fn eighth(i: usize) -> (String, Arc<Vec<u8>>) {
+        let spec = format!("spec-{i:04}");
+        let payload = Arc::new(vec![b'x'; RESULT_CACHE_BYTES / 8 - spec.len()]);
+        (spec, payload)
+    }
+
+    #[test]
+    fn results_stay_within_the_byte_budget_and_evict_least_recently_used() {
+        let cache = ArtifactCache::new();
+        let (old_read, old_unread) = (eighth(0), eighth(1));
+        cache.store_result(0, &old_read.0, Arc::clone(&old_read.1));
+        cache.store_result(1, &old_unread.0, Arc::clone(&old_unread.1));
+        assert!(cache.lookup_result(0, &old_read.0).is_some());
+        // fill to the budget, then one more: the unread entry goes first
+        // although it was stored after the one that was read
+        for i in 2..=8 {
+            let (spec, payload) = eighth(i);
+            cache.store_result(i as u64, &spec, payload);
+            assert!(cache.stats().result_bytes <= RESULT_CACHE_BYTES);
+        }
+        assert_eq!(cache.stats().result_evictions, 1);
+        assert_eq!(cache.lookup_result(1, &old_unread.0), None, "unread entry evicted");
+        assert!(cache.lookup_result(0, &old_read.0).is_some(), "re-read entry survives");
+        for i in 9..40 {
+            let (spec, payload) = eighth(i);
+            cache.store_result(i as u64, &spec, payload);
+            let stats = cache.stats();
+            assert!(stats.result_bytes <= RESULT_CACHE_BYTES, "{stats:?}");
+            assert_eq!(stats.result_bytes, stats.results * RESULT_CACHE_BYTES / 8);
+        }
+    }
+
+    #[test]
+    fn a_payload_over_the_budget_is_not_stored() {
+        let cache = ArtifactCache::new();
+        cache.store_result(1, "small", payload("p"));
+        let huge = Arc::new(vec![0u8; RESULT_CACHE_BYTES]);
+        cache.store_result(2, "huge", huge);
+        assert_eq!(cache.lookup_result(2, "huge"), None);
+        assert!(cache.lookup_result(1, "small").is_some(), "nothing was evicted for it");
+        let stats = cache.stats();
+        assert_eq!((stats.results, stats.result_bytes, stats.result_evictions), (1, 6, 0));
     }
 
     #[test]

@@ -176,6 +176,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        410 => "Gone",
         413 => "Payload Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",

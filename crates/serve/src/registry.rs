@@ -28,14 +28,34 @@
 //! which tells a submit whether its job starts at once
 //! ([`Receipt::worker_ready`]). Job execution happens *outside* the
 //! lock; only bookkeeping is inside.
+//!
+//! ## Retention
+//!
+//! At most [`MAX_RETAINED_JOBS`] terminal job records are kept. Past
+//! that, the record of the job that finished longest ago is dropped and
+//! its id answers [`NoJob::Expired`]; queued and running jobs are never
+//! dropped. Per-state totals are cumulative counters, so `/metrics`
+//! still counts every job the server has run.
 
 use crate::cache::ArtifactCache;
 use crate::job::{self, JobError, JobSpec};
 use pmorph_util::json::Value;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Most terminal job records the registry keeps (see the module docs).
+///
+/// A client reads a finished job's record until it has its result, so
+/// the bound must exceed the number of other jobs that finish between a
+/// job's end and its client's last read of it: the read's depth. The
+/// deepest read measured across the in-repo clients was 45, in the
+/// `hot_replay` perfbench workload on a 2-core host also running two
+/// busy loops (19 unloaded; `small_cold` 12, `heavy_cold` 2, the
+/// registry property suite 19, the `serve` micro-benchmark 7, the e2e
+/// suite 3). The bound is the first power of two past ten times that.
+pub const MAX_RETAINED_JOBS: usize = 512;
 
 /// A job's lifecycle state.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -88,7 +108,7 @@ impl JobState {
 /// One job's bookkeeping.
 struct Job {
     /// The canonical spec string is rebuilt from this when needed rather
-    /// than stored: every job is kept for the server's lifetime.
+    /// than stored, which keeps each retained record small.
     spec: Arc<JobSpec>,
     state: JobState,
     history: Vec<JobState>,
@@ -103,9 +123,19 @@ struct Job {
 }
 
 struct Inner {
-    /// Every job ever submitted; job `id` sits at index `id - 1` (ids are
-    /// dense and assigned in order, and jobs are never removed).
-    jobs: Vec<Job>,
+    /// Retained job records by id: every queued and running job, and the
+    /// terminal jobs listed in `finished`.
+    jobs: BTreeMap<u64, Job>,
+    /// The id the next submit gets. Ids are dense and assigned in order
+    /// from 1, so an id below it with no record has expired.
+    next_id: u64,
+    /// Retained terminal jobs in the order they finished: the first is
+    /// the next to be dropped.
+    finished: VecDeque<u64>,
+    /// Cumulative counts of jobs that ended done, failed and cancelled.
+    done: u64,
+    failed: u64,
+    cancelled: u64,
     queue: VecDeque<u64>,
     running: usize,
     /// Workers parked in [`Registry::claim`] waiting for work.
@@ -114,20 +144,31 @@ struct Inner {
 }
 
 impl Inner {
-    fn job(&self, id: u64) -> Option<&Job> {
-        self.jobs.get(usize::try_from(id).ok()?.checked_sub(1)?)
+    /// Why `id` has no record: never issued, or issued and since dropped.
+    fn missing(&self, id: u64) -> NoJob {
+        if id == 0 || id >= self.next_id {
+            NoJob::Unknown
+        } else {
+            NoJob::Expired
+        }
     }
 
-    fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
-        self.jobs.get_mut(usize::try_from(id).ok()?.checked_sub(1)?)
+    fn job(&self, id: u64) -> Result<&Job, NoJob> {
+        self.jobs.get(&id).ok_or_else(|| self.missing(id))
+    }
+
+    fn job_mut(&mut self, id: u64) -> Result<&mut Job, NoJob> {
+        let why = self.missing(id);
+        self.jobs.get_mut(&id).ok_or(why)
     }
 
     /// The single transition choke point: asserts legality, appends to
-    /// history. An illegal transition is a server bug, so it panics
-    /// (tests catch it; in production the worker thread dies loudly
-    /// rather than corrupting the record).
+    /// history, counts terminal states, and drops the oldest-finished
+    /// records past [`MAX_RETAINED_JOBS`]. An illegal transition is a
+    /// server bug, so it panics (tests catch it; in production the
+    /// worker thread dies loudly rather than corrupting the record).
     fn set_state(&mut self, id: u64, to: JobState) {
-        let job = self.job_mut(id).expect("transition on unknown job");
+        let job = self.job_mut(id).expect("transition on a retained job");
         assert!(
             job.state.can_transition(to),
             "illegal job transition {} -> {} (job {id})",
@@ -136,6 +177,17 @@ impl Inner {
         );
         job.state = to;
         job.history.push(to);
+        match to {
+            JobState::Done => self.done += 1,
+            JobState::Failed => self.failed += 1,
+            JobState::Cancelled => self.cancelled += 1,
+            JobState::Queued | JobState::Running => return,
+        }
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_RETAINED_JOBS {
+            let oldest = self.finished.pop_front().expect("over the bound");
+            self.jobs.remove(&oldest);
+        }
     }
 }
 
@@ -161,11 +213,21 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
+/// Why a job id has no record.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum NoJob {
+    /// The id was never issued.
+    Unknown,
+    /// The job finished and its record was dropped to keep at most
+    /// [`MAX_RETAINED_JOBS`] terminal records.
+    Expired,
+}
+
 /// Why a result fetch failed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ResultError {
-    /// No such job.
-    Unknown,
+    /// No record for this id.
+    Missing(NoJob),
     /// Job exists but has no payload (still pending, failed, or
     /// cancelled) — the current state says which.
     NotDone(JobState),
@@ -193,7 +255,12 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             inner: Mutex::new(Inner {
-                jobs: Vec::new(),
+                jobs: BTreeMap::new(),
+                next_id: 1,
+                finished: VecDeque::new(),
+                done: 0,
+                failed: 0,
+                cancelled: 0,
                 queue: VecDeque::new(),
                 running: 0,
                 idle_workers: 0,
@@ -224,19 +291,23 @@ impl Registry {
         if inner.shutting_down {
             return Err(SubmitError::ShuttingDown);
         }
-        let id = inner.jobs.len() as u64 + 1;
+        let id = inner.next_id;
+        inner.next_id += 1;
         let cache_hit = cached.is_some();
-        inner.jobs.push(Job {
-            spec: Arc::new(spec),
-            state: JobState::Queued,
-            history: vec![JobState::Queued],
-            cache_hit,
-            error: None,
-            result: cached,
-            metrics: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-            run_ns: None,
-        });
+        inner.jobs.insert(
+            id,
+            Job {
+                spec: Arc::new(spec),
+                state: JobState::Queued,
+                history: vec![JobState::Queued],
+                cache_hit,
+                error: None,
+                result: cached,
+                metrics: None,
+                cancel: Arc::new(AtomicBool::new(false)),
+                run_ns: None,
+            },
+        );
         // Every job already queued has an idle worker (if any) spoken
         // for, so this one starts at once only if one more is parked.
         let worker_ready = !cache_hit && inner.idle_workers > inner.queue.len();
@@ -267,7 +338,7 @@ impl Registry {
             if let Some(id) = inner.queue.pop_front() {
                 inner.set_state(id, JobState::Running);
                 inner.running += 1;
-                let job = inner.job(id).expect("queued jobs exist");
+                let job = inner.job(id).expect("queued jobs are retained");
                 let out = (id, Arc::clone(&job.spec), Arc::clone(&job.cancel));
                 self.state_cv.notify_all();
                 if pmorph_obs::enabled() {
@@ -301,8 +372,8 @@ impl Registry {
         run_ns: u64,
     ) {
         // Serialize outside the lock; these payloads can be large. The
-        // bytes are kept for the server's lifetime, so drop the growth
-        // slack (over a quarter of the buffer on average).
+        // bytes stay on the retained record and in the cache, so drop the
+        // growth slack (over a quarter of the buffer on average).
         let done = match outcome {
             Ok(payload) => {
                 let mut bytes = payload.to_string_compact().into_bytes();
@@ -319,7 +390,7 @@ impl Registry {
         };
         inner.set_state(id, to);
         inner.running -= 1;
-        let job = inner.job_mut(id).expect("completed unknown job");
+        let job = inner.job_mut(id).expect("running jobs are retained");
         job.metrics = metrics;
         job.run_ns = Some(run_ns);
         let publish = match done {
@@ -347,8 +418,8 @@ impl Registry {
     /// Cancel a job. Queued jobs cancel immediately; running jobs get
     /// their flag set and cancel at the next check (the returned state is
     /// still `Running` — poll for the terminal state). Terminal jobs are
-    /// untouched (cancellation is idempotent). `None` means no such job.
-    pub fn cancel(&self, id: u64) -> Option<JobState> {
+    /// untouched (cancellation is idempotent).
+    pub fn cancel(&self, id: u64) -> Result<JobState, NoJob> {
         let mut inner = self.inner.lock().unwrap();
         let state = inner.job(id)?.state;
         match state {
@@ -361,29 +432,29 @@ impl Registry {
                     pmorph_obs::gauge!("serve.jobs.queue_depth").set(inner.queue.len() as f64);
                     pmorph_obs::trace::counter("serve.jobs.queue_depth", inner.queue.len() as f64);
                 }
-                Some(JobState::Cancelled)
+                Ok(JobState::Cancelled)
             }
             JobState::Running => {
                 inner.job(id).expect("looked up above").cancel.store(true, Ordering::Relaxed);
-                Some(JobState::Running)
+                Ok(JobState::Running)
             }
-            terminal => Some(terminal),
+            terminal => Ok(terminal),
         }
     }
 
     /// A job's current state.
-    pub fn state(&self, id: u64) -> Option<JobState> {
+    pub fn state(&self, id: u64) -> Result<JobState, NoJob> {
         self.inner.lock().unwrap().job(id).map(|j| j.state)
     }
 
     /// A job's full transition history (the property suite's audit
     /// trail).
-    pub fn history(&self, id: u64) -> Option<Vec<JobState>> {
+    pub fn history(&self, id: u64) -> Result<Vec<JobState>, NoJob> {
         self.inner.lock().unwrap().job(id).map(|j| j.history.clone())
     }
 
     /// The status record served at `GET /jobs/{id}`.
-    pub fn status_json(&self, id: u64) -> Option<Value> {
+    pub fn status_json(&self, id: u64) -> Result<Value, NoJob> {
         let inner = self.inner.lock().unwrap();
         let job = inner.job(id)?;
         let mut rec = Value::object();
@@ -405,21 +476,20 @@ impl Registry {
         if let Some(m) = &job.metrics {
             rec.set("metrics", m.clone());
         }
-        Some(rec)
+        Ok(rec)
     }
 
-    /// The job list served at `GET /jobs`: `[{id, type, state}, …]` in id
-    /// order.
+    /// The job list served at `GET /jobs`: `[{id, type, state}, …]` over
+    /// the retained jobs, in id order.
     pub fn list_json(&self) -> Value {
         let inner = self.inner.lock().unwrap();
         Value::Array(
             inner
                 .jobs
                 .iter()
-                .enumerate()
-                .map(|(i, job)| {
+                .map(|(id, job)| {
                     let mut rec = Value::object();
-                    rec.set("id", Value::Str(format!("j-{}", i + 1)));
+                    rec.set("id", Value::Str(format!("j-{id}")));
                     rec.set("type", Value::Str(job.spec.kind().into()));
                     rec.set("state", Value::Str(job.state.name().into()));
                     rec
@@ -428,32 +498,23 @@ impl Registry {
         )
     }
 
-    /// Per-state job counts (for `/metrics`).
+    /// Job counts for `/metrics`: the live queued and running jobs, the
+    /// cumulative terminal totals, and how many records are retained and
+    /// how many have expired.
     pub fn counts_json(&self) -> Value {
         let inner = self.inner.lock().unwrap();
-        let mut counts = [0u64; 5];
-        for job in &inner.jobs {
-            let i = match job.state {
-                JobState::Queued => 0,
-                JobState::Running => 1,
-                JobState::Done => 2,
-                JobState::Failed => 3,
-                JobState::Cancelled => 4,
-            };
-            counts[i] += 1;
-        }
+        let retained = inner.jobs.len() as u64;
         let mut obj = Value::object();
-        for (state, n) in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-            JobState::Cancelled,
-        ]
-        .iter()
-        .zip(counts)
-        {
-            obj.set(state.name(), Value::Num(n as f64));
+        for (name, n) in [
+            (JobState::Queued.name(), inner.queue.len() as u64),
+            (JobState::Running.name(), inner.running as u64),
+            (JobState::Done.name(), inner.done),
+            (JobState::Failed.name(), inner.failed),
+            (JobState::Cancelled.name(), inner.cancelled),
+            ("retained", retained),
+            ("expired", inner.next_id - 1 - retained),
+        ] {
+            obj.set(name, Value::Num(n as f64));
         }
         obj
     }
@@ -462,7 +523,7 @@ impl Registry {
     /// `GET /jobs/{id}/result`).
     pub fn result_bytes(&self, id: u64) -> Result<Arc<Vec<u8>>, ResultError> {
         let inner = self.inner.lock().unwrap();
-        let job = inner.job(id).ok_or(ResultError::Unknown)?;
+        let job = inner.job(id).map_err(ResultError::Missing)?;
         match (&job.result, job.state) {
             (Some(bytes), JobState::Done) => Ok(Arc::clone(bytes)),
             (_, state) => Err(ResultError::NotDone(state)),
@@ -471,15 +532,16 @@ impl Registry {
 
     /// Block until `id` reaches a terminal state. `POST /jobs` uses this
     /// for its bounded hold; benches and tests wait on it directly.
-    /// `false` on timeout or unknown id.
+    /// `false` on timeout or unknown id; an expired job was terminal.
     pub fn wait_terminal(&self, id: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().unwrap();
         loop {
             match inner.job(id) {
-                None => return false,
-                Some(job) if job.state.is_terminal() => return true,
-                Some(_) => {}
+                Err(NoJob::Unknown) => return false,
+                Err(NoJob::Expired) => return true,
+                Ok(job) if job.state.is_terminal() => return true,
+                Ok(_) => {}
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -628,9 +690,9 @@ mod tests {
         assert_eq!((r.id, r.state, r.cache_hit), (1, JobState::Queued, false));
         let (id, spec, cancel) = reg.claim().unwrap();
         assert_eq!(id, 1);
-        assert_eq!(reg.state(1), Some(JobState::Running));
+        assert_eq!(reg.state(1), Ok(JobState::Running));
         run_one(&reg, id, &spec, &cancel);
-        assert_eq!(reg.state(1), Some(JobState::Done));
+        assert_eq!(reg.state(1), Ok(JobState::Done));
         assert_eq!(
             reg.history(1).unwrap(),
             vec![JobState::Queued, JobState::Running, JobState::Done]
@@ -666,7 +728,7 @@ mod tests {
             assert!(!r.cache_hit);
             let (id, s, cancel) = reg.claim().unwrap();
             run_one(&reg, id, &s, &cancel);
-            assert_eq!(reg.state(r.id), Some(JobState::Done));
+            assert_eq!(reg.state(r.id), Ok(JobState::Done));
         }
     }
 
@@ -694,7 +756,7 @@ mod tests {
     fn cancel_queued_job_skips_the_worker() {
         let reg = Registry::new();
         let r = reg.submit(sleep_spec(100, 10)).unwrap();
-        assert_eq!(reg.cancel(r.id), Some(JobState::Cancelled));
+        assert_eq!(reg.cancel(r.id), Ok(JobState::Cancelled));
         assert_eq!(reg.history(r.id).unwrap(), vec![JobState::Queued, JobState::Cancelled]);
         assert_eq!(reg.result_bytes(r.id), Err(ResultError::NotDone(JobState::Cancelled)));
         // The queue is empty: shutdown drains instantly, claim returns None.
@@ -708,18 +770,18 @@ mod tests {
         let pool = WorkerPool::spawn(Arc::clone(&reg), 1);
         let r = reg.submit(sleep_spec(10_000, 1)).unwrap();
         // Wait until the worker picks it up, then cancel mid-run.
-        while reg.state(r.id) == Some(JobState::Queued) {
+        while reg.state(r.id) == Ok(JobState::Queued) {
             std::thread::yield_now();
         }
-        assert_eq!(reg.cancel(r.id), Some(JobState::Running));
+        assert_eq!(reg.cancel(r.id), Ok(JobState::Running));
         assert!(reg.wait_terminal(r.id, Duration::from_secs(30)));
-        assert_eq!(reg.state(r.id), Some(JobState::Cancelled));
+        assert_eq!(reg.state(r.id), Ok(JobState::Cancelled));
         assert_eq!(
             reg.history(r.id).unwrap(),
             vec![JobState::Queued, JobState::Running, JobState::Cancelled]
         );
         // Idempotent on terminal jobs.
-        assert_eq!(reg.cancel(r.id), Some(JobState::Cancelled));
+        assert_eq!(reg.cancel(r.id), Ok(JobState::Cancelled));
         reg.shutdown(false);
         pool.join();
     }
@@ -733,7 +795,7 @@ mod tests {
         assert_eq!(summary.get("state").and_then(Value::as_str), Some("drained"));
         assert_eq!(reg.submit(sleep_spec(0, 0)), Err(SubmitError::ShuttingDown));
         for id in ids {
-            assert_eq!(reg.state(id), Some(JobState::Done), "drain finishes queued work");
+            assert_eq!(reg.state(id), Ok(JobState::Done), "drain finishes queued work");
         }
         pool.join();
     }
@@ -745,8 +807,8 @@ mod tests {
         let b = reg.submit(sleep_spec(1, 0)).unwrap().id;
         // No workers: both still queued; a no-drain shutdown cancels them.
         reg.shutdown(false);
-        assert_eq!(reg.state(a), Some(JobState::Cancelled));
-        assert_eq!(reg.state(b), Some(JobState::Cancelled));
+        assert_eq!(reg.state(a), Ok(JobState::Cancelled));
+        assert_eq!(reg.state(b), Ok(JobState::Cancelled));
     }
 
     #[test]
@@ -755,10 +817,81 @@ mod tests {
         reg.submit(sleep_spec(0, 0)).unwrap();
         let (id, _, _) = reg.claim().unwrap();
         reg.complete(id, Err(JobError::Failed("boom".into())), None, 1);
-        assert_eq!(reg.state(id), Some(JobState::Failed));
+        assert_eq!(reg.state(id), Ok(JobState::Failed));
         let status = reg.status_json(id).unwrap();
         assert_eq!(status.get("error").and_then(Value::as_str), Some("boom"));
         assert_eq!(reg.cache().stats().results, 0);
+    }
+
+    /// Submit, claim and complete `n` jobs, each done with a payload.
+    fn complete_jobs(reg: &Registry, n: usize) {
+        for _ in 0..n {
+            reg.submit(sleep_spec(0, 0)).unwrap();
+            let (id, _, _) = reg.claim().unwrap();
+            reg.complete(id, Ok(Value::Num(id as f64)), None, 1);
+        }
+    }
+
+    fn count(reg: &Registry, name: &str) -> Option<f64> {
+        reg.counts_json().get(name).and_then(Value::as_f64)
+    }
+
+    #[test]
+    fn only_the_newest_finished_records_are_retained() {
+        let reg = Registry::new();
+        complete_jobs(&reg, MAX_RETAINED_JOBS + 3);
+        for id in 1..=3 {
+            assert_eq!(reg.state(id), Err(NoJob::Expired), "j-{id}");
+            assert_eq!(reg.status_json(id).unwrap_err(), NoJob::Expired, "j-{id}");
+            assert_eq!(reg.result_bytes(id), Err(ResultError::Missing(NoJob::Expired)), "j-{id}");
+            assert_eq!(reg.cancel(id), Err(NoJob::Expired), "j-{id}");
+            assert_eq!(reg.history(id), Err(NoJob::Expired), "j-{id}");
+            assert!(reg.wait_terminal(id, Duration::ZERO), "an expired job was terminal");
+        }
+        assert_eq!(reg.state(4), Ok(JobState::Done));
+        assert_eq!(reg.result_bytes(4).unwrap().as_slice(), b"4");
+        let next = (MAX_RETAINED_JOBS + 4) as u64;
+        for unknown in [0, next] {
+            assert_eq!(reg.history(unknown), Err(NoJob::Unknown), "j-{unknown}");
+            assert!(!reg.wait_terminal(unknown, Duration::ZERO));
+        }
+        let listed = reg.list_json();
+        let listed = listed.as_array().unwrap();
+        assert_eq!(listed.len(), MAX_RETAINED_JOBS);
+        assert_eq!(listed[0].get("id").and_then(Value::as_str), Some("j-4"));
+        // the counts still cover every job ever run
+        assert_eq!(count(&reg, "done"), Some((MAX_RETAINED_JOBS + 3) as f64));
+        assert_eq!(count(&reg, "retained"), Some(MAX_RETAINED_JOBS as f64));
+        assert_eq!(count(&reg, "expired"), Some(3.0));
+        assert_eq!(reg.submit(sleep_spec(0, 0)).unwrap().id, next, "ids stay dense");
+    }
+
+    #[test]
+    fn queued_and_running_jobs_outlive_the_churn() {
+        let reg = Registry::new();
+        let running = reg.submit(sleep_spec(0, 0)).unwrap().id;
+        assert_eq!(reg.claim().unwrap().0, running);
+        let queued = reg.submit(sleep_spec(0, 0)).unwrap().id;
+        // churn: jobs cancelled while queued finish without a worker, so
+        // the older queued job stays at the head of the queue
+        for _ in 0..MAX_RETAINED_JOBS + 3 {
+            let id = reg.submit(sleep_spec(0, 0)).unwrap().id;
+            assert_eq!(reg.cancel(id), Ok(JobState::Cancelled));
+        }
+        assert_eq!(reg.state(running), Ok(JobState::Running));
+        assert_eq!(reg.state(queued), Ok(JobState::Queued));
+        assert_eq!(reg.state(3), Err(NoJob::Expired), "the oldest-finished record went first");
+        assert_eq!(reg.state(6), Ok(JobState::Cancelled));
+        // storage holds the two live jobs plus the bound, not a slot for
+        // every id issued since the running job
+        assert_eq!(reg.inner.lock().unwrap().jobs.len(), MAX_RETAINED_JOBS + 2);
+        assert_eq!(count(&reg, "retained"), Some((MAX_RETAINED_JOBS + 2) as f64));
+        reg.complete(running, Ok(Value::Null), None, 1);
+        assert_eq!(reg.history(running).unwrap().last(), Some(&JobState::Done));
+        assert_eq!(reg.state(6), Err(NoJob::Expired), "finishing drops the next oldest");
+        assert_eq!(reg.claim().unwrap().0, queued);
+        assert_eq!(count(&reg, "cancelled"), Some((MAX_RETAINED_JOBS + 3) as f64));
+        assert_eq!(count(&reg, "expired"), Some(4.0));
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //!
 //! | method & path | body | does |
 //! |---|---|---|
-//! | `POST /jobs` | job spec JSON | submit; `200 {id, state, cache_hit}` or `400`/`503`; `state` may already be terminal (see below) |
-//! | `GET /jobs` | — | list `[{id, type, state}, …]` |
+//! | `POST /jobs` | job spec JSON | submit; `200 {id, state, cache_hit}` or `400`/`503`; `state` may already be terminal (see below); `410` if the record expired during the hold |
+//! | `GET /jobs` | — | list `[{id, type, state}, …]` of the retained jobs |
 //! | `GET /jobs/{id}` | — | full status record (state, history, cache_hit, metrics) |
 //! | `GET /jobs/{id}/result` | — | the payload, verbatim bytes; `409` until `done` |
-//! | `POST /jobs/{id}/cancel` | — | cancel; idempotent; `404` on unknown id |
-//! | `GET /metrics` | — | obs snapshot + cache stats + per-state job counts |
+//! | `POST /jobs/{id}/cancel` | — | cancel; idempotent |
+//! | `GET /metrics` | — | obs snapshot + cache stats + job counts |
 //! | `POST /shutdown` | optional `{"drain": bool}` | drain and stop; responds after the drain |
+//!
+//! The three `/jobs/{id}` routes answer `404` for an id never issued and
+//! `410 Gone` for an expired one, whose record was dropped under the
+//! registry's retention bound (`MAX_RETAINED_JOBS`).
 //!
 //! ## Submit hold
 //!
@@ -22,7 +26,9 @@
 //! `done` or `failed` and the client fetches the result without polling;
 //! a longer one answers `running`. A job that must wait for a worker is
 //! answered `queued` at once, so batch submitters are never slowed.
-//! Cache hits answer `done` at once, as before.
+//! Cache hits answer `done` at once, as before. A held job that finished
+//! and whose record was dropped before the hold read its state answers
+//! `410`, as the `/jobs/{id}` routes do.
 //!
 //! ## Connection handlers
 //!
@@ -46,7 +52,9 @@
 
 use crate::http::{self, HttpError, Request};
 use crate::job::JobSpec;
-use crate::registry::{parse_job_id, Registry, ResultError, SubmitError, WorkerPool};
+use crate::registry::{
+    parse_job_id, JobState, NoJob, Receipt, Registry, ResultError, SubmitError, WorkerPool,
+};
 use pmorph_util::json::{self, Value};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -302,6 +310,19 @@ fn error_body(msg: &str) -> Value {
     body
 }
 
+/// `410` for an expired job id; `404` for one never issued, or (`None`)
+/// for a path segment that is not a job id at all.
+fn no_job(stream: &TcpStream, lookup: Option<(u64, NoJob)>) -> io::Result<()> {
+    match lookup {
+        Some((id, NoJob::Expired)) => {
+            http::write_response(stream, 410, &error_body(&format!("job j-{id} expired")))
+        }
+        Some((_, NoJob::Unknown)) | None => {
+            http::write_response(stream, 404, &error_body("no such job"))
+        }
+    }
+}
+
 fn route(
     stream: &TcpStream,
     req: &Request,
@@ -312,20 +333,24 @@ fn route(
     match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["jobs"]) => post_job(stream, req, registry),
         ("GET", ["jobs"]) => http::write_response(stream, 200, &registry.list_json()),
-        ("GET", ["jobs", id]) => match parse_job_id(id).and_then(|id| registry.status_json(id)) {
-            Some(rec) => http::write_response(stream, 200, &rec),
-            None => http::write_response(stream, 404, &error_body("no such job")),
-        },
+        ("GET", ["jobs", id]) => {
+            let Some(id) = parse_job_id(id) else { return no_job(stream, None) };
+            match registry.status_json(id) {
+                Ok(rec) => http::write_response(stream, 200, &rec),
+                Err(why) => no_job(stream, Some((id, why))),
+            }
+        }
         ("GET", ["jobs", id, "result"]) => get_result(stream, id, registry),
         ("POST", ["jobs", id, "cancel"]) => {
-            match parse_job_id(id).and_then(|id| registry.cancel(id).map(|state| (id, state))) {
-                Some((id, state)) => {
+            let Some(id) = parse_job_id(id) else { return no_job(stream, None) };
+            match registry.cancel(id) {
+                Ok(state) => {
                     let mut body = Value::object();
                     body.set("id", Value::Str(format!("j-{id}")));
                     body.set("state", Value::Str(state.name().into()));
                     http::write_response(stream, 200, &body)
                 }
-                None => http::write_response(stream, 404, &error_body("no such job")),
+                Err(why) => no_job(stream, Some((id, why))),
             }
         }
         ("GET", ["metrics"]) => http::write_response(stream, 200, &metrics_json(registry)),
@@ -353,13 +378,9 @@ fn post_job(stream: &TcpStream, req: &Request, registry: &Arc<Registry>) -> io::
     };
     match registry.submit(spec) {
         Ok(receipt) => {
-            // The submit hold (module docs): only a job an idle worker
-            // starts at once is worth waiting for.
-            let state = if receipt.worker_ready {
-                registry.wait_terminal(receipt.id, SUBMIT_HOLD);
-                registry.state(receipt.id).unwrap_or(receipt.state)
-            } else {
-                receipt.state
+            let state = match answered_state(registry, &receipt) {
+                Ok(state) => state,
+                Err(why) => return no_job(stream, Some((receipt.id, why))),
             };
             let mut body = Value::object();
             body.set("id", Value::Str(format!("j-{}", receipt.id)));
@@ -373,15 +394,25 @@ fn post_job(stream: &TcpStream, req: &Request, registry: &Arc<Registry>) -> io::
     }
 }
 
+/// The state a submit answers with. Only a job an idle worker starts at
+/// once is worth holding for (the submit hold, module docs); its state
+/// is read after the hold, and is `Expired` if the job finished and its
+/// record was dropped while the hold waited.
+fn answered_state(registry: &Registry, receipt: &Receipt) -> Result<JobState, NoJob> {
+    if !receipt.worker_ready {
+        return Ok(receipt.state);
+    }
+    registry.wait_terminal(receipt.id, SUBMIT_HOLD);
+    registry.state(receipt.id)
+}
+
 fn get_result(stream: &TcpStream, id: &str, registry: &Arc<Registry>) -> io::Result<()> {
-    let Some(id) = parse_job_id(id) else {
-        return http::write_response(stream, 404, &error_body("no such job"));
-    };
+    let Some(id) = parse_job_id(id) else { return no_job(stream, None) };
     match registry.result_bytes(id) {
         // Stored bytes verbatim: the byte-identical cached-payload
         // contract is enforced right here.
         Ok(bytes) => http::write_response_bytes(stream, 200, &bytes),
-        Err(ResultError::Unknown) => http::write_response(stream, 404, &error_body("no such job")),
+        Err(ResultError::Missing(why)) => no_job(stream, Some((id, why))),
         Err(ResultError::NotDone(state)) => http::write_response(
             stream,
             409,
@@ -402,6 +433,8 @@ fn metrics_json(registry: &Arc<Registry>) -> Value {
     c.set("result_misses", Value::Num(cache.result_misses as f64));
     c.set("design_hits", Value::Num(cache.design_hits as f64));
     c.set("design_misses", Value::Num(cache.design_misses as f64));
+    c.set("result_bytes", Value::Num(cache.result_bytes as f64));
+    c.set("result_evictions", Value::Num(cache.result_evictions as f64));
     body.set("cache", c);
     if pmorph_obs::enabled() {
         body.set("metrics", pmorph_obs::snapshot().to_json());
@@ -436,4 +469,35 @@ fn post_shutdown(
         let _ = TcpStream::connect(local); // unblock accept()
     }
     written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::MAX_RETAINED_JOBS;
+
+    fn sleep_spec() -> JobSpec {
+        JobSpec::parse(&json::parse(r#"{"type":"sleep","steps":0,"step_ms":0}"#).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_held_submit_answers_the_state_after_the_hold_or_expired() {
+        let reg = Registry::new();
+        let first = reg.submit(sleep_spec()).unwrap();
+        assert_eq!(answered_state(&reg, &first), Ok(JobState::Queued), "not held");
+        let held = Receipt { worker_ready: true, ..first.clone() };
+        let (id, _, _) = reg.claim().unwrap();
+        reg.complete(id, Ok(Value::Null), None, 1);
+        assert_eq!(answered_state(&reg, &held), Ok(JobState::Done));
+        // MAX_RETAINED_JOBS newer jobs finish (cancelled while queued)
+        // before the hold reads the state: the record is gone
+        let mut last = first;
+        for _ in 0..MAX_RETAINED_JOBS {
+            last = reg.submit(sleep_spec()).unwrap();
+            reg.cancel(last.id).unwrap();
+        }
+        assert_eq!(answered_state(&reg, &held), Err(NoJob::Expired));
+        let last = Receipt { worker_ready: true, ..last };
+        assert_eq!(answered_state(&reg, &last), Ok(JobState::Cancelled));
+    }
 }

@@ -10,10 +10,13 @@
 //! cache-key sensitivity: one changed config byte must miss.
 
 use pmorph_serve::http::{request, request_raw};
-use pmorph_serve::{serve, ServeConfig, ServerHandle};
+use pmorph_serve::{job, serve, ArtifactCache, JobSpec, ServeConfig, ServerHandle};
 use pmorph_util::env::EnvGuard;
-use pmorph_util::json::Value;
+use pmorph_util::hash::fnv1a_64;
+use pmorph_util::json::{self, Value};
+use pmorph_util::rng::StdRng;
 use std::net::SocketAddr;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// The four production job types, sized to finish fast but exercise the
@@ -145,4 +148,50 @@ fn cache_hit_status_is_reported_in_the_job_record() {
         .collect();
     assert_eq!(history, ["queued", "done"]);
     server.shutdown(true);
+}
+
+/// `(vars, modes, fnv1a_64 of the payload)` for the seeded random
+/// `poly_sweep` specs of [`random_poly_spec`]. The digests were recorded
+/// from the per-minterm synthesizer that the word-parallel cofactor
+/// algebra replaced, so they pin every netlist, personality and
+/// statistic it emits, not just the proven truth masks.
+const POLY_PINS: [(usize, usize, u64); 6] = [
+    (7, 2, 0xd81b_abab_b54a_f9f5),
+    (7, 3, 0x4c1d_2062_0dd7_4e87),
+    (9, 2, 0x2663_cdfd_b1ed_e661),
+    (9, 3, 0x61c5_0a4c_b6ab_037b),
+    (12, 2, 0xf37d_020e_d955_5936),
+    (12, 3, 0x1533_bffb_3a37_987f),
+];
+
+/// A random `poly_sweep` spec over `vars` inputs with `modes` modes,
+/// seeded by its shape, in the server's mask spelling (16-digit words,
+/// most significant first).
+fn random_poly_spec(vars: usize, modes: usize) -> String {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0000 + (vars * 16 + modes) as u64);
+    let words = (1usize << vars) / 64;
+    let parts: Vec<String> = (0..modes)
+        .map(|m| {
+            let mut mask: Vec<String> =
+                (0..words).map(|_| format!("{:016x}", rng.next_u64())).collect();
+            mask.reverse();
+            format!(r#"{{"name":"m{m}","mask":"{}"}}"#, mask.join(":"))
+        })
+        .collect();
+    format!(r#"{{"type":"poly_sweep","vars":{vars},"modes":[{}]}}"#, parts.join(","))
+}
+
+#[test]
+fn poly_sweep_payloads_match_their_pinned_digests() {
+    let got: Vec<(usize, usize, u64)> = POLY_PINS
+        .iter()
+        .map(|&(vars, modes, _)| {
+            let spec = JobSpec::parse(&json::parse(&random_poly_spec(vars, modes)).unwrap())
+                .expect("valid spec");
+            let payload = job::run(&spec, &ArtifactCache::new(), &AtomicBool::new(false))
+                .expect("synthesizes and proves");
+            (vars, modes, fnv1a_64(payload.to_string_compact().as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, POLY_PINS, "poly_sweep payload digests moved");
 }

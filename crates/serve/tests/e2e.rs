@@ -250,7 +250,7 @@ fn graceful_shutdown_drains_and_refuses_new_work() {
     for id in &ids {
         assert_eq!(
             server.registry().state(pmorph_serve::registry::parse_job_id(id).unwrap()),
-            Some(pmorph_serve::JobState::Done),
+            Ok(pmorph_serve::JobState::Done),
             "{id} must drain to done"
         );
     }
@@ -293,6 +293,34 @@ fn job_list_shows_every_submission() {
     let ids: Vec<&str> =
         rows.iter().map(|r| r.get("id").and_then(Value::as_str).unwrap()).collect();
     assert_eq!(ids, [a.as_str(), b.as_str()], "listing is in submission order");
+    server.shutdown(true);
+}
+
+#[test]
+fn expired_jobs_answer_410_and_unissued_ids_404() {
+    use pmorph_serve::registry::MAX_RETAINED_JOBS;
+    let server = start(1);
+    let addr = server.addr();
+    let mut last = String::new();
+    for _ in 0..=MAX_RETAINED_JOBS {
+        last = submit(addr, r#"{"type":"sleep","steps":0,"step_ms":0}"#);
+    }
+    poll_terminal(addr, &last);
+    for (method, path) in
+        [("GET", "/jobs/j-1"), ("GET", "/jobs/j-1/result"), ("POST", "/jobs/j-1/cancel")]
+    {
+        let resp = request(addr, method, path, None).unwrap();
+        assert_eq!(resp.status, 410, "{method} {path}");
+        let body = resp.json().expect("JSON error body");
+        assert_eq!(body.get("error").and_then(Value::as_str), Some("job j-1 expired"));
+    }
+    assert_eq!(get(addr, "/jobs/j-2").status, 200);
+    assert_eq!(get(addr, "/jobs/j-999999").status, 404);
+    let jobs = get(addr, "/metrics").json().unwrap();
+    let jobs = jobs.get("jobs").unwrap();
+    assert_eq!(jobs.get("done").and_then(Value::as_f64), Some((MAX_RETAINED_JOBS + 1) as f64));
+    assert_eq!(jobs.get("retained").and_then(Value::as_f64), Some(MAX_RETAINED_JOBS as f64));
+    assert_eq!(jobs.get("expired").and_then(Value::as_f64), Some(1.0));
     server.shutdown(true);
 }
 

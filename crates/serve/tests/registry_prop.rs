@@ -31,7 +31,7 @@ fn fault_spec(seed: u64) -> JobSpec {
 /// `Queued`, every step is a legal transition, at most one terminal
 /// state, and the terminal state matches the registry's current answer.
 fn audit_history(reg: &Registry, id: u64) -> Result<(), String> {
-    let history = reg.history(id).ok_or_else(|| format!("job {id} lost its history"))?;
+    let history = reg.history(id).map_err(|e| format!("job {id} lost its history: {e:?}"))?;
     prop_assert_eq!(history.first(), Some(&JobState::Queued), "job {} must start queued", id);
     for pair in history.windows(2) {
         prop_assert!(
@@ -53,7 +53,7 @@ fn audit_history(reg: &Registry, id: u64) -> Result<(), String> {
     );
     if let Some(last) = history.last() {
         if last.is_terminal() {
-            prop_assert_eq!(reg.state(id), Some(*last), "job {} state drifted from history", id);
+            prop_assert_eq!(reg.state(id), Ok(*last), "job {} state drifted from history", id);
         }
     }
     Ok(())
@@ -81,7 +81,7 @@ fn histories_stay_legal_under_concurrent_submit_and_cancel() {
                     for (steps, cancel_it) in schedule {
                         let id = reg.submit(sleep_spec(steps, 1)).unwrap().id;
                         if cancel_it {
-                            reg.cancel(id);
+                            reg.cancel(id).expect("a just-submitted job is retained");
                         }
                         ids.push(id);
                     }
@@ -195,7 +195,7 @@ fn cancellation_is_idempotent_and_never_resurrects() {
                 let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
                     for _ in 0..8 {
-                        reg.cancel(id);
+                        reg.cancel(id).expect("the only job is retained");
                         std::thread::yield_now();
                     }
                 })
@@ -210,8 +210,8 @@ fn cancellation_is_idempotent_and_never_resurrects() {
         audit_history(&reg, id)?;
         // Cancelling a terminal job reports its (unchanged) state.
         let settled = reg.state(id).unwrap();
-        prop_assert_eq!(reg.cancel(id), Some(settled));
-        prop_assert_eq!(reg.state(id), Some(settled), "cancel resurrected a terminal job");
+        prop_assert_eq!(reg.cancel(id), Ok(settled));
+        prop_assert_eq!(reg.state(id), Ok(settled), "cancel resurrected a terminal job");
         Ok(())
     });
 }

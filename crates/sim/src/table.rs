@@ -79,6 +79,15 @@ impl WideMask {
         }
     }
 
+    /// The projection `f = x_v` over `n` variables, one
+    /// [`WideMask::var_plane`] per word.
+    pub fn var(n: usize, v: usize) -> Self {
+        assert!(v < n, "variable {v} out of {n}");
+        let lanes = Self::lane_mask(n);
+        let words = (0..Self::word_count(n)).map(|w| Self::var_plane(v, w) & lanes).collect();
+        WideMask { n: n as u8, words }
+    }
+
     /// Constant-false mask.
     pub fn zero(n: usize) -> Self {
         WideMask { n: n as u8, words: vec![0; Self::word_count(n)] }
@@ -174,6 +183,71 @@ impl WideMask {
         (0..(1u64 << self.n)).filter(|&m| self.get(m))
     }
 
+    /// Does the function depend on `x_v`, i.e. do its two cofactors on
+    /// `x_v` differ?
+    pub fn depends_on(&self, v: usize) -> bool {
+        assert!(v < self.vars(), "variable {v} out of {}", self.n);
+        if v < 6 {
+            let low = !VAR_PATTERNS[v];
+            self.words.iter().any(|&w| (w ^ w >> (1 << v)) & low != 0)
+        } else {
+            let stride = 1 << (v - 6);
+            self.words.chunks_exact(2 * stride).any(|pair| pair[..stride] != pair[stride..])
+        }
+    }
+
+    /// In place, fix every variable in the set `vars` (bit `v` = `x_v`)
+    /// to `val`: the fixed-arity cofactor over all of them. Minterm `m`
+    /// takes the value of `m` with those bits forced to `val`; variables
+    /// are not re-indexed, so the result stays an `n`-variable function
+    /// that no longer depends on them.
+    pub fn restrict(&mut self, vars: u32, val: bool) {
+        if val {
+            self.fold(vars, |_, hi| hi);
+        } else {
+            self.fold(vars, |lo, _| lo);
+        }
+    }
+
+    /// In place, `f ← ∃vars f`: the OR of the cofactors on each variable
+    /// in the set `vars`.
+    pub fn exists(&mut self, vars: u32) {
+        self.fold(vars, |lo, hi| lo | hi);
+    }
+
+    /// In place, `f ← ∀vars f`: the AND of the cofactors on each variable
+    /// in the set `vars`.
+    pub fn forall(&mut self, vars: u32) {
+        self.fold(vars, |lo, hi| lo & hi);
+    }
+
+    /// For each variable `v` in `vars`, replace both cofactors on `x_v`
+    /// by `op(f|_{x_v=0}, f|_{x_v=1})`. Below six variables the halves sit
+    /// in alternating lane groups of each word, so one mask-and-shift
+    /// lines them up; from six on they are whole words `2^(v−6)` apart.
+    /// `op` must be bitwise, so dead lanes of a partial word stay zero.
+    fn fold(&mut self, vars: u32, op: impl Fn(u64, u64) -> u64) {
+        assert!(vars >> self.n == 0, "variable set {vars:#b} exceeds {} variables", self.n);
+        for v in (0..self.vars()).filter(|v| vars >> v & 1 == 1) {
+            if v < 6 {
+                let (high, shift) = (VAR_PATTERNS[v], 1 << v);
+                for w in &mut self.words {
+                    let r = op(*w & !high, (*w & high) >> shift) & !high;
+                    *w = r | r << shift;
+                }
+            } else {
+                let stride = 1 << (v - 6);
+                for pair in self.words.chunks_exact_mut(2 * stride) {
+                    let (lo, hi) = pair.split_at_mut(stride);
+                    for (l, h) in lo.iter_mut().zip(hi) {
+                        *l = op(*l, *h);
+                        *h = *l;
+                    }
+                }
+            }
+        }
+    }
+
     /// Pointwise complement (lanes beyond `2^n` stay zero).
     pub fn not(&self) -> Self {
         let lanes = Self::lane_mask(self.vars());
@@ -259,6 +333,94 @@ mod tests {
         // complement of a partial word must not leak into dead lanes
         let small = WideMask::zero(2).not();
         assert_eq!(small.as_u64(), 0b1111);
+    }
+
+    /// The per-minterm fixed-arity cofactor the word-parallel algebra
+    /// replaced: the oracle every primitive below is held to.
+    fn cofactor_oracle(mask: &WideMask, v: usize, val: bool) -> WideMask {
+        WideMask::from_fn(mask.vars(), |m| mask.get(if val { m | 1 << v } else { m & !(1 << v) }))
+    }
+
+    /// Fold the oracle cofactors of every variable in `vars`, lowest
+    /// first, through `op`.
+    fn fold_oracle(
+        mask: &WideMask,
+        vars: u32,
+        op: fn(&WideMask, &WideMask) -> WideMask,
+    ) -> WideMask {
+        (0..mask.vars()).filter(|v| vars >> v & 1 == 1).fold(mask.clone(), |m, v| {
+            op(&cofactor_oracle(&m, v, false), &cofactor_oracle(&m, v, true))
+        })
+    }
+
+    fn in_place(mask: &WideMask, apply: impl FnOnce(&mut WideMask)) -> WideMask {
+        let mut m = mask.clone();
+        apply(&mut m);
+        m
+    }
+
+    #[test]
+    fn word_parallel_cofactor_algebra_matches_the_per_minterm_oracle() {
+        use pmorph_util::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xC0FA_C708);
+        // n < 6 runs the in-word shifts on a partial word, n ≥ 7 the word
+        // strides as well
+        for n in 1..=14usize {
+            let random = |rng: &mut StdRng| {
+                WideMask::from_words(
+                    n,
+                    (0..WideMask::word_count(n)).map(|_| rng.next_u64()).collect(),
+                )
+            };
+            for _ in 0..3 {
+                let mask = random(&mut rng);
+                for v in 0..n {
+                    let c0 = cofactor_oracle(&mask, v, false);
+                    let c1 = cofactor_oracle(&mask, v, true);
+                    assert_eq!(
+                        in_place(&mask, |m| m.restrict(1 << v, false)),
+                        c0,
+                        "n {n} v {v} low cofactor"
+                    );
+                    assert_eq!(
+                        in_place(&mask, |m| m.restrict(1 << v, true)),
+                        c1,
+                        "n {n} v {v} high cofactor"
+                    );
+                    assert_eq!(mask.depends_on(v), c0 != c1, "n {n} v {v} dependence");
+                    assert!(!c0.depends_on(v) && !c1.depends_on(v), "n {n} v {v} cofactors");
+                    assert_eq!(
+                        WideMask::var(n, v),
+                        WideMask::from_fn(n, |m| m >> v & 1 == 1),
+                        "n {n} projection x{v}"
+                    );
+                }
+                for _ in 0..4 {
+                    let vars = rng.next_u64() as u32 & ((1 << n) - 1);
+                    assert_eq!(
+                        in_place(&mask, |m| m.exists(vars)),
+                        fold_oracle(&mask, vars, WideMask::or),
+                        "n {n} exists {vars:#b}"
+                    );
+                    assert_eq!(
+                        in_place(&mask, |m| m.forall(vars)),
+                        fold_oracle(&mask, vars, WideMask::and),
+                        "n {n} forall {vars:#b}"
+                    );
+                    for val in [false, true] {
+                        assert_eq!(
+                            in_place(&mask, |m| m.restrict(vars, val)),
+                            fold_oracle(
+                                &mask,
+                                vars,
+                                if val { |_, hi| hi.clone() } else { |lo, _| lo.clone() }
+                            ),
+                            "n {n} restrict {vars:#b} to {val}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl PolyNetlist {
             .map(|mode| {
                 let mut cell_masks: Vec<WideMask> = Vec::with_capacity(self.cells.len());
                 let of = |cell_masks: &[WideMask], w: PNet| match w {
-                    PNet::Input(v) => WideMask::from_fn(n, |m| m >> v & 1 == 1),
+                    PNet::Input(v) => WideMask::var(n, v),
                     PNet::Cell(j) => cell_masks[j].clone(),
                 };
                 for c in &self.cells {

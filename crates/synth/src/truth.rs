@@ -117,13 +117,12 @@ impl TruthTable {
 
     /// True if the function actually depends on variable `v`.
     pub fn depends_on(&self, v: usize) -> bool {
-        self.cofactor(v, false) != self.cofactor(v, true)
+        self.mask.depends_on(v)
     }
 
     /// Single-variable projection `f = x_v`.
     pub fn var(n: usize, v: usize) -> Self {
-        assert!(v < n);
-        Self::from_fn(n, |m| m >> v & 1 == 1)
+        TruthTable { mask: WideMask::var(n, v) }
     }
 
     /// n-ary XOR (odd parity).
