@@ -4,10 +4,11 @@
 //! 2. router feed-through cost (straight vs lane-shuffled vs detoured),
 //! 3. inertial vs effectively-transport delay in the kernel (glitch-heavy
 //!    workload),
-//! 4. serial vs parallel parameter sweeps (the worker-pool choice).
+//! 4. serial vs sharded parameter sweeps (the `pmorph-exec` engine).
 
 use pmorph_core::{Edge, Fabric, OutMode};
 use pmorph_device::ConfigurableInverter;
+use pmorph_exec::{sweep, SweepConfig};
 use pmorph_sim::{Logic, Simulator};
 use pmorph_synth::{lut3, minimize, Router, TruthTable};
 use pmorph_util::microbench::{BenchmarkId, Criterion};
@@ -132,7 +133,7 @@ fn ablate_inertial(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation 4: the worker-pool choice — VTC family sweep serial vs parallel.
+/// Ablation 4: the parallel engine — VTC family sweep serial vs sharded.
 fn ablate_parallel_sweep(c: &mut Criterion) {
     let inv = ConfigurableInverter::default();
     let biases: Vec<f64> = (0..64).map(|i| -1.5 + 3.0 * i as f64 / 63.0).collect();
@@ -143,9 +144,9 @@ fn ablate_parallel_sweep(c: &mut Criterion) {
             black_box(v)
         })
     });
-    group.bench_function("worker_pool", |b| {
+    group.bench_function("sharded", |b| {
         b.iter(|| {
-            let v = pmorph_util::pool::par_map(&biases, |&vg| inv.vtc(vg, 41));
+            let v = sweep(biases.len(), &SweepConfig::new(), || (), |_, i| inv.vtc(biases[i], 41));
             black_box(v)
         })
     });

@@ -158,5 +158,11 @@ fn serve_cache_speedup(c: &mut Criterion) {
     );
 }
 
-criterion_group!(serve_suite, serve_job_throughput, serve_cache_speedup);
+/// The workloads `BENCH_serve.json` must contain (`benchcheck` reads
+/// them back from the artifact).
+fn serve_required(c: &mut Criterion) {
+    c.require(&["serve/jobs/http_round_trip", "serve/cache/cold", "serve/cache/hit"]);
+}
+
+criterion_group!(serve_suite, serve_required, serve_job_throughput, serve_cache_speedup);
 criterion_main!(serve_suite);

@@ -95,14 +95,14 @@ fn median_run_ns<O, F: FnMut() -> O>(budget_ms: u64, mut f: F) -> f64 {
 /// `benchcheck`'s required-prefix list key on.
 fn sweeps_e18_variation(c: &mut Criterion) {
     let model = VariationModel::doped_bulk();
-    let cfg = SweepConfig::new().with_workers(sharded_workers()).with_seed(1);
+    let cfg = SweepConfig::new().with_workers(sharded_workers());
     let mut group = c.benchmark_group("sweeps/e18_variation");
     group.throughput(Throughput::Elements(E18_SAMPLES as u64));
     group.bench_function("sharded", |b| {
         b.iter(|| black_box(run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &cfg)))
     });
     group.bench_function("flat", |b| {
-        b.iter(|| black_box(run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7, 1)))
+        b.iter(|| black_box(run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7)))
     });
     group.finish();
 }
@@ -114,7 +114,7 @@ fn sweeps_e19_faults(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweeps/e19_faults");
     group.throughput(Throughput::Elements((3 * trials) as u64));
     group.bench_function("sharded", |b| b.iter(|| black_box(defect_yield_curves(trials, &cfg))));
-    group.bench_function("flat", |b| b.iter(|| black_box(defect_yield_curves_flat(trials, 1))));
+    group.bench_function("flat", |b| b.iter(|| black_box(defect_yield_curves_flat(trials))));
     group.finish();
 }
 
@@ -188,9 +188,9 @@ fn sweeps_checks(c: &mut Criterion) {
     let model = VariationModel::doped_bulk();
     let workers = sharded_workers();
 
-    let flat = run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7, 1);
-    let serial_cfg = SweepConfig::new().with_workers(1).with_seed(1);
-    let wide_cfg = SweepConfig::new().with_workers(workers).with_seed(1);
+    let flat = run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7);
+    let serial_cfg = SweepConfig::new().with_workers(1);
+    let wide_cfg = SweepConfig::new().with_workers(workers);
     let identical = run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg) == flat
         && run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &wide_cfg) == flat;
     assert!(
@@ -201,7 +201,7 @@ fn sweeps_checks(c: &mut Criterion) {
     let budget_ms = 120u64;
     let sharded_ns =
         median_run_ns(budget_ms, || run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &wide_cfg));
-    let flat_ns = median_run_ns(budget_ms, || run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7, 1));
+    let flat_ns = median_run_ns(budget_ms, || run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7));
     let speedup = flat_ns / sharded_ns;
     let target = speedup_target();
     println!(
@@ -345,8 +345,25 @@ fn sweeps_pnr_hier(c: &mut Criterion) {
     );
 }
 
+/// The workloads `BENCH_sweeps.json` must contain (`benchcheck` reads
+/// them back from the artifact).
+fn sweeps_required(c: &mut Criterion) {
+    c.require(&[
+        "sweeps/e18_variation/sharded",
+        "sweeps/e18_variation/flat",
+        "sweeps/e19_faults/sharded",
+        "sweeps/fig10_adder/sharded",
+        "sweeps/seq_pipeline/sharded",
+        "sweeps/poly_synth/synth",
+        "sweeps/poly_synth/verify",
+        "sweeps/pnr_hier/hier",
+        "sweeps/pnr_hier/flat",
+    ]);
+}
+
 criterion_group!(
     sweeps,
+    sweeps_required,
     sweeps_e18_variation,
     sweeps_e19_faults,
     sweeps_fig10_adder,

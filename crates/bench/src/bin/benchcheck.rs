@@ -1,20 +1,20 @@
 //! Validate a `BENCH_*.json` perf-baseline artifact written by the
 //! microbench JSON sink (`PMORPH_BENCH_JSON`).
 //!
-//! Usage: `benchcheck <path> [required-bench-prefix ...]
-//!                    [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]`
+//! Usage: `benchcheck <path> [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]`
 //!
 //! Checks, in order:
 //! 1. the file parses as the expected document shape
-//!    (`budget_ms` / `benches` / `checks`),
+//!    (`budget_ms` / `benches` / `checks` / `required`),
 //! 2. every bench record carries positive `median_ns` and `iters` — a
 //!    `null` median (the old empty-sample serialization bug) is called
 //!    out explicitly,
 //! 3. every recorded pass/fail check passed (e.g. the allocation-free
 //!    steady-state assertion),
-//! 4. each required prefix (default: the three tracked kernel event
-//!    workloads) matches at least one bench that reports `units_per_sec`
-//!    (the events/second figure the baseline exists to track),
+//! 4. each prefix in the artifact's own `required` array — the workloads
+//!    the suite declared with `Criterion::require` — matches at least one
+//!    bench that reports `units_per_sec` (the throughput figure the
+//!    baseline exists to track); an artifact that declares none fails,
 //! 5. with `--baseline`, every bench present in both files is within
 //!    `--max-regress-pct` (default 10%) of the baseline's `median_ns` —
 //!    the teeth behind the observability-overhead check in
@@ -24,15 +24,6 @@
 //! teeth behind the CI bench smoke (`scripts/verify.sh`).
 
 use pmorph_util::json::{self, Value};
-
-/// Workloads the kernel baseline must always contain.
-const DEFAULT_REQUIRED: [&str; 5] = [
-    "kernel/fabric_rotated_16x16_events",
-    "kernel/datapath_ripple16_events",
-    "kernel/micropipeline_48x16_events",
-    "bitsim/exhaustive_10in",
-    "bitsim/seq_64lane",
-];
 
 fn fail(msg: &str) -> ! {
     eprintln!("benchcheck: {msg}");
@@ -53,7 +44,6 @@ fn load(path: &str) -> Value {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
-    let mut required: Vec<String> = Vec::new();
     let mut baseline_path: Option<String> = None;
     let mut max_regress_pct = 10.0f64;
     let mut it = args.into_iter();
@@ -71,21 +61,13 @@ fn main() {
         } else if path.is_none() {
             path = Some(a);
         } else {
-            required.push(a);
+            fail(&format!("unexpected argument `{a}`: required workloads come from the artifact"));
         }
     }
     let Some(path) = path else {
-        fail(
-            "usage: benchcheck <BENCH_*.json> [required-bench-prefix ...] \
-             [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]",
-        );
+        fail("usage: benchcheck <BENCH_*.json> [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]");
     };
     let path = path.as_str();
-    let required: Vec<&str> = if required.is_empty() {
-        DEFAULT_REQUIRED.to_vec()
-    } else {
-        required.iter().map(String::as_str).collect()
-    };
 
     let doc = load(path);
 
@@ -126,7 +108,19 @@ fn main() {
         }
     }
 
-    for prefix in &required {
+    let Some(required) = doc.get("required").and_then(Value::as_array) else {
+        fail(&format!(
+            "{path}: missing `required` array — the suite must declare its workloads \
+             with `Criterion::require`"
+        ));
+    };
+    if required.is_empty() {
+        fail(&format!("{path}: `required` declares no workloads"));
+    }
+    for prefix in required {
+        let Some(prefix) = prefix.as_str() else {
+            fail(&format!("{path}: `required` entry {prefix:?} is not a string"));
+        };
         let hit = benches
             .iter()
             .find(|b| b.get("name").and_then(Value::as_str).is_some_and(|n| n.starts_with(prefix)));

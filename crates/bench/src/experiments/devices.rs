@@ -4,15 +4,22 @@ use super::Experiment;
 use pmorph_device::gates::{ConfigurableDriver, DriverLevel, DriverMode};
 use pmorph_device::vtc::InverterBehaviour;
 use pmorph_device::{ConfigurableInverter, ConfigurableNand, NandOutput, RtdRamCell, Trit};
-use pmorph_util::pool;
+use pmorph_exec::{sweep, SweepConfig};
 
 /// E1 / Fig. 3: configurable-inverter VTC family. The switching point must
 /// sweep monotonically with V_G2 and stick at the rails at ±1.5 V.
 pub fn fig3_inverter_vtc() -> Experiment {
     let inv = ConfigurableInverter::default();
     let biases = [-1.5, -0.5, 0.0, 0.5, 1.5];
-    let results: Vec<(f64, Option<f64>, InverterBehaviour)> =
-        pool::par_map(&biases, |&vg2| (vg2, inv.switching_threshold(vg2), inv.behaviour(vg2)));
+    let results: Vec<(f64, Option<f64>, InverterBehaviour)> = sweep(
+        biases.len(),
+        &SweepConfig::new(),
+        || (),
+        |_, i| {
+            let vg2 = biases[i];
+            (vg2, inv.switching_threshold(vg2), inv.behaviour(vg2))
+        },
+    );
     let mut rows = Vec::new();
     rows.push("VG2(V)  switch(V)  behaviour".to_string());
     for (vg2, th, beh) in &results {

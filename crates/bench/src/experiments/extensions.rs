@@ -4,10 +4,9 @@
 use super::Experiment;
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{DefectMap, Fabric, FabricTiming, PowerModel};
-use pmorph_exec::{sweep, ShardCtx, SweepConfig};
+use pmorph_exec::{sweep, SweepConfig};
 use pmorph_sim::{BitSim, LevelizeError, Logic, NetId, Netlist, Simulator, WideMask};
 use pmorph_synth::{lut3, map_function, mapk, MappedFunction, TruthTable};
-use pmorph_util::pool;
 use pmorph_util::rng::Rng;
 use pmorph_util::rng::StdRng;
 
@@ -91,8 +90,6 @@ struct TrialCtx {
     rows: Vec<(Fabric, pmorph_synth::LutPorts)>,
 }
 
-impl ShardCtx for TrialCtx {}
-
 impl TrialCtx {
     fn new() -> Self {
         let tt = TruthTable::parity(3);
@@ -149,8 +146,7 @@ fn defect_trial(ctx: &mut TrialCtx, rate: f64, t: usize) -> (bool, bool) {
 /// `Fabric` clone in `DefectMap::apply`, event-driven vector loop —
 /// retained verbatim so the flat reference pins the sharded/bitsim path
 /// to the historical byte-identical outputs.
-#[doc(hidden)]
-pub fn defect_trial_event(rate: f64, t: usize) -> (bool, bool) {
+fn defect_trial_event(rate: f64, t: usize) -> (bool, bool) {
     let tt = TruthTable::parity(3);
     let seed = t as u64 * 7919 + (rate * 1e4) as u64;
     let map = DefectMap::sample(4, 6, rate, seed);
@@ -184,23 +180,20 @@ pub fn defect_yield_curves(trials: usize, cfg: &SweepConfig) -> Vec<(f64, usize,
     DEFECT_RATES
         .iter()
         .map(|&rate| {
-            let per_trial =
-                sweep(trials, cfg, TrialCtx::new, |ctx, item| defect_trial(ctx, rate, item.index));
-            reduce_yields(rate, &per_trial.results)
+            let per_trial = sweep(trials, cfg, TrialCtx::new, |ctx, t| defect_trial(ctx, rate, t));
+            reduce_yields(rate, &per_trial)
         })
         .collect()
 }
 
-/// The pre-exec flat path (`pool::par_map_range` at an explicit worker
-/// count) over the pre-tentpole event-driven trial, retained as the
+/// A serial loop over the event-driven trial, retained as the
 /// differential-test reference for [`defect_yield_curves`].
 #[doc(hidden)]
-pub fn defect_yield_curves_flat(trials: usize, workers: usize) -> Vec<(f64, usize, usize)> {
+pub fn defect_yield_curves_flat(trials: usize) -> Vec<(f64, usize, usize)> {
     DEFECT_RATES
         .iter()
         .map(|&rate| {
-            let per_trial =
-                pool::par_map_range_with(trials, workers, |t| defect_trial_event(rate, t));
+            let per_trial: Vec<_> = (0..trials).map(|t| defect_trial_event(rate, t)).collect();
             reduce_yields(rate, &per_trial)
         })
         .collect()

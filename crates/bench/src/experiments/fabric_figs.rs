@@ -3,8 +3,7 @@
 use super::Experiment;
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{BlockConfig, Edge, Fabric, FabricTiming, OutMode, LANES};
-use pmorph_exec::{sweep, ShardCtx, SweepConfig};
-use pmorph_sim::engine::SimSnapshot;
+use pmorph_exec::{sweep, SweepConfig};
 use pmorph_sim::{logic, BitSim, Logic, NetId, Simulator};
 use pmorph_synth::{dff, lut3, ripple_adder, TruthTable};
 use pmorph_util::rng::Rng;
@@ -181,44 +180,19 @@ pub fn fig10_adder_vectors(trials: usize) -> Vec<(u64, u64)> {
     (0..trials).map(|_| (rng.random::<u64>() & 0xFF, rng.random::<u64>() & 0xFF)).collect()
 }
 
-/// Per-worker state for the Fig. 10 vector sweep on the bit-parallel
-/// kernel: one clone of the compiled adder evaluator — 64 vectors ride
-/// the lanes of each word item.
-struct AdderWordCtx {
-    bits: BitSim,
-}
-
-impl ShardCtx for AdderWordCtx {}
-
-/// Per-worker state for the event-driven fallback sweep: one compiled
-/// simulator of the 8-bit ripple adder plus its just-built snapshot,
-/// restored before every vector (restore ≡ fresh, pinned by the sim
-/// crate's snapshot property suite).
-struct AdderCtx {
-    sim: Simulator,
-    initial: SimSnapshot,
-}
-
-impl ShardCtx for AdderCtx {}
-
 /// Check `a + b` on the mapped 8-bit ripple adder for each vector, via
 /// the sharded sweep engine with **whole words as shard items**: the
 /// fabric is elaborated and levelized once, and each item evaluates 64
 /// vectors in the lanes of one bit-parallel kernel pass (dual-rail input
 /// planes packed per bit position) instead of one event-driven
 /// snapshot/restore simulation per vector. Bit-identical to
-/// [`fig10_adder_check_flat`] at any worker count or shard size; falls
-/// back to the event-driven sweep if the elaborated netlist won't
-/// levelize.
+/// [`fig10_adder_check_flat`] at any worker count or shard size.
 #[doc(hidden)]
 pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool> {
     let mut fabric = Fabric::new(2, 16);
     let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let proto = match BitSim::new(elab.netlist.clone()) {
-        Ok(bits) => bits,
-        Err(_) => return fig10_adder_check_event(vectors, cfg),
-    };
+    let proto = BitSim::new(elab.netlist.clone()).expect("the mapped Fig. 10 adder levelizes");
     let rails: Vec<[NetId; 4]> = (0..8)
         .map(|i| {
             [
@@ -236,9 +210,9 @@ pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool>
     let per_word = sweep(
         words,
         cfg,
-        || AdderWordCtx { bits: proto.clone() },
-        |ctx, item| {
-            let base = item.index * 64;
+        || proto.clone(),
+        |bits, w| {
+            let base = w * 64;
             let lanes = (vectors.len() - base).min(64);
             let live = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
             let mut planes: Vec<(NetId, u64, u64)> = Vec::with_capacity(34);
@@ -256,8 +230,8 @@ pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool>
             }
             planes.push((cin.0, 0, live));
             planes.push((cin.1, live, live));
-            ctx.bits.eval_planes(&planes);
-            let out_planes: Vec<(u64, u64)> = outs.iter().map(|&n| ctx.bits.plane(n)).collect();
+            bits.eval_planes(&planes);
+            let out_planes: Vec<(u64, u64)> = outs.iter().map(|&n| bits.plane(n)).collect();
             (0..lanes)
                 .map(|l| {
                     let (a, b) = vectors[base + l];
@@ -273,34 +247,7 @@ pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool>
                 .collect::<Vec<bool>>()
         },
     );
-    per_word.results.into_iter().flatten().collect()
-}
-
-/// The pre-tentpole sharded sweep — one event-driven snapshot/restore
-/// simulation per vector — retained as the fallback for fabrics whose
-/// elaboration won't levelize, and as a benchmark baseline.
-#[doc(hidden)]
-pub fn fig10_adder_check_event(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool> {
-    let mut fabric = Fabric::new(2, 16);
-    let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();
-    let elab = elaborate(&fabric, &FabricTiming::default());
-    sweep(
-        vectors.len(),
-        cfg,
-        || {
-            let sim = Simulator::new(elab.netlist.clone());
-            let initial = sim.snapshot();
-            AdderCtx { sim, initial }
-        },
-        |ctx, item| {
-            let (a, b) = vectors[item.index];
-            ctx.sim.restore(&ctx.initial);
-            drive_adder_vector(&mut ctx.sim, &ports, &elab, a, b);
-            ctx.sim.settle(20_000_000).unwrap();
-            read_adder_sum(&ctx.sim, &ports, &elab) == Some(a + b)
-        },
-    )
-    .results
+    per_word.into_iter().flatten().collect()
 }
 
 /// The historical serial loop (one simulator, snapshot/restore,

@@ -123,9 +123,8 @@ impl DefectMap {
             seeds.len(),
             cfg,
             || (),
-            |_, item| DefectMap::sample(width, height, cell_defect_rate, seeds[item.index]),
-        )
-        .results;
+            |_, i| DefectMap::sample(width, height, cell_defect_rate, seeds[i]),
+        );
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             pmorph_obs::counter!("core.faults.samples").add(seeds.len() as u64);

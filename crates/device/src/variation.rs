@@ -10,12 +10,12 @@
 //! only the (much smaller) body-thickness term. The study samples inverter
 //! pairs, solves each sample's switching threshold with the real VTC
 //! solver, and reports the distribution plus a noise-margin failure rate —
-//! worker-pool-parallel across samples, deterministically seeded.
+//! sharded across samples on the `pmorph_exec` sweep engine,
+//! deterministically seeded.
 
 use crate::mosfet::DgMosfet;
 use crate::vtc::ConfigurableInverter;
 use pmorph_exec::{sweep, SweepConfig};
-use pmorph_util::pool;
 use pmorph_util::rng::{mix_seed, Rng, StdRng};
 
 /// Variation model for one technology flavour.
@@ -75,7 +75,7 @@ pub fn run_study(
     lo_frac: f64,
     hi_frac: f64,
 ) -> VariationStudy {
-    run_study_cfg(model, samples, seed, lo_frac, hi_frac, &SweepConfig::new().with_seed(seed))
+    run_study_cfg(model, samples, seed, lo_frac, hi_frac, &SweepConfig::new())
 }
 
 /// Sample `i`'s inverter: the nominal pair with per-device V_T0 offsets.
@@ -108,9 +108,6 @@ fn sample_threshold(
     sample_inverter(sigma, nominal, seed, i).switching_threshold(0.0)
 }
 
-/// [`run_study`] under an explicit sweep configuration (worker count,
-/// shard size) — bit-identical to the default and to the flat reference
-/// at any setting.
 /// One shard item of the word-sharded study: up to 64 consecutive
 /// samples' thresholds (index order within the word) plus a per-lane
 /// failure mask — the sampled parameter only gates pass/fail bits, so
@@ -139,6 +136,9 @@ fn sample_word(
     (thresholds, fail)
 }
 
+/// [`run_study`] under an explicit sweep configuration (worker count,
+/// shard size) — bit-identical to the default and to the flat reference
+/// at any setting.
 pub fn run_study_cfg(
     model: VariationModel,
     samples: usize,
@@ -159,13 +159,12 @@ pub fn run_study_cfg(
         words,
         cfg,
         || (),
-        |_, item| {
-            let base = item.index * 64;
+        |_, w| {
+            let base = w * 64;
             let lanes = (samples - base).min(64);
             sample_word(sigma, &nominal, seed, base, lanes, lo_frac, hi_frac)
         },
-    )
-    .results;
+    );
     if let Some(t0) = t0 {
         let ns = t0.elapsed().as_nanos() as u64;
         pmorph_obs::counter!("device.variation.samples").add(samples as u64);
@@ -180,9 +179,8 @@ pub fn run_study_cfg(
     summarize(samples, &ok, failures)
 }
 
-/// The pre-exec flat path (`pool::par_map_range` at an explicit worker
-/// count), retained as the differential-test reference for the sharded
-/// engine.
+/// The serial per-sample loop, retained as the differential-test
+/// reference for the word-sharded study.
 #[doc(hidden)]
 pub fn run_study_flat(
     model: VariationModel,
@@ -190,12 +188,11 @@ pub fn run_study_flat(
     seed: u64,
     lo_frac: f64,
     hi_frac: f64,
-    workers: usize,
 ) -> VariationStudy {
     let nominal = ConfigurableInverter::default();
     let sigma = model.sigma_total();
     let thresholds: Vec<Option<f64>> =
-        pool::par_map_range_with(samples, workers, |i| sample_threshold(sigma, &nominal, seed, i));
+        (0..samples).map(|i| sample_threshold(sigma, &nominal, seed, i)).collect();
     reduce_study(samples, &nominal, &thresholds, lo_frac, hi_frac)
 }
 
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn sharded_study_matches_flat_reference() {
-        let flat = run_study_flat(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7, 1);
+        let flat = run_study_flat(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7);
         assert_eq!(run_study(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7), flat);
         for (workers, shard_size) in [(1, 1), (2, 7), (8, 64)] {
             let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard_size);

@@ -4,31 +4,28 @@
 //! threshold variation (§3, E18), defect-tolerance yield curves (E19),
 //! multi-vector fabric characterization (Fig. 10, `pmorph_sim::vectors`),
 //! and placement scoring in the FPGA baseline. This crate is the one
-//! engine they all run on.
+//! engine they all run on, and the workspace's only thread pool.
 //!
 //! ## The shard determinism contract
 //!
 //! [`sweep`] splits an indexed workload `0..n` into fixed-size shards,
-//! runs the shards on a scoped worker pool with work-stealing over a
+//! runs the shards on scoped worker threads with work-stealing over a
 //! shared atomic shard cursor, and returns results **in index order** —
 //! the reduction is order-independent under any scheduling, but the
 //! output is deterministic. The calling thread is worker 0, so a sweep
 //! spawns only `workers − 1` helper threads (none with one worker or one
-//! shard). Three rules make the whole stack bit-reproducible:
+//! shard). Two rules make the whole stack bit-reproducible:
 //!
 //! 1. **Results may depend only on the item index** (and the caller's
-//!    explicit seeds). A call site that needs randomness derives it per
-//!    item — `mix_seed(seed, i)` — never from worker identity, shard
-//!    identity, or a stream consumed across items. This is what makes
-//!    results identical at any worker count *and any shard size*.
-//! 2. **Shard seeds are keyed by shard index, not worker identity.**
-//!    [`ShardInfo::seed`] is `mix_seed(config_seed, shard_index)`; it is
-//!    scheduling-independent, and auxiliary (diagnostics, per-shard
-//!    jitter). Because it changes with the shard geometry, result bits
-//!    must never be derived from it.
-//! 3. **Per-worker state is reused, never shared.** A [`ShardCtx`] is
-//!    built once per worker and carried across the shards that worker
-//!    steals — the mechanism that lets a vector sweep clone one compiled
+//!    explicit seeds). The item closure receives the index and nothing
+//!    about the shard or worker running it. A call site that needs
+//!    randomness derives it per item — `mix_seed(seed, i)` — never from
+//!    a stream consumed across items. This is what makes results
+//!    identical at any worker count *and any shard size*.
+//! 2. **Per-worker state is reused, never shared.** The `make_ctx`
+//!    closure builds one context per worker, carried across the shards
+//!    that worker steals — the mechanism that lets a vector sweep clone
+//!    one compiled
 //!    [`Simulator`](../pmorph_sim/struct.Simulator.html) per worker and
 //!    `snapshot`/`restore` between vectors instead of rebuilding per
 //!    sample. The engine's contract with the context is *restore ≡
@@ -41,34 +38,24 @@
 //! use pmorph_exec::{sweep, SweepConfig};
 //! use pmorph_util::rng::{mix_seed, Rng, StdRng};
 //!
-//! let cfg = SweepConfig::new().with_seed(42);
-//! let out = sweep(1000, &cfg, || (), |_, item| {
-//!     // rule 1: randomness comes from the item index alone
-//!     let mut rng = StdRng::seed_from_u64(mix_seed(42, item.index as u64));
-//!     rng.random::<f64>()
-//! });
-//! assert_eq!(out.results.len(), 1000);
-//! // same bits at any worker count or shard size:
-//! let serial = sweep(1000, &cfg.clone().with_workers(1).with_shard_size(7), || (), |_, item| {
-//!     let mut rng = StdRng::seed_from_u64(mix_seed(42, item.index as u64));
-//!     rng.random::<f64>()
-//! });
-//! assert_eq!(out.results, serial.results);
+//! // rule 1: randomness comes from the item index alone
+//! let draw = |_: &mut (), i: usize| StdRng::seed_from_u64(mix_seed(42, i as u64)).random::<f64>();
+//! let out = sweep(1000, &SweepConfig::new(), || (), draw);
+//! assert_eq!(out.len(), 1000);
+//! // same bits at any worker count or shard size, and as a serial loop:
+//! let cfg = SweepConfig::new().with_workers(3).with_shard_size(7);
+//! assert_eq!(out, sweep(1000, &cfg, || (), draw));
+//! assert_eq!(out, (0..1000).map(|i| draw(&mut (), i)).collect::<Vec<_>>());
 //! ```
 //!
-//! For expensive per-worker state, implement [`ShardCtx`] on the state
-//! type (or use the blanket `()` impl for stateless sweeps) and build it
-//! in the `make_ctx` closure.
-//!
-//! [`SweepStats`] carries per-shard timing/progress counters and renders
-//! a `PMORPH_BENCH_JSON`-compatible record via
-//! [`SweepStats::bench_record`] — the mechanism behind the tracked
-//! `BENCH_sweeps.json` baseline.
+//! Build expensive per-worker state in the `make_ctx` closure (`|| ()`
+//! for stateless sweeps). A new sweep gets a differential test against a
+//! plain serial loop in test code, run across the worker × shard-size
+//! matrix (`tests/differential.rs`). `tests/obs.rs` pins the `exec.*`
+//! metrics each sweep records.
 
 #![warn(missing_docs)]
 
-pub mod stats;
-pub mod sweep;
+mod sweep;
 
-pub use stats::{ShardStat, SweepStats};
-pub use sweep::{sweep, ItemCtx, ShardCtx, ShardInfo, SweepConfig, SweepOutcome};
+pub use sweep::{sweep, SweepConfig};

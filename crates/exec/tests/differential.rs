@@ -40,7 +40,7 @@ fn matrix(n: usize) -> Vec<SweepConfig> {
 fn e18_variation_study_is_identical_across_the_thread_matrix() {
     let samples = 56;
     for model in [VariationModel::doped_bulk(), VariationModel::undoped_dg()] {
-        let flat = run_study_flat(model, samples, 42, 0.4, 0.6, 1);
+        let flat = run_study_flat(model, samples, 42, 0.4, 0.6);
         for cfg in matrix(samples) {
             let got = run_study_cfg(model, samples, 42, 0.4, 0.6, &cfg);
             assert_eq!(
@@ -55,7 +55,7 @@ fn e18_variation_study_is_identical_across_the_thread_matrix() {
 #[test]
 fn e19_defect_yield_curves_are_identical_across_the_thread_matrix() {
     let trials = 6;
-    let flat = defect_yield_curves_flat(trials, 1);
+    let flat = defect_yield_curves_flat(trials);
     assert_eq!(flat.len(), 3, "three defect rates per curve set");
     for cfg in matrix(trials) {
         let got = defect_yield_curves(trials, &cfg);
@@ -88,9 +88,9 @@ fn env_derived_worker_count_is_differential_too() {
     // bit-for-bit under every env-derived worker count.
     let samples = 40;
     let model = VariationModel::doped_bulk();
-    let e18_flat = run_study_flat(model, samples, 42, 0.4, 0.6, 1);
+    let e18_flat = run_study_flat(model, samples, 42, 0.4, 0.6);
     let trials = 6;
-    let e19_flat = defect_yield_curves_flat(trials, 1);
+    let e19_flat = defect_yield_curves_flat(trials);
     let vectors = fig10_adder_vectors(20);
     let fig10_flat = fig10_adder_check_flat(&vectors);
     for threads in ["1", "3", "8"] {

@@ -160,7 +160,7 @@ fn place_with_order_on_grid(design: &MappedDesign, order: &[usize], grid: usize)
 /// the flat single-block search is O(n·√n)-ish per candidate and stops
 /// scaling long before the paper's fabric sizes. Both paths share the
 /// `(critical path, wirelength, index)` argmin, the per-candidate
-/// `mix_seed` streams, and the 3-rule determinism contract, so the
+/// `mix_seed` streams, and the exec determinism contract, so the
 /// winner is reproducible at any worker count either way.
 pub fn best_seeded_placement(
     design: &MappedDesign,
@@ -195,12 +195,12 @@ pub fn best_seeded_placement_flat(
         candidates,
         cfg,
         || (),
-        |_, item| {
+        |_, c| {
             let mut order = base_order.clone();
-            if item.index > 0 {
+            if c > 0 {
                 // candidate seed keyed by candidate index alone (contract
                 // rule 1), never by shard/worker identity
-                let mut rng = StdRng::seed_from_u64(mix_seed(seed, item.index as u64));
+                let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
                 rng.shuffle(&mut order);
             }
             let mut pnr = place_with_order(design, &order);
@@ -208,8 +208,7 @@ pub fn best_seeded_placement_flat(
             let cp = critical_path_ps(design, &pnr, timing);
             (pnr, cp)
         },
-    )
-    .results;
+    );
     // Argmin as a counting fold. A candidate replaces the incumbent only
     // when strictly better under `(cp, wirelength, index)` — indices are
     // distinct, so the comparator is a strict total order and this picks

@@ -471,8 +471,7 @@ fn hier_candidate(
         p,
         cfg,
         || (),
-        |_, item| {
-            let k = item.index;
+        |_, k| {
             let sub = &ctx.subs[k];
             let mut order = ctx.orders[k].clone();
             if candidate > 0 {
@@ -485,8 +484,7 @@ fn hier_candidate(
                 .expect("partition placement covers every member LUT");
             (local, occ)
         },
-    )
-    .results;
+    );
 
     // Stitch: translate to global coordinates, merge occupancy, route
     // boundary nets on top, re-time the whole.

@@ -24,7 +24,7 @@
 use crate::levelized::{LevelizeError, Levelized};
 use crate::netlist::{Component, NetId, Netlist};
 use crate::table::WideMask;
-use pmorph_exec::{sweep, ShardCtx, SweepConfig};
+use pmorph_exec::{sweep, SweepConfig};
 
 /// A compiled bit-parallel evaluator: the levelized component order plus
 /// one `(val, known)` plane pair per net. Cloning is cheap relative to
@@ -185,12 +185,6 @@ fn eval_comp_word(comp: &Component, val: &[u64], known: &[u64]) -> (u64, u64) {
     }
 }
 
-struct WordCtx {
-    sim: BitSim,
-}
-
-impl ShardCtx for WordCtx {}
-
 /// Exhaustively characterize `outputs` over all `2^n` assignments of
 /// `inputs` with the bit-parallel kernel, sharded across the exec engine
 /// **one word (64 assignments) per item**. Returns, per output, the
@@ -214,14 +208,14 @@ pub fn sweep_truth(
     let out = sweep(
         words,
         cfg,
-        || WordCtx { sim: proto.clone() },
-        |ctx, item| {
-            ctx.sim.eval_word(inputs, item.index);
-            outputs.iter().map(|&o| ctx.sim.plane(o)).collect::<Vec<(u64, u64)>>()
+        || proto.clone(),
+        |sim, w| {
+            sim.eval_word(inputs, w);
+            outputs.iter().map(|&o| sim.plane(o)).collect::<Vec<(u64, u64)>>()
         },
     );
     let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    for (w, planes) in out.results.iter().enumerate() {
+    for (w, planes) in out.iter().enumerate() {
         for (o, &(v, k)) in planes.iter().enumerate() {
             match masks[o].as_mut() {
                 // every valid lane known: commit the word (dead lanes masked)
@@ -566,20 +560,13 @@ impl SeqBitSim {
     }
 }
 
-struct SeqWordCtx {
-    sim: SeqBitSim,
-    initial: SeqState,
-}
-
-impl ShardCtx for SeqWordCtx {}
-
 /// Exhaustively characterize a *registered* circuit: for each of the
 /// `2^n` assignments of `inputs`, hold the assignment constant, rewind
 /// the registers to the prototype's current state, clock `cycles` virtual
 /// edges, and report each output's settled truth mask — or `None` if any
 /// assignment leaves it `X`/`Z` (the combinational poisoning rule, cycle-
 /// bounded). Sharded one word (64 assignments) per item under the same
-/// 3-rule determinism contract as [`sweep_truth`]: masks are bit-identical
+/// determinism contract as [`sweep_truth`]: masks are bit-identical
 /// at any worker count or shard geometry.
 pub fn sweep_seq_truth(
     proto: &SeqBitSim,
@@ -592,19 +579,20 @@ pub fn sweep_seq_truth(
     assert!(n <= WideMask::MAX_VARS, "at most {} swept inputs", WideMask::MAX_VARS);
     let words = WideMask::word_count(n);
     let lanes = WideMask::lane_mask(n);
+    let initial = proto.snapshot_state();
     let out = sweep(
         words,
         cfg,
-        || SeqWordCtx { sim: proto.clone(), initial: proto.snapshot_state() },
-        |ctx, item| {
-            ctx.sim.restore_state(&ctx.initial);
-            ctx.sim.set_input_word(inputs, item.index);
-            ctx.sim.step_cycles(cycles);
-            outputs.iter().map(|&o| ctx.sim.plane(o)).collect::<Vec<(u64, u64)>>()
+        || proto.clone(),
+        |sim, w| {
+            sim.restore_state(&initial);
+            sim.set_input_word(inputs, w);
+            sim.step_cycles(cycles);
+            outputs.iter().map(|&o| sim.plane(o)).collect::<Vec<(u64, u64)>>()
         },
     );
     let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    for (w, planes) in out.results.iter().enumerate() {
+    for (w, planes) in out.iter().enumerate() {
         for (o, &(v, k)) in planes.iter().enumerate() {
             match masks[o].as_mut() {
                 Some(m) if k & lanes == lanes => m.words_mut()[w] = v & lanes,

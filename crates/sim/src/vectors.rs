@@ -16,7 +16,7 @@ use crate::engine::{SimError, Simulator};
 use crate::logic::Logic;
 use crate::netlist::{NetId, Netlist};
 use crate::table::WideMask;
-use pmorph_exec::{sweep, ShardCtx, ShardInfo, SweepConfig};
+use pmorph_exec::{sweep, SweepConfig};
 
 /// Per-vector event budget used by the exhaustive sweeps.
 pub const VECTOR_EVENT_BUDGET: u64 = 200_000;
@@ -157,10 +157,6 @@ impl VectorCtx {
     }
 }
 
-impl ShardCtx for VectorCtx {
-    fn begin_shard(&mut self, _shard: &ShardInfo) {}
-}
-
 /// The event-driven multi-vector characterization behind
 /// [`exhaustive_truth`]'s non-levelizable path, under an explicit sweep
 /// configuration: assignments are sharded across workers, each worker
@@ -181,9 +177,8 @@ pub fn characterize(
         1usize << n,
         cfg,
         || VectorCtx::new(netlist),
-        |ctx, item| ctx.run_vector(inputs, outputs, item.index as u64),
-    )
-    .results;
+        |ctx, i| ctx.run_vector(inputs, outputs, i as u64),
+    );
     let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
     for (assignment, values) in per_vector.into_iter().enumerate() {
         let values = values?; // lowest-index error, as in the serial loop

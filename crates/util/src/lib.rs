@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | splitmix64-seeded xoshiro256++, `random`/`random_range`/`shuffle`/normal sampling |
 //! | [`json`] | `serde`/`serde_json` | derive-free JSON value, pretty serializer, parser |
-//! | [`pool`] | `rayon` | scoped `std::thread` worker pool, order-preserving `par_map` |
+//! | [`pool`] | `rayon` (with `pmorph_exec`) | the `PMORPH_THREADS` worker count; the threads live in `pmorph_exec::sweep` |
 //! | [`prop`] | `proptest` | seeded property harness, fixed case counts, failing-seed reports |
 //! | [`microbench`] | `criterion` | adaptive-batch wall-clock timer with a criterion-shaped API |
 //! | [`hash`] | `fnv`/`twox-hash` | streaming FNV-1a 64 for content-addressed cache keys |

@@ -12,8 +12,9 @@
 //!
 //! Artifact: set `PMORPH_BENCH_JSON=<path>` and the driver writes every
 //! result (median/mean/min ns per iteration, throughput, pass/fail checks)
-//! as a JSON document when it is dropped — the mechanism behind
-//! `scripts/bench.sh` and the tracked `BENCH_*.json` baselines.
+//! plus the suite's required workloads ([`Criterion::require`]) as a JSON
+//! document when it is dropped — the mechanism behind `scripts/bench.sh`
+//! and the tracked `BENCH_*.json` baselines.
 
 use crate::json::Value;
 use std::time::{Duration, Instant};
@@ -56,15 +57,16 @@ pub struct Bencher {
     budget: Duration,
     total_ns: u128,
     iters: u64,
-    min_ns: u128,
+    min_ns: f64,
     /// Per-iteration nanoseconds of each timed batch (dt / batch size) —
-    /// the population the median is taken over.
-    samples: Vec<u128>,
+    /// the population the median is taken over. Fractional, so a routine
+    /// faster than 1 ns per iteration still records a positive time.
+    samples: Vec<f64>,
 }
 
 impl Bencher {
     fn new(budget: Duration) -> Self {
-        Bencher { budget, total_ns: 0, iters: 0, min_ns: u128::MAX, samples: Vec::new() }
+        Bencher { budget, total_ns: 0, iters: 0, min_ns: f64::INFINITY, samples: Vec::new() }
     }
 
     /// Time a routine: warm up once, then run batches of doubling size
@@ -81,7 +83,7 @@ impl Bencher {
             let dt = t0.elapsed().as_nanos().max(1);
             self.total_ns += dt;
             self.iters += batch;
-            let per_iter = dt / batch as u128;
+            let per_iter = dt as f64 / batch as f64;
             self.min_ns = self.min_ns.min(per_iter);
             self.samples.push(per_iter);
             if dt < 1_000_000 {
@@ -109,9 +111,9 @@ impl Bencher {
             return None;
         }
         let mut s = self.samples.clone();
-        s.sort_unstable();
+        s.sort_unstable_by(f64::total_cmp);
         let mid = s.len() / 2;
-        Some(if s.len() % 2 == 1 { s[mid] as f64 } else { (s[mid - 1] + s[mid]) as f64 / 2.0 })
+        Some(if s.len() % 2 == 1 { s[mid] } else { (s[mid - 1] + s[mid]) / 2.0 })
     }
 }
 
@@ -136,6 +138,8 @@ pub struct Criterion {
     records: Vec<Value>,
     /// Named pass/fail assertions recorded alongside the timings.
     checks: Vec<(String, bool)>,
+    /// Bench-name prefixes the suite's artifact must contain.
+    required: Vec<String>,
     /// Output path for the JSON artifact, if requested.
     json_path: Option<String>,
     /// Median of the most recently reported bench (`None` if it produced
@@ -154,6 +158,7 @@ impl Default for Criterion {
             budget: Duration::from_millis(ms),
             records: Vec::new(),
             checks: Vec::new(),
+            required: Vec::new(),
             json_path: std::env::var("PMORPH_BENCH_JSON").ok().filter(|p| !p.is_empty()),
             last_median_ns: None,
         }
@@ -177,14 +182,14 @@ impl Criterion {
             "{name:<52} {} /iter  (median {}, min {}, {} iters)",
             fmt_ns(mean),
             fmt_ns(median),
-            fmt_ns(b.min_ns as f64),
+            fmt_ns(b.min_ns),
             b.iters
         );
         let mut rec = Value::object();
         rec.set("name", Value::Str(name.to_string()))
             .set("median_ns", Value::Num(median))
             .set("mean_ns", Value::Num(mean))
-            .set("min_ns", Value::Num(b.min_ns as f64))
+            .set("min_ns", Value::Num(b.min_ns))
             .set("iters", Value::Num(b.iters as f64));
         if let Some(tp) = throughput {
             let (count, unit) = match tp {
@@ -219,6 +224,14 @@ impl Criterion {
         ok
     }
 
+    /// Declare workloads this suite's artifact must contain: each prefix
+    /// must match a throughput-annotated bench. Written to the artifact's
+    /// `required` array, which `benchcheck` enforces.
+    pub fn require(&mut self, prefixes: &[&str]) -> &mut Self {
+        self.required.extend(prefixes.iter().map(|p| p.to_string()));
+        self
+    }
+
     /// Run one standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         let mut b = Bencher::new(self.budget);
@@ -241,6 +254,7 @@ impl Drop for Criterion {
         let mut doc = Value::object();
         doc.set("budget_ms", Value::Num(self.budget.as_millis() as f64))
             .set("benches", Value::Array(std::mem::take(&mut self.records)))
+            .set("required", Value::Array(self.required.drain(..).map(Value::Str).collect()))
             .set(
                 "checks",
                 Value::Array(
@@ -339,6 +353,7 @@ mod tests {
             budget: Duration::from_millis(ms),
             records: Vec::new(),
             checks: Vec::new(),
+            required: Vec::new(),
             json_path: None,
             last_median_ns: None,
         }
@@ -358,9 +373,9 @@ mod tests {
     #[test]
     fn median_is_order_statistic_not_mean() {
         let mut b = Bencher::new(Duration::from_millis(1));
-        b.samples = vec![10, 10, 10, 10, 1000];
+        b.samples = vec![10.0, 10.0, 10.0, 10.0, 1000.0];
         assert_eq!(b.median_ns(), Some(10.0), "one outlier must not move the median");
-        b.samples = vec![4, 8];
+        b.samples = vec![4.0, 8.0];
         assert_eq!(b.median_ns(), Some(6.0));
         b.samples.clear();
         assert_eq!(b.median_ns(), None, "empty samples are explicit, not NaN");
@@ -410,6 +425,7 @@ mod tests {
             g.finish();
             assert!(c.record_check("always_true", true));
             assert!(!c.record_check("always_false", false));
+            c.require(&["unit/json/sum"]);
         } // drop writes the file
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -423,5 +439,10 @@ mod tests {
         assert_eq!(checks.len(), 2);
         assert_eq!(checks[0].get("pass").unwrap().as_bool(), Some(true));
         assert_eq!(checks[1].get("pass").unwrap().as_bool(), Some(false));
+        let required = doc.get("required").unwrap().as_array().unwrap();
+        assert_eq!(
+            required.iter().map(|r| r.as_str()).collect::<Vec<_>>(),
+            [Some("unit/json/sum")]
+        );
     }
 }

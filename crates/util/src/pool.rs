@@ -1,20 +1,6 @@
-//! A scoped worker pool over `std::thread` — the workspace's replacement
-//! for `rayon` in the Monte-Carlo and sweep paths.
-//!
-//! Guarantees that matter here:
-//!
-//! * **Deterministic output order**: `par_map` returns results in input
-//!   order regardless of scheduling, so parallel Monte-Carlo runs are
-//!   bit-identical to serial ones (each sample must seed its own RNG —
-//!   see [`crate::rng::mix_seed`]).
-//! * **No global state**: every call spins up a scoped pool and joins it
-//!   before returning; panics in workers propagate to the caller.
-//! * **Serial fallback**: single-item inputs, single-CPU hosts, or
-//!   `PMORPH_THREADS=1` run inline, which keeps stack traces simple and
-//!   makes the parallel path easy to ablate.
-
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! The workspace's worker-count knob. The threads themselves live in
+//! `pmorph_exec::sweep`, the one parallel engine; this module only
+//! resolves how many of them a sweep (or the job server) should use.
 
 /// Worker count: `PMORPH_THREADS` if set, else available parallelism.
 pub fn worker_count() -> usize {
@@ -26,158 +12,19 @@ pub fn worker_count() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Map `f` over `items` in parallel, preserving input order.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_range(items.len(), |i| f(&items[i]))
-}
-
-/// Map `f` over `0..n` in parallel, preserving index order.
-///
-/// Work is claimed item-at-a-time from a shared atomic counter, so uneven
-/// item costs (e.g. VTC solves that fail fast) still balance well.
-pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_map_range_with(n, worker_count(), f)
-}
-
-/// [`par_map_range`] with an explicit worker count (bypasses
-/// `PMORPH_THREADS`). `workers <= 1` is a true serial path: `f` runs
-/// inline on the calling thread with no spawn, no atomics, and no result
-/// slots — and, because every caller seeds per item, bit-identical
-/// output to any threaded run.
-pub fn par_map_range_with<U, F>(n: usize, workers: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let workers = workers.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    // Lock-free result slots: each index is written by exactly one worker
-    // (the one that claimed it from the atomic counter), so plain
-    // `UnsafeCell` writes are race-free and the steady-state loop takes no
-    // locks. `Option` keeps unwritten slots well-defined if a worker panics
-    // mid-scope (the panic then propagates out of `scope` before collect).
-    struct Slots<U>(Vec<UnsafeCell<Option<U>>>);
-    // SAFETY: shared across worker threads, but each cell is written at most
-    // once, by the single thread that claimed its index via `fetch_add`;
-    // reads happen only after `thread::scope` joins every worker.
-    unsafe impl<U: Send> Sync for Slots<U> {}
-
-    let slots: Slots<U> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-    // bind a reference so closures capture the `Sync` wrapper, not the
-    // inner Vec (2021-edition closures capture disjoint fields)
-    let slots_ref = &slots;
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                // SAFETY: `i` was claimed exclusively above, so no other
-                // thread holds a reference to this cell; the scope join
-                // orders this write before the caller's reads.
-                unsafe { *slots_ref.0[i].get() = Some(out) };
-            });
-        }
-    });
-    slots.0.into_iter().map(|slot| slot.into_inner().expect("worker filled every slot")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::EnvGuard;
 
     #[test]
-    fn preserves_order() {
-        let out = par_map_range(1000, |i| i * i);
-        assert_eq!(out, (0..1000).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn maps_slices() {
-        let items = vec!["a", "bb", "ccc"];
-        assert_eq!(par_map(&items, |s| s.len()), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        assert_eq!(par_map_range(0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_range(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn matches_serial_with_seeded_rng() {
-        use crate::rng::{mix_seed, Rng, StdRng};
-        let sample = |i: usize| {
-            let mut rng = StdRng::seed_from_u64(mix_seed(99, i as u64));
-            rng.random::<f64>()
-        };
-        let serial: Vec<f64> = (0..64).map(sample).collect();
-        let parallel = par_map_range(64, sample);
-        assert_eq!(serial, parallel, "bit-identical regardless of threading");
-    }
-
-    #[test]
-    fn serial_path_runs_inline_without_spawning() {
-        // workers=1 must execute on the calling thread — the
-        // `PMORPH_THREADS=1` contract (no spawn, simple stack traces).
-        let caller = std::thread::current().id();
-        let ids = par_map_range_with(64, 1, |_| std::thread::current().id());
-        assert!(ids.iter().all(|&id| id == caller), "workers=1 stayed on the calling thread");
-        // a threaded run with >=2 workers does spawn
-        let ids = par_map_range_with(64, 4, |_| std::thread::current().id());
-        assert!(ids.iter().any(|&id| id != caller), "workers=4 used worker threads");
-    }
-
-    #[test]
-    fn serial_and_threaded_agree_on_10k_item_map() {
-        // The panic-free 10k-item agreement check: identical results from
-        // the inline path and every threaded width, including seeded work.
-        let work = |i: usize| {
-            let mut rng = crate::rng::StdRng::seed_from_u64(crate::rng::mix_seed(0xD06, i as u64));
-            use crate::rng::Rng;
-            (i, rng.random::<u64>(), rng.random::<f64>())
-        };
-        let serial = par_map_range_with(10_000, 1, work);
-        assert_eq!(serial.len(), 10_000);
-        for workers in [2usize, 3, 8] {
-            let threaded = par_map_range_with(10_000, workers, work);
-            assert_eq!(serial, threaded, "workers={workers} diverged from serial");
-        }
-    }
-
-    #[test]
-    fn explicit_worker_count_is_independent_of_env() {
-        // par_map_range_with never consults PMORPH_THREADS; order and
-        // values are fixed by the index alone.
-        let expect: Vec<usize> = (0..100).map(|i| i * 3).collect();
-        for workers in [1usize, 2, 7, 100, 1000] {
-            assert_eq!(par_map_range_with(100, workers, |i| i * 3), expect);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn worker_panic_propagates() {
-        par_map_range(8, |i| {
-            if i == 3 {
-                panic!("boom");
-            }
-            i
-        });
+    fn pmorph_threads_overrides_available_parallelism() {
+        let mut env = EnvGuard::new();
+        env.set("PMORPH_THREADS", "5");
+        assert_eq!(worker_count(), 5);
+        env.set("PMORPH_THREADS", "0");
+        assert_eq!(worker_count(), 1, "zero clamps to one worker");
+        env.set("PMORPH_THREADS", "many");
+        assert!(worker_count() >= 1, "an unparsable override falls back");
     }
 }

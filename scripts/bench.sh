@@ -6,8 +6,9 @@
 # (sharded sweep engine vs flat references) into BENCH_sweeps.json, then
 # the `serve` suite (job-server end-to-end throughput and artifact-cache
 # cold/hit latency over live TCP) into BENCH_serve.json, and validates
-# each artifact with `benchcheck` (structure, positive medians, required
-# throughput workloads, and every recorded pass/fail check —
+# each artifact with `benchcheck` (structure, positive medians, the
+# throughput workloads the suite itself declares in the artifact's
+# `required` array, and every recorded pass/fail check —
 # allocation-free steady state, the bitsim/ group's ≥10× bit-parallel
 # speedup over the scalar levelized sweep and its partial-word lane
 # masking for the kernel; bit-identity, the core-scaled sharded-vs-flat
@@ -73,13 +74,7 @@ else
 fi
 
 echo "== validate $SWEEPS_OUT =="
-cargo run -q -p pmorph-bench --bin benchcheck -- "$SWEEPS_OUT" \
-    sweeps/e18_variation/sharded sweeps/e18_variation/flat \
-    sweeps/e19_faults/sharded sweeps/fig10_adder/sharded \
-    sweeps/seq_pipeline/sharded \
-    sweeps/poly_synth/synth sweeps/poly_synth/verify \
-    sweeps/pnr_hier/hier sweeps/pnr_hier/flat
+cargo run -q -p pmorph-bench --bin benchcheck -- "$SWEEPS_OUT"
 
 echo "== validate $SERVE_OUT =="
-cargo run -q -p pmorph-bench --bin benchcheck -- "$SERVE_OUT" \
-    serve/jobs/http_round_trip serve/cache/cold serve/cache/hit
+cargo run -q -p pmorph-bench --bin benchcheck -- "$SERVE_OUT"

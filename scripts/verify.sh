@@ -27,11 +27,13 @@ echo "== end-to-end benchmark unit tests (perfbench) =="
 # path), so the workspace test pass above does not reach it.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== release-mode sim semantics (past-event clamp path) =="
+echo "== release-mode sim semantics and bench timer =="
 # The queue's past-event handling differs by build profile (debug
 # asserts, release clamps + counts); the debug leg already ran in the
-# workspace test pass above, this runs the release leg.
-cargo test --release -q -p pmorph-sim
+# workspace test pass above, this runs the release leg. The microbench
+# timer's tests run here too: only an optimised build times routines
+# faster than a nanosecond per iteration.
+cargo test --release -q -p pmorph-sim -p pmorph-util
 
 echo "== observability differential suite =="
 # Repro stdout must be byte-identical with PMORPH_OBS unset vs =1 at 1
@@ -87,12 +89,7 @@ echo "== sweep-engine bench smoke (short budget) =="
 # validates the JSON artifact.
 PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_sweeps.smoke.json" \
     cargo bench -q -p pmorph-bench --bench sweeps >/dev/null
-cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_sweeps.smoke.json \
-    sweeps/e18_variation/sharded sweeps/e18_variation/flat \
-    sweeps/e19_faults/sharded sweeps/fig10_adder/sharded \
-    sweeps/seq_pipeline/sharded \
-    sweeps/poly_synth/synth sweeps/poly_synth/verify \
-    sweeps/pnr_hier/hier sweeps/pnr_hier/flat
+cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_sweeps.smoke.json
 
 echo "== job-server bench smoke (short budget) =="
 # End-to-end over live TCP: submit/drain throughput, artifact-cache
@@ -100,7 +97,6 @@ echo "== job-server bench smoke (short budget) =="
 # clean-drain check, then benchcheck validation.
 PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_serve.smoke.json" \
     cargo bench -q -p pmorph-bench --bench serve >/dev/null
-cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_serve.smoke.json \
-    serve/jobs/http_round_trip serve/cache/cold serve/cache/hit
+cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_serve.smoke.json
 
 echo "verify: OK"

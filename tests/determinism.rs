@@ -1,5 +1,5 @@
 //! Seed discipline, end to end: every stochastic path in the workspace —
-//! Monte-Carlo variation (worker-pool parallel), defect-map sampling and
+//! Monte-Carlo variation (sharded on the sweep engine), defect-map sampling and
 //! fault sweeps, and random-vector simulation — must be bit-identical when
 //! re-run with the same seed, and must actually vary when the seed
 //! changes. Comparisons are on `f64::to_bits` / bitstream bytes, not
