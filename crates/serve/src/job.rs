@@ -33,6 +33,7 @@ use pmorph_exec::SweepConfig;
 use pmorph_fpga::pnr::{best_seeded_placement_flat, hier, FpgaTiming};
 use pmorph_fpga::{circuits, tech_map, MappedDesign};
 use pmorph_sim::table::WideMask;
+use pmorph_sim::NetId;
 use pmorph_util::hash::Fnv64;
 use pmorph_util::json::Value;
 use pmorph_util::rng::mix_seed;
@@ -547,6 +548,23 @@ fn mask_hex(mask: &WideMask) -> String {
     words.join(":")
 }
 
+/// The `truth` array of `truth_sweep` and `seq_sweep`: per output, its
+/// net id, ones count and mask, or `null` where some assignment left the
+/// output `X`/`Z`.
+fn truth_payload(outputs: &[NetId], masks: &[Option<WideMask>]) -> Value {
+    let truth = outputs.iter().zip(masks).map(|(o, m)| match m {
+        Some(mask) => {
+            let mut t = Value::object();
+            t.set("net", Value::Num(o.0 as f64));
+            t.set("ones", Value::Num(mask.count_ones() as f64));
+            t.set("mask", Value::Str(mask_hex(mask)));
+            t
+        }
+        None => Value::Null,
+    });
+    Value::Array(truth.collect())
+}
+
 /// Execute a job. Pure: the payload depends only on the spec (and, for
 /// cache-accelerated stages, on artifacts that are themselves pure), so
 /// repeated runs are byte-identical at any `PMORPH_THREADS`.
@@ -565,22 +583,7 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
             payload.set("circuit", Value::Str(circuit.kind.name().into()));
             payload.set("size", Value::Num(circuit.size as f64));
             payload.set("inputs", Value::Num(design.inputs.len() as f64));
-            let truth: Vec<Value> = c
-                .outputs
-                .iter()
-                .zip(&masks)
-                .map(|(o, m)| match m {
-                    Some(mask) => {
-                        let mut t = Value::object();
-                        t.set("net", Value::Num(o.0 as f64));
-                        t.set("ones", Value::Num(mask.count_ones() as f64));
-                        t.set("mask", Value::Str(mask_hex(mask)));
-                        t
-                    }
-                    None => Value::Null,
-                })
-                .collect();
-            payload.set("truth", Value::Array(truth));
+            payload.set("truth", truth_payload(&c.outputs, &masks));
         }
         JobSpec::SeqSweep { circuit, cycles } => {
             let c = circuit.build();
@@ -604,22 +607,7 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
             payload.set("cycles", Value::Num(*cycles as f64));
             payload.set("inputs", Value::Num(inputs.len() as f64));
             payload.set("registers", Value::Num(seq.dff_count() as f64));
-            let truth: Vec<Value> = c
-                .outputs
-                .iter()
-                .zip(&masks)
-                .map(|(o, m)| match m {
-                    Some(mask) => {
-                        let mut t = Value::object();
-                        t.set("net", Value::Num(o.0 as f64));
-                        t.set("ones", Value::Num(mask.count_ones() as f64));
-                        t.set("mask", Value::Str(mask_hex(mask)));
-                        t
-                    }
-                    None => Value::Null,
-                })
-                .collect();
-            payload.set("truth", Value::Array(truth));
+            payload.set("truth", truth_payload(&c.outputs, &masks));
         }
         JobSpec::FaultCampaign { width, height, rate, trials, seed } => {
             let seeds: Vec<u64> = (0..*trials).map(|t| mix_seed(*seed, t as u64)).collect();

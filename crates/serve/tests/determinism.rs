@@ -19,11 +19,14 @@ use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
-/// The four production job types, sized to finish fast but exercise the
+/// The five cacheable job types, sized to finish fast but exercise the
 /// sharded engine for real. The `poly_sweep` is the 8-variable odd/even
-/// parity pair: 256 minterms → four shard words per mode proof.
-const SPECS: [&str; 4] = [
+/// parity pair: 256 minterms → four shard words per mode proof. The
+/// `seq_sweep` asks for far more cycles than its 48 stages need to
+/// settle.
+const SPECS: [&str; 5] = [
     r#"{"type":"truth_sweep","circuit":"ripple_adder","size":5}"#,
+    r#"{"type":"seq_sweep","circuit":"registered_pipeline","size":48,"cycles":9000}"#,
     r#"{"type":"fault_campaign","width":16,"height":16,"rate":0.02,"trials":24,"seed":77}"#,
     r#"{"type":"place_route","circuit":"registered_pipeline","size":10,"candidates":6,"seed":5}"#,
     r#"{"type":"poly_sweep","vars":8,"modes":[{"name":"odd","mask":"6996966996696996:9669699669969669:9669699669969669:6996966996696996"},{"name":"even","mask":"9669699669969669:6996966996696996:6996966996696996:9669699669969669"}]}"#,
@@ -194,4 +197,39 @@ fn poly_sweep_payloads_match_their_pinned_digests() {
         })
         .collect();
     assert_eq!(got, POLY_PINS, "poly_sweep payload digests moved");
+}
+
+/// `(circuit, size, cycles, fnv1a_64 of the payload)` for `seq_sweep`
+/// specs; `None` leaves `cycles` to the parser's default of `size + 2`.
+/// The 64-stage circuits settle after 64 edges, so the pins sit on each
+/// side of that point. The digests were recorded from the kernel that
+/// clocked every requested edge.
+const SEQ_PINS: [(&str, usize, Option<usize>, u64); 9] = [
+    ("shift_register", 64, Some(63), 0x5bd3_45f9_d1e3_8057),
+    ("shift_register", 64, Some(64), 0xa0ff_a0e5_0440_6a0f),
+    ("shift_register", 64, Some(65), 0x4b2e_e395_bcc8_c2fe),
+    ("shift_register", 64, Some(10_000), 0x536b_13d5_b686_4afe),
+    ("registered_pipeline", 64, Some(63), 0x22d1_4080_857d_bc50),
+    ("registered_pipeline", 64, Some(64), 0xa460_2f76_8652_ee51),
+    ("registered_pipeline", 64, Some(65), 0x5714_471f_c231_1386),
+    ("registered_pipeline", 64, Some(10_000), 0x25ad_4d71_ae26_25bc),
+    ("registered_pipeline", 2, None, 0x70ed_ca2f_ea6a_09a7),
+];
+
+#[test]
+fn seq_sweep_payloads_match_their_pinned_digests() {
+    let got: Vec<(&str, usize, Option<usize>, u64)> = SEQ_PINS
+        .iter()
+        .map(|&(circuit, size, cycles, _)| {
+            let cycles_field = cycles.map(|c| format!(r#","cycles":{c}"#)).unwrap_or_default();
+            let text = format!(
+                r#"{{"type":"seq_sweep","circuit":"{circuit}","size":{size}{cycles_field}}}"#
+            );
+            let spec = JobSpec::parse(&json::parse(&text).unwrap()).expect("valid spec");
+            let payload =
+                job::run(&spec, &ArtifactCache::new(), &AtomicBool::new(false)).expect("sweeps");
+            (circuit, size, cycles, fnv1a_64(payload.to_string_compact().as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, SEQ_PINS, "seq_sweep payload digests moved");
 }

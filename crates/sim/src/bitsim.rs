@@ -241,6 +241,16 @@ struct SeqDff {
     reset_n: Option<NetId>,
 }
 
+impl SeqDff {
+    /// Lanes in reset: those whose `reset_n` input plane is a *definite
+    /// 0*. `X`/`Z` on `reset_n` does not reset — same rule as the scalar
+    /// `Dff` evaluation.
+    #[inline]
+    fn reset_lanes(&self, in_val: &[u64], in_known: &[u64]) -> u64 {
+        self.reset_n.map_or(0, |r| in_known[r.0 as usize] & !in_val[r.0 as usize])
+    }
+}
+
 /// A lane-parallel register-state snapshot: one `(val, known)` plane pair
 /// per flip-flop, captured by [`SeqBitSim::snapshot_state`] and replayed
 /// by [`SeqBitSim::restore_state`]. All 64 lanes are saved and restored
@@ -461,17 +471,6 @@ impl SeqBitSim {
         self.dirty = true;
     }
 
-    /// Per-lane asserted-reset plane for one flip-flop: lanes whose
-    /// `reset_n` input is a *definite 0*. `X`/`Z` on `reset_n` does not
-    /// reset — same rule as the scalar `Dff` evaluation.
-    #[inline]
-    fn reset_active(&self, ff: &SeqDff) -> u64 {
-        match ff.reset_n {
-            Some(r) => self.in_known[r.0 as usize] & !self.in_val[r.0 as usize],
-            None => 0,
-        }
-    }
-
     /// Settle the combinational cone against the held inputs and current
     /// register planes (lanes in reset read `Q = 0` asynchronously). Net
     /// planes from [`SeqBitSim::plane`] are valid afterwards. `step_cycle`
@@ -482,10 +481,7 @@ impl SeqBitSim {
         self.sim.known.copy_from_slice(&self.in_known);
         for (i, ff) in self.dffs.iter().enumerate() {
             let (sv, sk) = self.state[i];
-            let rst = match ff.reset_n {
-                Some(r) => self.in_known[r.0 as usize] & !self.in_val[r.0 as usize],
-                None => 0,
-            };
+            let rst = ff.reset_lanes(&self.in_val, &self.in_known);
             self.sim.val[ff.q.0 as usize] = sv & !rst;
             self.sim.known[ff.q.0 as usize] = sk | rst;
         }
@@ -501,24 +497,53 @@ impl SeqBitSim {
         if self.dirty {
             self.eval();
         }
-        for i in 0..self.dffs.len() {
-            let ff = &self.dffs[i];
-            let dv = self.sim.val[ff.d.0 as usize];
-            let dk = self.sim.known[ff.d.0 as usize];
-            let rst = self.reset_active(ff);
-            self.state[i] = (dv & !rst, dk | rst);
-        }
-        self.eval();
+        self.edge();
         pmorph_obs::counter!("sim.bitsim.cycles").inc();
+        pmorph_obs::counter!("sim.bitsim.cycles_evaluated").inc();
     }
 
-    /// Run `n` virtual clock cycles. With inputs held constant this costs
-    /// `n + 1` cone passes total (the post-edge settle of one cycle is
-    /// the pre-edge settle of the next).
-    pub fn step_cycles(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step_cycle();
+    /// Commit one edge against the settled cone and re-settle. Returns
+    /// whether any `(val, known)` register plane changed; if none did, the
+    /// cone already reflects the post-edge state and is not re-run.
+    fn edge(&mut self) -> bool {
+        let (val, known) = (&self.sim.val, &self.sim.known);
+        let mut diff = 0;
+        for (ff, s) in self.dffs.iter().zip(&mut self.state) {
+            let rst = ff.reset_lanes(&self.in_val, &self.in_known);
+            let next = (val[ff.d.0 as usize] & !rst, known[ff.d.0 as usize] | rst);
+            diff |= (next.0 ^ s.0) | (next.1 ^ s.1);
+            *s = next;
         }
+        let changed = diff != 0;
+        if changed {
+            self.eval();
+        }
+        changed
+    }
+
+    /// Run `n` virtual clock cycles: the same register and net planes as
+    /// `n` calls of [`SeqBitSim::step_cycle`], with planes settled even
+    /// for `n = 0`. With inputs held, an edge is a pure function of the
+    /// register planes, so once an edge changes no `(val, known)` plane
+    /// every later edge is a no-op too, and the call returns there. The
+    /// cost is the edges evaluated, with a cone pass for each that changes
+    /// the state: `μ + 1` edges for a state that settles after `μ`, and
+    /// all `n` for one that does not settle within `n` (a toggle, a
+    /// counter). `sim.bitsim.cycles` counts the `n` logical edges and
+    /// `sim.bitsim.cycles_evaluated` the edges actually run.
+    pub fn step_cycles(&mut self, n: usize) {
+        if self.dirty {
+            self.eval();
+        }
+        let mut evaluated = 0;
+        while evaluated < n {
+            evaluated += 1;
+            if !self.edge() {
+                break; // fixed point: every later edge is a no-op
+            }
+        }
+        pmorph_obs::counter!("sim.bitsim.cycles").add(n as u64);
+        pmorph_obs::counter!("sim.bitsim.cycles_evaluated").add(evaluated as u64);
     }
 
     /// The `(val, known)` planes of a net after the last settle (call
@@ -565,9 +590,10 @@ impl SeqBitSim {
 /// the registers to the prototype's current state, clock `cycles` virtual
 /// edges, and report each output's settled truth mask — or `None` if any
 /// assignment leaves it `X`/`Z` (the combinational poisoning rule, cycle-
-/// bounded). Sharded one word (64 assignments) per item under the same
-/// determinism contract as [`sweep_truth`]: masks are bit-identical
-/// at any worker count or shard geometry.
+/// bounded). With `cycles = 0` the masks are the cone settled against
+/// the rewound state. Sharded one word (64 assignments) per item under
+/// the same determinism contract as [`sweep_truth`]: masks are
+/// bit-identical at any worker count or shard geometry.
 pub fn sweep_seq_truth(
     proto: &SeqBitSim,
     inputs: &[NetId],

@@ -1,7 +1,9 @@
 //! Differential properties for the sequential bit-parallel kernel:
 //! `SeqBitSim::step_cycle` ⇔ the event-driven `Simulator`, lane by lane,
 //! on random registered netlists from `testgen::random_registered`
-//! (clock + DFF, with reset and wheel-overflow-spanning clock periods).
+//! (clock + DFF, with reset and wheel-overflow-spanning clock periods),
+//! and `SeqBitSim::step_cycles(n)` ⇔ `n` single `step_cycle` calls, which
+//! pins the fixed-point exit.
 //!
 //! Protocol: the event oracle instantiates the circuit's real `Clock`
 //! generator (phase 0, rising edges at odd multiples of the half-period);
@@ -13,10 +15,9 @@
 //! implement the same Kleene gate rules, so agreement is exact, not
 //! merely conservative.
 //!
-//! Byte-identity of the E18/E19/fig10 workloads that ride this kernel is
-//! pinned in `crates/exec/tests/differential.rs` (their `_flat` references
-//! keep the pre-tentpole event-driven implementations), which CI runs at
-//! `PMORPH_THREADS ∈ {1, 8}` alongside this suite.
+//! No experiment builds a `SeqBitSim`: its callers are the job server's
+//! `seq_sweep` (payload bytes pinned in `crates/serve/tests/determinism.rs`)
+//! and two benches. CI runs this suite at `PMORPH_THREADS ∈ {1, 8}`.
 
 use pmorph_exec::SweepConfig;
 use pmorph_sim::bitsim::{sweep_seq_truth, SeqBitSim};
@@ -250,6 +251,93 @@ fn seq_sweep_is_worker_and_geometry_independent_on_registered_circuits() {
         }
         Ok(())
     });
+}
+
+#[test]
+fn zero_cycle_sweep_is_the_combinational_settle_of_the_initial_state() {
+    // With no edge the outputs are the cone settled against the power-on
+    // registers (reset lanes reading 0); the event oracle reads them just
+    // before its first rising edge, one assignment at a time.
+    prop::check("seq_sweep_zero_cycles", 24, |g| {
+        let c = random_registered(g);
+        let proto = SeqBitSim::new(c.netlist.clone()).unwrap();
+        let inputs: Vec<NetId> = proto.input_nets().to_vec();
+        let n = inputs.len();
+        let mut expect: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); c.outputs.len()];
+        for m in 0..1usize << n {
+            let mut sim = Simulator::new(c.netlist.clone());
+            for (i, &net) in inputs.iter().enumerate() {
+                sim.drive_at(net, Logic::from_bool(m >> i & 1 == 1), 1);
+            }
+            sim.run_until(c.half_period - 1, 50_000_000).unwrap();
+            for (o, &net) in c.outputs.iter().enumerate() {
+                match (sim.value(net), expect[o].as_mut()) {
+                    (Logic::L1, Some(mask)) => mask.words_mut()[m / 64] |= 1 << (m % 64),
+                    (Logic::L0, _) => {}
+                    _ => expect[o] = None,
+                }
+            }
+        }
+        for (workers, shard) in [(1usize, 1usize), (2, 1), (3, 2), (8, 4)] {
+            let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard);
+            prop_assert_eq!(
+                &sweep_seq_truth(&proto, &inputs, &c.outputs, 0, &cfg),
+                &expect,
+                "workers={} shard={}",
+                workers,
+                shard
+            );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn step_cycles_equals_repeated_step_cycle() {
+    // Held inputs with X lanes (reset_n among them), random power-on X
+    // lanes, and n on both sides of the edge that first changes no
+    // register plane. The tallies keep the property from going vacuous:
+    // enough cases must stop early with edges left to skip, and enough
+    // must run every edge because the state has not settled by then.
+    let (mut skipped, mut unsettled) = (0, 0);
+    prop::check("seq_step_cycles_skip", 400, |g| {
+        let c = random_registered(g);
+        let mut fast = SeqBitSim::new(c.netlist.clone()).unwrap();
+        for net in fast.input_nets().to_vec() {
+            let known = if g.bool() { u64::MAX } else { g.u64() | g.u64() };
+            // reset_n mostly deasserted so reset and capture interleave
+            let val = if Some(net) == c.reset_n { g.u64() | g.u64() } else { g.u64() };
+            fast.set_input(net, val & known, known);
+        }
+        fast.power_on_lanes(if g.bool() { g.u64() } else { 0 });
+        let mut slow = fast.clone();
+        // half the cases stay short, where most states have not settled
+        let most = if g.bool() { 300 } else { 16 };
+        let n = g.in_range(0usize..=most);
+
+        fast.step_cycles(n);
+        let mut states = vec![slow.snapshot_state()];
+        for _ in 0..n {
+            slow.step_cycle();
+            states.push(slow.snapshot_state());
+        }
+        slow.eval(); // settles the planes when n = 0, a no-op otherwise
+        prop_assert_eq!(fast.snapshot_state(), slow.snapshot_state(), "state after n={}", n);
+        for net in (0..c.netlist.net_count()).map(|i| NetId(i as u32)) {
+            prop_assert_eq!(fast.plane(net), slow.plane(net), "n={} net={:?}", n, net);
+        }
+
+        // the first of the n edges that left the state as it was
+        match states.windows(2).position(|w| w[0] == w[1]) {
+            Some(t) => skipped += (t + 1 < n) as u32,
+            None => unsettled += (n > 0) as u32,
+        }
+        Ok(())
+    });
+    assert!(
+        skipped >= 100 && unsettled >= 100,
+        "cases that skipped edges: {skipped}, that ran every edge: {unsettled}"
+    );
 }
 
 #[test]
