@@ -4,8 +4,8 @@
 //! Times the E18 variation Monte-Carlo, E19 defect-yield curves, the
 //! Fig. 10 adder vector sweep, the sequential 64-lane truth sweep, and
 //! the hierarchical partitioned PnR of a 100×100-block fabric through
-//! the sharded engine (`pmorph-exec`) against their retained flat/serial
-//! references — plus the polymorphic synthesis + personality-proof
+//! the sharded engine (`pmorph-exec`) against flat or 1-worker serial
+//! baselines — plus the polymorphic synthesis + personality-proof
 //! pipeline — and records six pass/fail checks:
 //!
 //! * `sweeps_bit_identical_thread1_vs_n` — the sharded E18 study at the
@@ -30,10 +30,8 @@
 //!   LUTs across the whole die (routes ~grid-sized) while a
 //!   hierarchical shuffle stays region-local (routes ~region-sized).
 
-use pmorph_bench::experiments::extensions::{defect_yield_curves, defect_yield_curves_flat};
-use pmorph_bench::experiments::fabric_figs::{
-    fig10_adder_check, fig10_adder_check_flat, fig10_adder_vectors,
-};
+use pmorph_bench::experiments::extensions::defect_yield_curves;
+use pmorph_bench::experiments::fabric_figs::{fig10_adder_check, fig10_adder_vectors};
 use pmorph_device::variation::{run_study_cfg, run_study_flat, VariationModel};
 use pmorph_exec::SweepConfig;
 use pmorph_util::microbench::{Criterion, Throughput};
@@ -107,26 +105,33 @@ fn sweeps_e18_variation(c: &mut Criterion) {
     group.finish();
 }
 
-/// E19 defect-yield curves (three rates × trials) through the engine.
+/// E19 defect-yield curves (three rates × trials) through the engine,
+/// sharded vs serial.
 fn sweeps_e19_faults(c: &mut Criterion) {
     let trials = 24usize;
     let cfg = SweepConfig::new().with_workers(sharded_workers());
+    let serial_cfg = SweepConfig::new().with_workers(1);
     let mut group = c.benchmark_group("sweeps/e19_faults");
     group.throughput(Throughput::Elements((3 * trials) as u64));
     group.bench_function("sharded", |b| b.iter(|| black_box(defect_yield_curves(trials, &cfg))));
-    group.bench_function("flat", |b| b.iter(|| black_box(defect_yield_curves_flat(trials))));
+    group.bench_function("serial", |b| {
+        b.iter(|| black_box(defect_yield_curves(trials, &serial_cfg)))
+    });
     group.finish();
 }
 
-/// Fig. 10 adder vector sweep (snapshot/restore per vector) through the
-/// engine.
+/// Fig. 10 adder vector sweep (64 vectors per bit-parallel word) through
+/// the engine, sharded vs serial.
 fn sweeps_fig10_adder(c: &mut Criterion) {
     let vectors = fig10_adder_vectors(20);
     let cfg = SweepConfig::new().with_workers(sharded_workers());
+    let serial_cfg = SweepConfig::new().with_workers(1);
     let mut group = c.benchmark_group("sweeps/fig10_adder");
     group.throughput(Throughput::Elements(vectors.len() as u64));
     group.bench_function("sharded", |b| b.iter(|| black_box(fig10_adder_check(&vectors, &cfg))));
-    group.bench_function("flat", |b| b.iter(|| black_box(fig10_adder_check_flat(&vectors))));
+    group.bench_function("serial", |b| {
+        b.iter(|| black_box(fig10_adder_check(&vectors, &serial_cfg)))
+    });
     group.finish();
 }
 

@@ -13,26 +13,6 @@ use pmorph_util::rng::StdRng;
 /// The defect rates E19 sweeps.
 const DEFECT_RATES: [f64; 3] = [0.002, 0.01, 0.03];
 
-/// Is a LUT mapping functionally correct on a (possibly faulty) fabric?
-/// Event-driven reference: one full simulation per input vector — the
-/// pre-bitsim implementation, kept verbatim as the flat path's oracle.
-fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &TruthTable) -> bool {
-    let elab = elaborate(fabric, &FabricTiming::default());
-    for m in 0..(1u64 << tt.vars()) {
-        let mut sim = Simulator::new(elab.netlist.clone());
-        for (v, p) in ports.inputs.iter().enumerate() {
-            sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
-        }
-        if sim.settle(500_000).is_err() {
-            return false;
-        }
-        if sim.value(ports.output.net(&elab)) != Logic::from_bool(tt.eval(m)) {
-            return false;
-        }
-    }
-    true
-}
-
 /// Does the combinational `netlist` compute `expected` on `out` for every
 /// assignment of `vars ≤ 6` inputs? All `2^vars` minterms ride the lanes
 /// of ONE bit-parallel word, so the netlist is levelized once and
@@ -56,10 +36,11 @@ fn truth_word_matches(
     Ok(k & lanes == lanes && v & lanes == expected & lanes)
 }
 
-/// [`lut_works_event`] through the bit-parallel kernel
-/// ([`truth_word_matches`]). `expected` holds `tt`'s truth bits in the
-/// low `2^n` lanes. Falls back to the event engine if the elaborated
-/// netlist won't levelize.
+/// Is a LUT mapping functionally correct on a (possibly faulty) fabric?
+/// Every minterm is checked in one bit-parallel word
+/// ([`truth_word_matches`]); `expected` holds `tt`'s truth bits in the
+/// low `2^n` lanes. A netlist that won't levelize does not work, the
+/// same rule as E21's [`mapping_correct`].
 fn lut_works(
     fabric: &Fabric,
     ports: &pmorph_synth::LutPorts,
@@ -70,8 +51,7 @@ fn lut_works(
     let inputs: Vec<(NetId, usize)> =
         ports.inputs.iter().enumerate().map(|(v, p)| (p.net(&elab), v)).collect();
     let out = ports.output.net(&elab);
-    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), expected)
-        .unwrap_or_else(|_| lut_works_event(fabric, ports, tt))
+    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), expected).unwrap_or(false)
 }
 
 /// E19: defect tolerance — yield of a fixed-position mapping vs a
@@ -122,7 +102,7 @@ impl TrialCtx {
 /// `t·7919 + rate·10⁴` — the schedule the byte-identical repro output is
 /// pinned to) and score both mapping strategies against it. Returns
 /// `(naive worked, defect-aware worked)`. Independent per trial, so the
-/// sharded and flat paths agree bit-for-bit.
+/// curves are bit-identical at any worker count.
 fn defect_trial(ctx: &mut TrialCtx, rate: f64, t: usize) -> (bool, bool) {
     let seed = t as u64 * 7919 + (rate * 1e4) as u64;
     // a 4x6 die: six candidate rows for a 3-block LUT tile
@@ -142,33 +122,6 @@ fn defect_trial(ctx: &mut TrialCtx, rate: f64, t: usize) -> (bool, bool) {
     (naive, aware)
 }
 
-/// The pre-tentpole per-trial implementation — fresh fabrics, full
-/// `Fabric` clone in `DefectMap::apply`, event-driven vector loop —
-/// retained verbatim so the flat reference pins the sharded/bitsim path
-/// to the historical byte-identical outputs.
-fn defect_trial_event(rate: f64, t: usize) -> (bool, bool) {
-    let tt = TruthTable::parity(3);
-    let seed = t as u64 * 7919 + (rate * 1e4) as u64;
-    let map = DefectMap::sample(4, 6, rate, seed);
-    let naive = {
-        let mut fabric = Fabric::new(4, 6);
-        let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
-        let faulty = map.apply(&fabric);
-        lut_works_event(&faulty, &ports, &tt)
-    };
-    let mut aware = false;
-    for y in 0..6 {
-        let mut fabric = Fabric::new(4, 6);
-        let ports = lut3(&mut fabric, 0, y, &tt).unwrap();
-        if !map.disturbs(&fabric) {
-            let faulty = map.apply(&fabric);
-            aware = lut_works_event(&faulty, &ports, &tt);
-            break;
-        }
-    }
-    (naive, aware)
-}
-
 /// E19 yield curves on the sharded sweep engine: for each defect rate,
 /// `(rate, naive successes, defect-aware successes)` over `trials`
 /// independent trials. Each worker owns one [`TrialCtx`] of pre-mapped
@@ -181,19 +134,6 @@ pub fn defect_yield_curves(trials: usize, cfg: &SweepConfig) -> Vec<(f64, usize,
         .iter()
         .map(|&rate| {
             let per_trial = sweep(trials, cfg, TrialCtx::new, |ctx, t| defect_trial(ctx, rate, t));
-            reduce_yields(rate, &per_trial)
-        })
-        .collect()
-}
-
-/// A serial loop over the event-driven trial, retained as the
-/// differential-test reference for [`defect_yield_curves`].
-#[doc(hidden)]
-pub fn defect_yield_curves_flat(trials: usize) -> Vec<(f64, usize, usize)> {
-    DEFECT_RATES
-        .iter()
-        .map(|&rate| {
-            let per_trial: Vec<_> = (0..trials).map(|t| defect_trial_event(rate, t)).collect();
             reduce_yields(rate, &per_trial)
         })
         .collect()
@@ -456,6 +396,63 @@ mod tests {
     use super::*;
     use crate::experiments::Scale;
 
+    /// Event-driven oracle for [`lut_works`]: one fresh simulation per
+    /// input vector, sharing no code with the bit-parallel check.
+    fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &TruthTable) -> bool {
+        let elab = elaborate(fabric, &FabricTiming::default());
+        for m in 0..(1u64 << tt.vars()) {
+            let mut sim = Simulator::new(elab.netlist.clone());
+            for (v, p) in ports.inputs.iter().enumerate() {
+                sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
+            }
+            if sim.settle(500_000).is_err() {
+                return false;
+            }
+            if sim.value(ports.output.net(&elab)) != Logic::from_bool(tt.eval(m)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Event-driven oracle for [`defect_trial`]: fresh fabrics, a full
+    /// `Fabric` clone in `DefectMap::apply` and the event-driven vector
+    /// loop, so it shares no scratch state with the production trial.
+    fn defect_trial_event(rate: f64, t: usize) -> (bool, bool) {
+        let tt = TruthTable::parity(3);
+        let seed = t as u64 * 7919 + (rate * 1e4) as u64;
+        let map = DefectMap::sample(4, 6, rate, seed);
+        let naive = {
+            let mut fabric = Fabric::new(4, 6);
+            let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
+            let faulty = map.apply(&fabric);
+            lut_works_event(&faulty, &ports, &tt)
+        };
+        let mut aware = false;
+        for y in 0..6 {
+            let mut fabric = Fabric::new(4, 6);
+            let ports = lut3(&mut fabric, 0, y, &tt).unwrap();
+            if !map.disturbs(&fabric) {
+                let faulty = map.apply(&fabric);
+                aware = lut_works_event(&faulty, &ports, &tt);
+                break;
+            }
+        }
+        (naive, aware)
+    }
+
+    /// A serial loop over the event-driven trial: the oracle for
+    /// [`defect_yield_curves`].
+    fn defect_yield_curves_flat(trials: usize) -> Vec<(f64, usize, usize)> {
+        DEFECT_RATES
+            .iter()
+            .map(|&rate| {
+                let per_trial: Vec<_> = (0..trials).map(|t| defect_trial_event(rate, t)).collect();
+                reduce_yields(rate, &per_trial)
+            })
+            .collect()
+    }
+
     /// Event-driven oracle for [`mapping_correct`]: one fresh simulation
     /// per minterm.
     fn mapping_correct_event(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) -> bool {
@@ -486,6 +483,37 @@ mod tests {
                 assert!(!mapping_correct(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
                 assert!(!mapping_correct_event(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
             }
+        }
+    }
+
+    #[test]
+    fn e19_bitsim_trial_matches_the_event_oracle() {
+        let mut ctx = TrialCtx::new();
+        let mut outcomes = [false; 2];
+        for rate in DEFECT_RATES {
+            for t in 0..40 {
+                let got = defect_trial(&mut ctx, rate, t);
+                assert_eq!(got, defect_trial_event(rate, t), "rate {rate} trial {t}");
+                outcomes[got.0 as usize] = true;
+                outcomes[got.1 as usize] = true;
+            }
+        }
+        assert_eq!(outcomes, [true, true], "the trials must both work and fail");
+        // one wrong expected bit, at any minterm, must fail both checks
+        for (fabric, ports) in &ctx.rows {
+            assert!(lut_works(fabric, ports, &ctx.tt, ctx.expected));
+            assert!(lut_works_event(fabric, ports, &ctx.tt));
+            for m in 0..1u64 << ctx.tt.vars() {
+                let flipped = TruthTable::from_bits(ctx.tt.vars(), ctx.tt.bits() ^ 1 << m);
+                assert!(!lut_works(fabric, ports, &ctx.tt, ctx.expected ^ 1 << m), "minterm {m}");
+                assert!(!lut_works_event(fabric, ports, &flipped), "minterm {m}");
+            }
+        }
+        // the sharded curves reduce exactly those trials
+        let oracle = defect_yield_curves_flat(40);
+        for workers in [1, 8] {
+            let cfg = SweepConfig::new().with_workers(workers);
+            assert_eq!(defect_yield_curves(40, &cfg), oracle, "workers={workers}");
         }
     }
 }

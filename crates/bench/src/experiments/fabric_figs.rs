@@ -4,7 +4,7 @@ use super::Experiment;
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{BlockConfig, Edge, Fabric, FabricTiming, OutMode, LANES};
 use pmorph_exec::{sweep, SweepConfig};
-use pmorph_sim::{logic, BitSim, Logic, NetId, Simulator};
+use pmorph_sim::{BitSim, Logic, NetId, Simulator};
 use pmorph_synth::{dff, lut3, ripple_adder, TruthTable};
 use pmorph_util::rng::Rng;
 use pmorph_util::rng::StdRng;
@@ -185,8 +185,8 @@ pub fn fig10_adder_vectors(trials: usize) -> Vec<(u64, u64)> {
 /// fabric is elaborated and levelized once, and each item evaluates 64
 /// vectors in the lanes of one bit-parallel kernel pass (dual-rail input
 /// planes packed per bit position) instead of one event-driven
-/// snapshot/restore simulation per vector. Bit-identical to
-/// [`fig10_adder_check_flat`] at any worker count or shard size.
+/// simulation per vector. Bit-identical at any worker count or shard
+/// size.
 #[doc(hidden)]
 pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool> {
     let mut fabric = Fabric::new(2, 16);
@@ -250,61 +250,6 @@ pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool>
     per_word.into_iter().flatten().collect()
 }
 
-/// The historical serial loop (one simulator, snapshot/restore,
-/// vector-at-a-time), retained as the differential-test reference for
-/// [`fig10_adder_check`].
-#[doc(hidden)]
-pub fn fig10_adder_check_flat(vectors: &[(u64, u64)]) -> Vec<bool> {
-    let mut fabric = Fabric::new(2, 16);
-    let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();
-    let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
-    let initial = sim.snapshot();
-    vectors
-        .iter()
-        .enumerate()
-        .map(|(trial, &(a, b))| {
-            if trial > 0 {
-                sim.restore(&initial);
-            }
-            drive_adder_vector(&mut sim, &ports, &elab, a, b);
-            sim.settle(20_000_000).unwrap();
-            read_adder_sum(&sim, &ports, &elab) == Some(a + b)
-        })
-        .collect()
-}
-
-/// Drive one dual-rail input vector onto the mapped adder.
-fn drive_adder_vector(
-    sim: &mut Simulator,
-    ports: &pmorph_synth::AdderPorts,
-    elab: &pmorph_core::elaborate::Elaborated,
-    a: u64,
-    b: u64,
-) {
-    for i in 0..8 {
-        let av = a >> i & 1 == 1;
-        let bv = b >> i & 1 == 1;
-        sim.drive(ports.a[i].0.net(elab), Logic::from_bool(av));
-        sim.drive(ports.a[i].1.net(elab), Logic::from_bool(!av));
-        sim.drive(ports.b[i].0.net(elab), Logic::from_bool(bv));
-        sim.drive(ports.b[i].1.net(elab), Logic::from_bool(!bv));
-    }
-    sim.drive(ports.cin.0.net(elab), Logic::L0);
-    sim.drive(ports.cin.1.net(elab), Logic::L1);
-}
-
-/// Read the settled 9-bit sum (sum bits + carry out) as an integer.
-fn read_adder_sum(
-    sim: &Simulator,
-    ports: &pmorph_synth::AdderPorts,
-    elab: &pmorph_core::elaborate::Elaborated,
-) -> Option<u64> {
-    let mut bits: Vec<Logic> = ports.sum.iter().map(|p| sim.value(p.net(elab))).collect();
-    bits.push(sim.value(ports.cout.0.net(elab)));
-    logic::to_u64(&bits)
-}
-
 /// E8 / Fig. 10: ripple-carry datapath — 5 terms/bit, one bit per pair,
 /// linear ripple delay; plus the accumulator.
 pub fn fig10_datapath() -> Experiment {
@@ -319,8 +264,7 @@ pub fn fig10_datapath() -> Experiment {
     pass &= live == 5;
     rows.push(format!("product terms per full adder: {live} (paper: five)"));
     rows.push("bits per 6-NAND cell pair: 1 (carry on inter-cell lanes 4/5)".into());
-    // correctness, 8-bit random: 20 vectors through the sharded sweep
-    // engine — per-worker simulators rewound between vectors
+    // correctness, 8-bit random: 20 vectors in one bit-parallel word
     let vectors = fig10_adder_vectors(20);
     let correct = fig10_adder_check(&vectors, &SweepConfig::new()).iter().filter(|&&ok| ok).count();
     pass &= correct == 20;
@@ -371,5 +315,82 @@ pub fn fig10_datapath() -> Experiment {
             "full adder in five terms; one bit per cell pair; ripple carry on adjacent connections",
         rows,
         pass,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmorph_sim::logic;
+
+    /// Event-driven oracle for [`fig10_adder_check`]: one simulator,
+    /// rewound with snapshot/restore, one vector at a time.
+    fn fig10_adder_check_flat(vectors: &[(u64, u64)]) -> Vec<bool> {
+        let mut fabric = Fabric::new(2, 16);
+        let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();
+        let elab = elaborate(&fabric, &FabricTiming::default());
+        let mut sim = Simulator::new(elab.netlist.clone());
+        let initial = sim.snapshot();
+        vectors
+            .iter()
+            .enumerate()
+            .map(|(trial, &(a, b))| {
+                if trial > 0 {
+                    sim.restore(&initial);
+                }
+                drive_adder_vector(&mut sim, &ports, &elab, a, b);
+                sim.settle(20_000_000).unwrap();
+                read_adder_sum(&sim, &ports, &elab) == Some(a + b)
+            })
+            .collect()
+    }
+
+    /// Drive one dual-rail input vector onto the mapped adder.
+    fn drive_adder_vector(
+        sim: &mut Simulator,
+        ports: &pmorph_synth::AdderPorts,
+        elab: &pmorph_core::elaborate::Elaborated,
+        a: u64,
+        b: u64,
+    ) {
+        for i in 0..8 {
+            let av = a >> i & 1 == 1;
+            let bv = b >> i & 1 == 1;
+            sim.drive(ports.a[i].0.net(elab), Logic::from_bool(av));
+            sim.drive(ports.a[i].1.net(elab), Logic::from_bool(!av));
+            sim.drive(ports.b[i].0.net(elab), Logic::from_bool(bv));
+            sim.drive(ports.b[i].1.net(elab), Logic::from_bool(!bv));
+        }
+        sim.drive(ports.cin.0.net(elab), Logic::L0);
+        sim.drive(ports.cin.1.net(elab), Logic::L1);
+    }
+
+    /// Read the settled 9-bit sum (sum bits + carry out) as an integer.
+    fn read_adder_sum(
+        sim: &Simulator,
+        ports: &pmorph_synth::AdderPorts,
+        elab: &pmorph_core::elaborate::Elaborated,
+    ) -> Option<u64> {
+        let mut bits: Vec<Logic> = ports.sum.iter().map(|p| sim.value(p.net(elab))).collect();
+        bits.push(sim.value(ports.cout.0.net(elab)));
+        logic::to_u64(&bits)
+    }
+
+    #[test]
+    fn fig10_bitsim_check_matches_the_event_oracle() {
+        // 200 draws, every seventh pushed past the adder's 8 bits: the
+        // mapped adder drops bit 8, so those vectors must fail both checks
+        let mut vectors = fig10_adder_vectors(200);
+        for v in vectors.iter_mut().skip(3).step_by(7) {
+            v.0 |= 0x100;
+        }
+        let oracle = fig10_adder_check_flat(&vectors);
+        for (i, &ok) in oracle.iter().enumerate() {
+            assert_eq!(ok, i % 7 != 3, "vector {i}: {:?}", vectors[i]);
+        }
+        for workers in [1, 8] {
+            let got = fig10_adder_check(&vectors, &SweepConfig::new().with_workers(workers));
+            assert_eq!(got, oracle, "workers={workers}");
+        }
     }
 }

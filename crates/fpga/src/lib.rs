@@ -29,7 +29,7 @@ pub use arch::FpgaArch;
 pub use circuits::{parity_tree, registered_pipeline, ripple_adder_gates, shift_register, Circuit};
 pub use clb::{Clb, ClbConfig, ClbInputs};
 pub use mapper::{pack, tech_map, verify_mapping, FpgaMapError, Lut, MappedDesign, PackStats};
-pub use pnr::hier::{hier_place_and_route, HierStats};
+pub use pnr::hier::HierStats;
 pub use pnr::{
     best_seeded_placement, critical_path_ps, place, place_and_route, route, FpgaTiming, PnrError,
     PnrResult,

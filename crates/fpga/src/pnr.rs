@@ -145,41 +145,42 @@ fn place_with_order_on_grid(design: &MappedDesign, order: &[usize], grid: usize)
     PnrResult { grid, placement, ..PnrResult::default() }
 }
 
-/// Placement-candidate search on the sharded sweep engine: candidate 0
-/// is the deterministic BFS ordering ([`place`]); candidate `k > 0`
-/// shuffles that ordering with `mix_seed(seed, k)`. Every candidate is
-/// placed, routed and timed, and the winner is the argmin of
-/// `(critical path, total wirelength, candidate index)` — a total order,
-/// so the result is deterministic at any worker count or shard size, and
-/// never worse than the unseeded flow.
+/// Seeded placement-candidate search, the one PnR entry point.
+/// Candidate 0 is the deterministic BFS ordering ([`place`]); candidate
+/// `k > 0` shuffles it with `mix_seed(seed, k)`. The winner is the argmin
+/// of `(critical path, total wirelength, candidate index)` — a total
+/// order, so the result is deterministic at any worker count or shard
+/// size, and never worse than the unseeded flow.
 ///
-/// Returns `(best pnr, its critical path ps, winning candidate index)`.
-///
-/// Above [`hier::HIER_LUT_THRESHOLD`] LUTs the search runs on the
-/// partitioned hierarchical flow ([`hier::best_seeded_placement_hier`]):
-/// the flat single-block search is O(n·√n)-ish per candidate and stops
-/// scaling long before the paper's fabric sizes. Both paths share the
-/// `(critical path, wirelength, index)` argmin, the per-candidate
-/// `mix_seed` streams, and the exec determinism contract, so the
-/// winner is reproducible at any worker count either way.
+/// `partitions` is the serve spec's field: `0` resolves to
+/// [`hier::auto_partitions`], `1` runs the flat single-block search
+/// ([`best_seeded_placement_flat`]), and more runs the hierarchical
+/// search ([`hier::best_seeded_placement_hier`]) with that many regions,
+/// clamped to the LUT count, which also returns its [`hier::HierStats`].
 pub fn best_seeded_placement(
     design: &MappedDesign,
     candidates: usize,
     seed: u64,
     timing: &FpgaTiming,
+    partitions: usize,
     cfg: &SweepConfig,
-) -> (PnrResult, f64, usize) {
-    let partitions = hier::auto_partitions(design.luts.len());
+) -> (PnrResult, f64, usize, Option<hier::HierStats>) {
+    let partitions = match partitions {
+        0 => hier::auto_partitions(design.luts.len()),
+        p => p,
+    };
     if partitions > 1 {
-        let (pnr, cp, winner, _) =
+        let (pnr, cp, winner, stats) =
             hier::best_seeded_placement_hier(design, candidates, seed, timing, partitions, cfg);
-        return (pnr, cp, winner);
+        return (pnr, cp, winner, Some(stats));
     }
-    best_seeded_placement_flat(design, candidates, seed, timing, cfg)
+    let (pnr, cp, winner) = best_seeded_placement_flat(design, candidates, seed, timing, cfg);
+    (pnr, cp, winner, None)
 }
 
-/// The flat (single-block) seeded placement search — the reference
-/// oracle for the hierarchical path.
+/// The flat (single-block) seeded placement search, candidates sharded
+/// across `cfg`'s workers — the reference oracle for the hierarchical
+/// path.
 #[doc(hidden)]
 pub fn best_seeded_placement_flat(
     design: &MappedDesign,
@@ -188,49 +189,56 @@ pub fn best_seeded_placement_flat(
     timing: &FpgaTiming,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize) {
+    let (pnr, cp, winner, ()) = fold_candidates(candidates, |candidates| {
+        let base_order = bfs_order(design);
+        sweep(
+            candidates,
+            cfg,
+            || (),
+            |_, c| {
+                let mut order = base_order.clone();
+                if c > 0 {
+                    // candidate seed keyed by candidate index alone
+                    // (contract rule 1), never by shard/worker identity
+                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
+                    rng.shuffle(&mut order);
+                }
+                let mut pnr = place_with_order(design, &order);
+                route(design, &mut pnr).expect("scan placement covers every LUT");
+                let cp = critical_path_ps(design, &pnr, timing);
+                (pnr, cp, ())
+            },
+        )
+    });
+    (pnr, cp, winner)
+}
+
+/// The fold both seeded searches end in: `search` gets the candidate
+/// count (at least 1) and yields `(pnr, critical path, extra)` per
+/// candidate in index order. A candidate replaces the incumbent only
+/// when strictly better under `(cp, wirelength, index)`, a strict total
+/// order, which also counts how often the search improved on the BFS
+/// baseline. Adds the `fpga.pnr.candidates`/`improvements` counters and
+/// records the `fpga.pnr.search` span.
+fn fold_candidates<T, I>(
+    candidates: usize,
+    search: impl FnOnce(usize) -> I,
+) -> (PnrResult, f64, usize, T)
+where
+    I: IntoIterator<Item = (PnrResult, f64, T)>,
+{
     let candidates = candidates.max(1);
     let obs_t0 = pmorph_obs::enabled().then(std::time::Instant::now);
-    let base_order = bfs_order(design);
-    let scored = sweep(
-        candidates,
-        cfg,
-        || (),
-        |_, c| {
-            let mut order = base_order.clone();
-            if c > 0 {
-                // candidate seed keyed by candidate index alone (contract
-                // rule 1), never by shard/worker identity
-                let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
-                rng.shuffle(&mut order);
-            }
-            let mut pnr = place_with_order(design, &order);
-            route(design, &mut pnr).expect("scan placement covers every LUT");
-            let cp = critical_path_ps(design, &pnr, timing);
-            (pnr, cp)
-        },
-    );
-    // Argmin as a counting fold. A candidate replaces the incumbent only
-    // when strictly better under `(cp, wirelength, index)` — indices are
-    // distinct, so the comparator is a strict total order and this picks
-    // exactly the element `min_by` did, while also counting how many
-    // times the seeded search actually improved on the BFS baseline.
     let mut improvements = 0u64;
-    let mut best: Option<(usize, (PnrResult, f64))> = None;
-    for (i, (pnr, cp)) in scored.into_iter().enumerate() {
-        let better = match &best {
-            None => true,
-            Some((bi, (bp, bc))) => {
-                cp.total_cmp(bc)
-                    .then(pnr.total_wirelength.cmp(&bp.total_wirelength))
-                    .then(i.cmp(bi))
-                    == std::cmp::Ordering::Less
-            }
+    let mut best: Option<(usize, PnrResult, f64, T)> = None;
+    for (i, (pnr, cp, extra)) in search(candidates).into_iter().enumerate() {
+        let beats = |(bi, bp, bc, _): &(usize, PnrResult, f64, T)| {
+            let wl = pnr.total_wirelength.cmp(&bp.total_wirelength);
+            cp.total_cmp(bc).then(wl).then(i.cmp(bi)).is_lt()
         };
-        if better {
-            if best.is_some() {
-                improvements += 1;
-            }
-            best = Some((i, (pnr, cp)));
+        if best.as_ref().is_none_or(beats) {
+            improvements += best.is_some() as u64;
+            best = Some((i, pnr, cp, extra));
         }
     }
     pmorph_obs::counter!("fpga.pnr.candidates").add(candidates as u64);
@@ -240,8 +248,8 @@ pub fn best_seeded_placement_flat(
         pmorph_obs::span!("fpga.pnr.search").record_ns(ns);
         pmorph_obs::trace::complete("fpga.pnr.search", "fpga", t0, ns);
     }
-    let (best_idx, (pnr, cp)) = best.expect("at least one candidate");
-    (pnr, cp, best_idx)
+    let (winner, pnr, cp, extra) = best.expect("at least one candidate");
+    (pnr, cp, winner, extra)
 }
 
 /// Route every LUT-input connection through the channel grid with
@@ -525,7 +533,9 @@ mod tests {
         let d = tree_design(32);
         let t = FpgaTiming::default();
         let (base_pnr, base_cp) = place_and_route(&d, &t);
-        let (pnr, cp, idx) = best_seeded_placement(&d, 1, 0xF1A5, &t, &SweepConfig::new());
+        let (pnr, cp, idx, stats) =
+            best_seeded_placement(&d, 1, 0xF1A5, &t, 0, &SweepConfig::new());
+        assert_eq!(stats, None, "32 LUTs stay on the flat path");
         assert_eq!(idx, 0, "single candidate must be the BFS ordering");
         assert_eq!(cp, base_cp);
         assert_eq!(pnr.placement, base_pnr.placement);
@@ -536,11 +546,12 @@ mod tests {
     fn seeded_search_is_deterministic_across_workers_and_shards() {
         let d = tree_design(64);
         let t = FpgaTiming::default();
-        let reference = best_seeded_placement(&d, 12, 7, &t, &SweepConfig::new().with_workers(1));
+        let reference =
+            best_seeded_placement(&d, 12, 7, &t, 0, &SweepConfig::new().with_workers(1));
         for workers in [1usize, 2, 3, 8] {
             for shard in [1usize, 3, 12] {
                 let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard);
-                let got = best_seeded_placement(&d, 12, 7, &t, &cfg);
+                let got = best_seeded_placement(&d, 12, 7, &t, 0, &cfg);
                 assert_eq!(got.2, reference.2, "winner index w={workers} s={shard}");
                 assert_eq!(got.1, reference.1, "critical path w={workers} s={shard}");
                 assert_eq!(got.0.placement, reference.0.placement, "w={workers} s={shard}");
@@ -555,7 +566,7 @@ mod tests {
         for width in [16usize, 48] {
             let d = tree_design(width);
             let (_, base_cp) = place_and_route(&d, &t);
-            let (_, cp, _) = best_seeded_placement(&d, 8, 0xBEEF, &t, &SweepConfig::new());
+            let (_, cp, _, _) = best_seeded_placement(&d, 8, 0xBEEF, &t, 0, &SweepConfig::new());
             assert!(cp <= base_cp, "width {width}: seeded {cp} vs baseline {base_cp}");
         }
     }

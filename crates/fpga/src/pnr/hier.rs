@@ -42,10 +42,9 @@ use pmorph_sim::NetId;
 use pmorph_util::rng::{mix_seed, Rng, StdRng};
 use std::collections::HashMap;
 
-/// LUT count at which [`super::best_seeded_placement`] (and the serve
-/// `place_route` job's auto mode) switches from the flat single-block
-/// flow to the hierarchical path. Chosen so the serve benchmark set's
-/// largest circuits (a 64-bit ripple adder maps to ~130 LUTs) already
+/// LUT count at which [`super::best_seeded_placement`]'s auto mode
+/// switches from the flat single-block flow to the hierarchical path.
+/// Chosen so the serve benchmark set's largest circuits (a 64-bit ripple adder maps to ~130 LUTs) already
 /// take the scalable path.
 pub const HIER_LUT_THRESHOLD: usize = 128;
 
@@ -433,24 +432,6 @@ fn sub_design(design: &MappedDesign, members: &[usize], exports: &[bool]) -> Map
     MappedDesign { luts, outputs, ..MappedDesign::default() }
 }
 
-/// Place and route `design` hierarchically with `partitions` regions
-/// (clamped to the LUT count; `auto_partitions` gives the default) and
-/// per-partition seed streams derived from `seed`.
-///
-/// Returns the stitched result, its critical path (ps), and the run's
-/// [`HierStats`]. `cfg` only controls scheduling of the per-partition
-/// sweep — the result is bit-identical at any worker count.
-pub fn hier_place_and_route(
-    design: &MappedDesign,
-    timing: &FpgaTiming,
-    partitions: usize,
-    seed: u64,
-    cfg: &SweepConfig,
-) -> (PnrResult, f64, HierStats) {
-    let ctx = prepare(design, partitions, seed);
-    hier_candidate(design, timing, &ctx, seed, 0, cfg)
-}
-
 /// One hierarchical candidate: candidate `0` uses each partition's
 /// deterministic BFS ordering; candidate `c > 0` shuffles partition
 /// `k`'s ordering with `mix_seed(mix_seed(seed, k), c)` — keyed by
@@ -541,10 +522,9 @@ fn hier_candidate(
 }
 
 /// Seeded placement-candidate search on the hierarchical flow: the
-/// partitioning is computed once, candidate orderings vary per
-/// partition, and the winner is the argmin of `(critical path, total
-/// wirelength, candidate index)` — the same strict total order as the
-/// flat search, so the result is deterministic at any worker count.
+/// partitioning is computed once, candidate `c` varies each partition's
+/// ordering, and the flat search's candidate fold picks the winner.
+/// Candidate 0 alone is the plain hierarchical place-and-route.
 ///
 /// Candidates iterate serially; the per-partition sweep inside each
 /// candidate is what shards across `cfg`'s workers (partitions are the
@@ -557,38 +537,10 @@ pub fn best_seeded_placement_hier(
     partitions: usize,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize, HierStats) {
-    let candidates = candidates.max(1);
-    let obs_t0 = pmorph_obs::enabled().then(std::time::Instant::now);
-    let ctx = prepare(design, partitions, seed);
-    let mut improvements = 0u64;
-    let mut best: Option<(usize, (PnrResult, f64, HierStats))> = None;
-    for c in 0..candidates {
-        let (pnr, cp, stats) = hier_candidate(design, timing, &ctx, seed, c, cfg);
-        let better = match &best {
-            None => true,
-            Some((bi, (bp, bc, _))) => {
-                cp.total_cmp(bc)
-                    .then(pnr.total_wirelength.cmp(&bp.total_wirelength))
-                    .then(c.cmp(bi))
-                    == std::cmp::Ordering::Less
-            }
-        };
-        if better {
-            if best.is_some() {
-                improvements += 1;
-            }
-            best = Some((c, (pnr, cp, stats)));
-        }
-    }
-    pmorph_obs::counter!("fpga.pnr.candidates").add(candidates as u64);
-    pmorph_obs::counter!("fpga.pnr.improvements").add(improvements);
-    if let Some(t0) = obs_t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        pmorph_obs::span!("fpga.pnr.search").record_ns(ns);
-        pmorph_obs::trace::complete("fpga.pnr.search", "fpga", t0, ns);
-    }
-    let (winner, (pnr, cp, stats)) = best.expect("at least one candidate");
-    (pnr, cp, winner, stats)
+    super::fold_candidates(candidates, |candidates| {
+        let ctx = prepare(design, partitions, seed);
+        (0..candidates).map(move |c| hier_candidate(design, timing, &ctx, seed, c, cfg))
+    })
 }
 
 #[cfg(test)]
@@ -648,7 +600,7 @@ mod tests {
     fn hier_result_is_legal_and_timed() {
         let d = design_400();
         let t = FpgaTiming::default();
-        let (pnr, cp, stats) = hier_place_and_route(&d, &t, 7, 3, &SweepConfig::new());
+        let (pnr, cp, _, stats) = best_seeded_placement_hier(&d, 1, 3, &t, 7, &SweepConfig::new());
         assert_eq!(pnr.placement.len(), d.luts.len());
         // Injective placement within the stitched grid.
         let mut tiles: Vec<_> = pnr.placement.values().collect();
@@ -670,7 +622,7 @@ mod tests {
         let d = design_400();
         let t = FpgaTiming::default();
         let cfg = SweepConfig::new();
-        let (_, base_cp, base_stats) = hier_place_and_route(&d, &t, 6, 11, &cfg);
+        let (_, base_cp, _, base_stats) = best_seeded_placement_hier(&d, 1, 11, &t, 6, &cfg);
         let (_, cp, winner, stats) = best_seeded_placement_hier(&d, 5, 11, &t, 6, &cfg);
         assert!(cp <= base_cp, "search {cp} vs candidate-0 {base_cp}");
         assert!(winner < 5);
@@ -678,16 +630,31 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_routes_large_designs_onto_the_hier_path() {
+    fn dispatcher_follows_the_requested_partition_count() {
         let d = design_400();
         let t = FpgaTiming::default();
         let cfg = SweepConfig::new();
         let auto = auto_partitions(d.luts.len());
         assert!(auto > 1, "400 LUTs is past the threshold");
-        let via_dispatch = super::super::best_seeded_placement(&d, 3, 21, &t, &cfg);
+        // 0 resolves to auto mode: the hierarchical search
+        let via_dispatch = super::super::best_seeded_placement(&d, 3, 21, &t, 0, &cfg);
         let direct = best_seeded_placement_hier(&d, 3, 21, &t, auto, &cfg);
         assert_eq!(via_dispatch.0.placement, direct.0.placement);
         assert_eq!(via_dispatch.1, direct.1);
         assert_eq!(via_dispatch.2, direct.2);
+        assert_eq!(via_dispatch.3, Some(direct.3));
+        // 1 forces the flat search, whatever the size
+        let flat = super::super::best_seeded_placement(&d, 3, 21, &t, 1, &cfg);
+        let direct = super::super::best_seeded_placement_flat(&d, 3, 21, &t, &cfg);
+        assert_eq!(
+            (flat.0.placement, flat.1, flat.2, flat.3),
+            (direct.0.placement, direct.1, direct.2, None)
+        );
+        // an explicit split stays hierarchical even when clamped to one
+        // region: the path follows the request, not the clamped count
+        let tiny = testgen::grid_design(1, 1, 3);
+        let clamped =
+            super::super::best_seeded_placement(&tiny, 2, 1, &t, tiny.luts.len() + 3, &cfg);
+        assert_eq!(clamped.3.map(|s| s.partitions), Some(tiny.luts.len()));
     }
 }

@@ -18,7 +18,7 @@
 
 use pmorph_exec::SweepConfig;
 use pmorph_fpga::mapper::MappedDesign;
-use pmorph_fpga::pnr::hier::{best_seeded_placement_hier, hier_place_and_route};
+use pmorph_fpga::pnr::hier::best_seeded_placement_hier;
 use pmorph_fpga::pnr::{place_and_route, FpgaTiming, PnrResult};
 use pmorph_fpga::testgen;
 use pmorph_util::env::EnvGuard;
@@ -67,7 +67,7 @@ fn hier_and_flat_agree_on_legality() {
         assert_legal(&d, &flat, "flat")?;
         prop_assert!(flat_cp > 0.0, "flat critical path");
         for p in [2usize, 3, 5] {
-            let (pnr, cp, stats) = hier_place_and_route(&d, &t, p, g.seed, &cfg);
+            let (pnr, cp, _, stats) = best_seeded_placement_hier(&d, 1, g.seed, &t, p, &cfg);
             assert_legal(&d, &pnr, "hier")?;
             prop_assert!(cp > 0.0, "hier critical path at p={p}");
             prop_assert_eq!(
@@ -86,12 +86,14 @@ fn hier_is_bit_identical_across_workers_and_partitions() {
     prop::check("pnr.hier.worker_invariance", 48, |g| {
         let d = testgen::random_mapped_design(g);
         for p in [2usize, 5] {
-            let (refr, ref_cp, ref_stats) =
-                hier_place_and_route(&d, &t, p, g.seed, &SweepConfig::new().with_workers(1));
+            let serial = SweepConfig::new().with_workers(1);
+            let (refr, ref_cp, _, ref_stats) =
+                best_seeded_placement_hier(&d, 1, g.seed, &t, p, &serial);
             for workers in [2usize, 8] {
                 for shard in [1usize, 3] {
                     let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard);
-                    let (got, cp, stats) = hier_place_and_route(&d, &t, p, g.seed, &cfg);
+                    let (got, cp, _, stats) =
+                        best_seeded_placement_hier(&d, 1, g.seed, &t, p, &cfg);
                     let tag = format!("p={p} w={workers} s={shard}");
                     prop_assert_eq!(&got.placement, &refr.placement, "placement {tag}");
                     prop_assert_eq!(
@@ -135,11 +137,12 @@ fn env_derived_worker_count_does_not_change_bits() {
     // every other test pins workers explicitly.
     let t = FpgaTiming::default();
     let d = testgen::grid_design(16, 16, 0xD1FF);
-    let (refr, ref_cp, _) = hier_place_and_route(&d, &t, 4, 7, &SweepConfig::new().with_workers(1));
+    let (refr, ref_cp, _, _) =
+        best_seeded_placement_hier(&d, 1, 7, &t, 4, &SweepConfig::new().with_workers(1));
     for threads in ["1", "2", "8"] {
         let mut guard = EnvGuard::new();
         guard.set("PMORPH_THREADS", threads);
-        let (got, cp, _) = hier_place_and_route(&d, &t, 4, 7, &SweepConfig::new());
+        let (got, cp, _, _) = best_seeded_placement_hier(&d, 1, 7, &t, 4, &SweepConfig::new());
         assert_eq!(got.placement, refr.placement, "PMORPH_THREADS={threads}");
         assert_eq!(got.connection_lengths, refr.connection_lengths);
         assert_eq!(got.max_occupancy, refr.max_occupancy);

@@ -12,7 +12,7 @@
 
 use pmorph_exec::SweepConfig;
 use pmorph_fpga::mapper::MappedDesign;
-use pmorph_fpga::pnr::hier::hier_place_and_route;
+use pmorph_fpga::pnr::hier::best_seeded_placement_hier;
 use pmorph_fpga::pnr::{place, route, FpgaTiming};
 use pmorph_fpga::testgen;
 use pmorph_util::{prop, prop_assert, prop_assert_eq};
@@ -58,7 +58,7 @@ fn total_wirelength_is_sum_of_connection_lengths() {
             flat.connection_lengths.iter().sum::<usize>(),
             "flat"
         );
-        let (hier, _, _) = hier_place_and_route(&d, &t, 3, g.seed, &cfg);
+        let (hier, _, _, _) = best_seeded_placement_hier(&d, 1, g.seed, &t, 3, &cfg);
         prop_assert_eq!(
             hier.total_wirelength,
             hier.connection_lengths.iter().sum::<usize>(),

@@ -18,19 +18,20 @@
 //! | `type` | flow | payload artifact |
 //! |---|---|---|
 //! | `truth_sweep` | netlist → tech map → 64-lane exhaustive sweep | per-output `WideMask` truth tables |
+//! | `seq_sweep` | registered netlist → 64-lane sequential sweep, each assignment held for `cycles` clock edges (a `truth_sweep` of a sequential circuit parses into one) | per-output `WideMask` truth tables of the settled outputs |
 //! | `fault_campaign` | defect sampling over a fabric (E19 kernel) | per-trial defect/bad-block counts |
-//! | `place_route` | netlist → tech map → seeded place + route + timing (hierarchical partitioned flow above [`hier::HIER_LUT_THRESHOLD`] LUTs, or on explicit `partitions >= 2`) | placement, wirelength, critical path, LUT config image |
+//! | `place_route` | netlist → tech map → seeded place + route + timing (hierarchical partitioned flow above [`HIER_LUT_THRESHOLD`](pmorph_fpga::pnr::hier::HIER_LUT_THRESHOLD) LUTs, or on explicit `partitions >= 2`) | placement, wirelength, critical path, LUT config image |
 //! | `poly_sweep` | polymorphic spec → bi-decomposition synthesis → per-mode exhaustive bitsim proof | mode-indexed cell config table + verified truth masks |
 //! | `sleep` | diagnostic: cancellable timed steps | steps completed |
 //!
 //! `sleep` is deliberately uncacheable (and is the lever the e2e suite
-//! uses to hold a worker busy); the other three are pure functions of
+//! uses to hold a worker busy); the other five are pure functions of
 //! their canonical spec, which is what makes content-addressing sound.
 
 use crate::cache::ArtifactCache;
 use pmorph_core::faults::DefectMap;
 use pmorph_exec::SweepConfig;
-use pmorph_fpga::pnr::{best_seeded_placement_flat, hier, FpgaTiming};
+use pmorph_fpga::pnr::{best_seeded_placement, FpgaTiming};
 use pmorph_fpga::{circuits, tech_map, MappedDesign};
 use pmorph_sim::table::WideMask;
 use pmorph_sim::NetId;
@@ -630,33 +631,26 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
         JobSpec::PlaceRoute { circuit, candidates, seed, partitions } => {
             let design = mapped_design(circuit, cache)?;
             check_cancel(cancel)?;
-            let timing = FpgaTiming::default();
-            let cfg = SweepConfig::new();
-            let resolved = match *partitions {
-                0 => hier::auto_partitions(design.luts.len()),
-                p => p,
-            };
-            let (pnr, cp_ps, winner, path, actual, boundary_nets) = if resolved > 1 {
-                let (pnr, cp, winner, stats) = hier::best_seeded_placement_hier(
-                    &design,
-                    *candidates,
-                    *seed,
-                    &timing,
-                    resolved,
-                    &cfg,
-                );
-                (pnr, cp, winner, "hier", stats.partitions, stats.boundary_nets)
-            } else {
-                let (pnr, cp, winner) =
-                    best_seeded_placement_flat(&design, *candidates, *seed, &timing, &cfg);
-                (pnr, cp, winner, "flat", 1, 0)
-            };
+            let (pnr, cp_ps, winner, hier) = best_seeded_placement(
+                &design,
+                *candidates,
+                *seed,
+                &FpgaTiming::default(),
+                *partitions,
+                &SweepConfig::new(),
+            );
             check_cancel(cancel)?;
             payload.set("circuit", Value::Str(circuit.kind.name().into()));
             payload.set("size", Value::Num(circuit.size as f64));
             payload.set("candidates", Value::Num(*candidates as f64));
+            // the path follows the resolved request: an explicit split
+            // clamped to one region still ran the hierarchical flow
+            let (path, parts, boundary_nets) = match &hier {
+                Some(stats) => ("hier", stats.partitions, stats.boundary_nets),
+                None => ("flat", 1, 0),
+            };
             payload.set("path", Value::Str(path.into()));
-            payload.set("partitions", Value::Num(actual as f64));
+            payload.set("partitions", Value::Num(parts as f64));
             payload.set("boundary_nets", Value::Num(boundary_nets as f64));
             payload.set("winner", Value::Num(winner as f64));
             payload.set("grid", Value::Num(pnr.grid as f64));

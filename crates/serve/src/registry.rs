@@ -589,9 +589,17 @@ impl Registry {
     }
 }
 
-/// Parse a `j-<n>` wire id.
+/// Parse a `j-<n>` wire id. Only the spelling the server issues is
+/// accepted — ASCII digits, no sign, no leading zero — so each record
+/// answers on exactly one path.
 pub fn parse_job_id(s: &str) -> Option<u64> {
-    s.strip_prefix("j-")?.parse().ok()
+    let digits = s.strip_prefix("j-")?;
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    if !canonical {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// Run one claimed job and record the outcome, capturing a per-job obs
@@ -897,7 +905,13 @@ mod tests {
     #[test]
     fn wire_id_round_trip() {
         assert_eq!(parse_job_id("j-17"), Some(17));
+        assert_eq!(parse_job_id("j-0"), Some(0));
         assert_eq!(parse_job_id("17"), None);
         assert_eq!(parse_job_id("j-x"), None);
+        // one record, one path: no sign, no leading zeros, no empty id
+        for alias in ["j-+5", "j-05", "j-00005", "j-00", "j-", "j--5", "j- 5", "j-5 "] {
+            assert_eq!(parse_job_id(alias), None, "{alias:?}");
+        }
+        assert_eq!(parse_job_id("j-18446744073709551616"), None, "overflow");
     }
 }

@@ -216,6 +216,53 @@ const SEQ_PINS: [(&str, usize, Option<usize>, u64); 9] = [
     ("registered_pipeline", 2, None, 0x70ed_ca2f_ea6a_09a7),
 ];
 
+/// `(circuit, size, place_route fields, fnv1a_64 of the payload)`:
+/// `None` is a `truth_sweep`, `Some((candidates, seed, partitions))` a
+/// `place_route` (`None` partitions leaves auto mode implicit). The rows
+/// cover flat searches won past candidate 0, auto mode resolving to the
+/// hierarchical flow, forced partition counts (`1` on a hier-sized
+/// design), a hierarchical search won past candidate 0, and a split
+/// clamped to the LUT count: two LUTs asked for four regions answer
+/// `"path":"hier","partitions":1`. The digests were recorded before the
+/// flat and hierarchical searches shared one candidate fold.
+type PnrFields = Option<(usize, u64, Option<usize>)>;
+const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 10] = [
+    ("parity_tree", 16, Some((24, 7, None)), 0xe86c_b62d_af25_c2a8),
+    ("ripple_adder", 8, Some((24, 7, None)), 0xad83_6e5e_cd0b_96f0),
+    ("registered_pipeline", 10, Some((6, 5, None)), 0x9c64_9744_8247_15cd),
+    ("ripple_adder", 64, Some((16, 3, None)), 0x437c_a217_126e_ba35),
+    ("ripple_adder", 48, Some((16, 9, Some(3))), 0xdbb4_6426_626b_db4e),
+    ("ripple_adder", 64, Some((4, 3, Some(1))), 0xe29b_4a61_46a9_d75f),
+    ("parity_tree", 32, Some((16, 2, Some(2))), 0x5ca8_ed55_d206_fa7a),
+    ("parity_tree", 2, Some((2, 1, Some(4))), 0xb350_f13c_95d1_70dd),
+    ("ripple_adder", 9, None, 0x5ae5_cdde_924d_ca92),
+    ("parity_tree", 20, None, 0x569b_adff_167a_a431),
+];
+
+#[test]
+fn place_route_and_truth_sweep_payloads_match_their_pinned_digests() {
+    let got: Vec<(&str, usize, PnrFields, u64)> = PAYLOAD_PINS
+        .iter()
+        .map(|&(circuit, size, pnr, _)| {
+            let text = match pnr {
+                None => format!(r#"{{"type":"truth_sweep","circuit":"{circuit}","size":{size}}}"#),
+                Some((candidates, seed, partitions)) => {
+                    let parts = partitions.map(|p| format!(r#","partitions":{p}"#));
+                    format!(
+                        r#"{{"type":"place_route","circuit":"{circuit}","size":{size},"candidates":{candidates},"seed":{seed}{}}}"#,
+                        parts.unwrap_or_default()
+                    )
+                }
+            };
+            let spec = JobSpec::parse(&json::parse(&text).unwrap()).expect("valid spec");
+            let payload =
+                job::run(&spec, &ArtifactCache::new(), &AtomicBool::new(false)).expect("runs");
+            (circuit, size, pnr, fnv1a_64(payload.to_string_compact().as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, PAYLOAD_PINS, "place_route / truth_sweep payload digests moved");
+}
+
 #[test]
 fn seq_sweep_payloads_match_their_pinned_digests() {
     let got: Vec<(&str, usize, Option<usize>, u64)> = SEQ_PINS

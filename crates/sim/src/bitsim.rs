@@ -17,9 +17,9 @@
 //! [`sweep_truth`] drives the kernel through the sharded exec engine with
 //! **whole words as shard items**: each item's planes depend only on the
 //! word index (determinism contract rule 1), so masks are bit-identical
-//! at any worker count or shard geometry. The event-driven
-//! `vectors::characterize` path and the scalar references stay as
-//! differential oracles (`tests/bitsim_differential.rs`).
+//! at any worker count or shard geometry. Its oracles are the scalar
+//! levelized sweep (`vectors::exhaustive_truth_levelized`) and a
+//! test-local event-driven sweep (`tests/bitsim_differential.rs`).
 
 use crate::levelized::{LevelizeError, Levelized};
 use crate::netlist::{Component, NetId, Netlist};

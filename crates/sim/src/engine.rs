@@ -57,6 +57,10 @@ pub enum SimError {
         /// The table-size ceiling in bits that was exceeded.
         limit_bits: u64,
     },
+    /// An exhaustive sweep was asked of a netlist the bit-parallel kernel
+    /// cannot levelize (state, a combinational cycle, a multi-driven
+    /// net); the error names the offending component kind or net.
+    NotLevelizable(crate::levelized::LevelizeError),
 }
 
 impl std::fmt::Display for SimError {
@@ -72,6 +76,9 @@ impl std::fmt::Display for SimError {
                 "exhaustive sweep of {outputs} output(s) over {vars} input(s) \
                  exceeds the {limit_bits}-bit table ceiling"
             ),
+            SimError::NotLevelizable(e) => {
+                write!(f, "exhaustive sweep needs a levelizable netlist: {e}")
+            }
         }
     }
 }
@@ -297,11 +304,6 @@ impl Simulator {
     /// Resolved value of a net.
     pub fn value(&self, net: NetId) -> Logic {
         self.values[net.0 as usize]
-    }
-
-    /// Resolved values of several nets.
-    pub fn values(&self, nets: &[NetId]) -> Vec<Logic> {
-        nets.iter().map(|&n| self.value(n)).collect()
     }
 
     /// Start recording transitions on a net (records the current value as a

@@ -80,8 +80,8 @@ pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
 
 /// Build a random *pure-combinational* DAG (no feedback, no state, no
 /// tri-state) suitable for every exhaustive-sweep path — the levelized
-/// evaluators, the bit-parallel kernel, and the event-driven
-/// characterize all accept it. Returns the netlist, its primary inputs
+/// evaluators, the bit-parallel kernel, and a per-assignment event-driven
+/// simulation all accept it. Returns the netlist, its primary inputs
 /// (between 1 and `max_inputs`), and 1–3 output nets sampled from the
 /// gate pool.
 pub fn random_combinational(g: &mut Gen, max_inputs: usize) -> (Netlist, Vec<NetId>, Vec<NetId>) {

@@ -1,25 +1,19 @@
-//! Test-vector utilities.
+//! Exhaustive truth-table sweeps.
 //!
-//! These helpers drive primary inputs through every combination and sample
-//! settled outputs — the machinery used throughout the workspace to prove a
-//! mapped fabric configuration equivalent to its specification truth table.
+//! [`exhaustive_truth`] drives primary inputs through every combination on
+//! the bit-parallel kernel and samples the outputs — the machinery used
+//! throughout the workspace to prove a mapped fabric configuration
+//! equivalent to its specification truth table.
 //!
 //! Truth tables are [`WideMask`]s (multi-word, up to [`MAX_SWEEP_VARS`]
-//! variables). Historically the masks were single `u64`s and every sweep
-//! path carried a `Some(true) if n <= 6` merge arm — circuits with more
-//! than 6 inputs burned `2^n` simulations and then silently reported an
-//! all-zero mask. The wide type removes that truncation; the bit-parallel
-//! kernel (`crate::bitsim`) makes the wide sweeps fast.
+//! variables), so circuits wider than 6 inputs tabulate in full.
 
 use crate::bitsim::BitSim;
-use crate::engine::{SimError, Simulator};
+use crate::engine::SimError;
 use crate::logic::Logic;
 use crate::netlist::{NetId, Netlist};
 use crate::table::WideMask;
-use pmorph_exec::{sweep, SweepConfig};
-
-/// Per-vector event budget used by the exhaustive sweeps.
-pub const VECTOR_EVENT_BUDGET: u64 = 200_000;
+use pmorph_exec::SweepConfig;
 
 /// Hard ceiling on swept input count (matches [`WideMask::MAX_VARS`]).
 pub const MAX_SWEEP_VARS: usize = WideMask::MAX_VARS;
@@ -41,50 +35,25 @@ fn check_sweep_size(vars: usize, outputs: usize) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Apply one input vector and return settled output values.
-///
-/// The simulator is reused across calls so state elements keep their state;
-/// for purely combinational circuits, pass a fresh simulator per vector or
-/// use [`exhaustive_truth`].
-pub fn apply_vector(
-    sim: &mut Simulator,
-    inputs: &[NetId],
-    vector: &[Logic],
-    outputs: &[NetId],
-) -> Result<Vec<Logic>, SimError> {
-    assert_eq!(inputs.len(), vector.len());
-    for (&n, &v) in inputs.iter().zip(vector) {
-        sim.drive(n, v);
-    }
-    sim.settle(VECTOR_EVENT_BUDGET)?;
-    Ok(sim.values(outputs))
-}
-
 /// Exhaustively simulate a combinational netlist over all `2^n` input
 /// combinations and return, for each output, a multi-word mask whose bit
 /// `i` is that output's value under input assignment `i` (input 0 is the
 /// least-significant index bit).
 ///
-/// Combinational netlists take the 64-lane bit-parallel path
-/// ([`crate::bitsim::sweep_truth`]); anything that defeats levelization
-/// falls back to the event-driven [`characterize`]. Returns `Err` on
-/// oscillation or an over-limit sweep ([`SimError::SweepTooLarge`]), and
-/// treats any `X`/`Z` output as a mapping failure (`Ok(None)` for that
-/// output's mask).
+/// The sweep runs on the 64-lane bit-parallel kernel
+/// ([`crate::bitsim::sweep_truth`]). A netlist that does not levelize
+/// (state, a combinational cycle, a multi-driven net) is a
+/// [`SimError::NotLevelizable`] naming the offending component or net;
+/// an over-limit sweep is a [`SimError::SweepTooLarge`]. Any `X`/`Z`
+/// output is a mapping failure (`Ok(None)` for that output's mask).
 pub fn exhaustive_truth(
     netlist: &Netlist,
     inputs: &[NetId],
     outputs: &[NetId],
 ) -> Result<Vec<Option<WideMask>>, SimError> {
     check_sweep_size(inputs.len(), outputs.len())?;
-    // Fast path: pure combinational netlists evaluate 64 assignments per
-    // word with no event queue (equivalence to the scalar levelized
-    // evaluator and the event kernel is pinned by the bitsim module's
-    // tests and `tests/bitsim_differential.rs`).
-    if let Ok(bits) = BitSim::new(netlist.clone()) {
-        return Ok(crate::bitsim::sweep_truth(&bits, inputs, outputs, &SweepConfig::new()));
-    }
-    characterize(netlist, inputs, outputs, &SweepConfig::new())
+    let bits = BitSim::new(netlist.clone()).map_err(SimError::NotLevelizable)?;
+    Ok(crate::bitsim::sweep_truth(&bits, inputs, outputs, &SweepConfig::new()))
 }
 
 /// The scalar levelized sweep that [`exhaustive_truth`] used before the
@@ -123,138 +92,11 @@ pub fn exhaustive_truth_levelized(
     Ok(masks)
 }
 
-/// Per-worker state for the multi-vector sweeps: one compiled simulator
-/// plus its just-built snapshot, restored before every vector. The
-/// engine's *restore ≡ fresh* contract (pinned by
-/// `tests/snapshot_prop.rs`) is what makes every vector independent of
-/// sweep order, worker count, and shard geometry.
-struct VectorCtx {
-    sim: Simulator,
-    initial: crate::engine::SimSnapshot,
-}
-
-impl VectorCtx {
-    fn new(netlist: &Netlist) -> Self {
-        let sim = Simulator::new(netlist.clone());
-        let initial = sim.snapshot();
-        VectorCtx { sim, initial }
-    }
-
-    /// Settled output values under one input assignment, from rewound
-    /// state — bit-identical to a fresh instance per vector.
-    fn run_vector(
-        &mut self,
-        inputs: &[NetId],
-        outputs: &[NetId],
-        assignment: u64,
-    ) -> Result<Vec<Logic>, SimError> {
-        self.sim.restore(&self.initial);
-        for (i, &inp) in inputs.iter().enumerate() {
-            self.sim.drive(inp, Logic::from_bool(assignment >> i & 1 == 1));
-        }
-        self.sim.settle(VECTOR_EVENT_BUDGET)?;
-        Ok(self.sim.values(outputs))
-    }
-}
-
-/// The event-driven multi-vector characterization behind
-/// [`exhaustive_truth`]'s non-levelizable path, under an explicit sweep
-/// configuration: assignments are sharded across workers, each worker
-/// clones one compiled simulator and `snapshot`/`restore`s between
-/// vectors, and the masks reduce in assignment order. On any vector
-/// error the lowest-numbered assignment's error is returned — the same
-/// error the serial reference loop stops at. Enforces the same
-/// [`SimError::SweepTooLarge`] bound as [`exhaustive_truth`].
-pub fn characterize(
-    netlist: &Netlist,
-    inputs: &[NetId],
-    outputs: &[NetId],
-    cfg: &SweepConfig,
-) -> Result<Vec<Option<WideMask>>, SimError> {
-    let n = inputs.len();
-    check_sweep_size(n, outputs.len())?;
-    let per_vector = sweep(
-        1usize << n,
-        cfg,
-        || VectorCtx::new(netlist),
-        |ctx, i| ctx.run_vector(inputs, outputs, i as u64),
-    );
-    let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    for (assignment, values) in per_vector.into_iter().enumerate() {
-        let values = values?; // lowest-index error, as in the serial loop
-        for (o, v) in values.into_iter().enumerate() {
-            match v.to_bool() {
-                Some(v) => {
-                    if let Some(m) = masks[o].as_mut() {
-                        m.set(assignment as u64, v);
-                    }
-                }
-                None => masks[o] = None,
-            }
-        }
-    }
-    Ok(masks)
-}
-
-/// The pre-exec serial event path of [`exhaustive_truth`] (one simulator,
-/// snapshot/restore, vector-at-a-time), retained as the differential-test
-/// reference for [`characterize`].
-#[doc(hidden)]
-pub fn exhaustive_truth_flat(
-    netlist: &Netlist,
-    inputs: &[NetId],
-    outputs: &[NetId],
-) -> Result<Vec<Option<WideMask>>, SimError> {
-    let n = inputs.len();
-    check_sweep_size(n, outputs.len())?;
-    let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    // One simulator for the whole sweep, rewound to its just-built state
-    // before each vector via snapshot/restore — bit-identical to a fresh
-    // instance per vector (each vector stays independent of sweep order)
-    // without re-elaborating the netlist 2^n times.
-    let mut sim = Simulator::new(netlist.clone());
-    let initial = sim.snapshot();
-    for assignment in 0u64..(1 << n) {
-        if assignment > 0 {
-            sim.restore(&initial);
-        }
-        for (i, &inp) in inputs.iter().enumerate() {
-            sim.drive(inp, Logic::from_bool(assignment >> i & 1 == 1));
-        }
-        sim.settle(VECTOR_EVENT_BUDGET)?;
-        for (o, &out) in outputs.iter().enumerate() {
-            match sim.value(out).to_bool() {
-                Some(v) => {
-                    if let Some(m) = masks[o].as_mut() {
-                        m.set(assignment, v);
-                    }
-                }
-                None => masks[o] = None,
-            }
-        }
-    }
-    Ok(masks)
-}
-
-/// Drive a sequence of `(time, net, value)` stimuli, run to `end_time`, and
-/// return the settled values of `outputs`. Used by sequential tests.
-pub fn run_sequence(
-    sim: &mut Simulator,
-    stimuli: &[(u64, NetId, Logic)],
-    end_time: u64,
-    outputs: &[NetId],
-) -> Result<Vec<Logic>, SimError> {
-    for &(t, n, v) in stimuli {
-        sim.drive_at(n, v, t);
-    }
-    sim.run_until(end_time, 10_000_000)?;
-    Ok(sim.values(outputs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
+    use crate::levelized::LevelizeError;
 
     #[test]
     fn exhaustive_truth_of_and() {
@@ -296,12 +138,8 @@ mod tests {
         let expect = WideMask::from_words(7, vec![0, 0x8000_0000_0000_0000]);
         assert!(!expect.is_zero());
         let masks = exhaustive_truth(&nl, &ins, &[z]).unwrap();
-        assert_eq!(masks, vec![Some(expect.clone())]);
-        assert_eq!(exhaustive_truth_flat(&nl, &ins, &[z]).unwrap(), vec![Some(expect.clone())]);
-        assert_eq!(
-            characterize(&nl, &ins, &[z], &SweepConfig::new().with_workers(4)).unwrap(),
-            vec![Some(expect)]
-        );
+        assert_eq!(masks, vec![Some(expect)]);
+        assert_eq!(exhaustive_truth_levelized(&nl, &ins, &[z]).unwrap(), masks);
     }
 
     #[test]
@@ -324,9 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn characterize_matches_flat_reference_on_event_path() {
-        // A latch defeats levelization, so this exercises the sharded
-        // event-driven path against the serial snapshot/restore loop.
+    fn non_levelizable_netlist_is_a_typed_error() {
+        // A latch defeats levelization: the sweep refuses it with an
+        // error naming the component kind, rather than falling back to
+        // 2^n event-driven simulations.
         let mut b = NetlistBuilder::new();
         let d = b.net("d");
         let en = b.net("en");
@@ -334,16 +173,9 @@ mod tests {
         b.latch(d, en, q);
         let g = b.and(&[q, d]);
         let nl = b.build();
-        let flat = exhaustive_truth_flat(&nl, &[d, en], &[q, g]).unwrap();
-        assert_eq!(exhaustive_truth(&nl, &[d, en], &[q, g]).unwrap(), flat);
-        for (workers, shard_size) in [(1usize, 1usize), (2, 1), (3, 2), (8, 4)] {
-            let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard_size);
-            assert_eq!(
-                characterize(&nl, &[d, en], &[q, g], &cfg).unwrap(),
-                flat,
-                "workers={workers} shard_size={shard_size}"
-            );
-        }
+        let err = exhaustive_truth(&nl, &[d, en], &[q, g]).unwrap_err();
+        assert_eq!(err, SimError::NotLevelizable(LevelizeError::NotCombinational("latch")));
+        assert!(err.to_string().contains("`latch`"), "{err}");
     }
 
     #[test]
@@ -370,14 +202,9 @@ mod tests {
         let wide_out: Vec<NetId> = vec![z; 128];
         let e2 = exhaustive_truth(&nl, &ins[..20], &wide_out).unwrap_err();
         assert!(matches!(e2, SimError::SweepTooLarge { vars: 20, outputs: 128, .. }), "{e2}");
-        // the same guard on all three paths — characterize (the fallback)
-        // historically had no bound at all
+        // the same guard on the scalar oracle
         assert!(matches!(
-            characterize(&nl, &ins, &[z], &SweepConfig::new()),
-            Err(SimError::SweepTooLarge { .. })
-        ));
-        assert!(matches!(
-            exhaustive_truth_flat(&nl, &ins, &[z]),
+            exhaustive_truth_levelized(&nl, &ins, &[z]),
             Err(SimError::SweepTooLarge { .. })
         ));
         // boundary: exactly at the ceiling is allowed (guard is strict >)

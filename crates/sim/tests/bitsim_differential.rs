@@ -1,6 +1,7 @@
 //! Three-way differential properties for the bit-parallel kernel:
-//! `bitsim::sweep_truth` ⇔ the scalar levelized sweep ⇔ the event-driven
-//! `characterize` (and its serial `exhaustive_truth_flat` reference).
+//! `bitsim::sweep_truth` ⇔ the scalar levelized sweep ⇔ an event-driven
+//! oracle kept here in test code, which builds a fresh `Simulator` per
+//! input assignment.
 //!
 //! The kernel's contract is *word-for-word identical masks* on every
 //! combinational netlist, at every worker count and shard geometry —
@@ -11,14 +12,36 @@
 
 use pmorph_exec::SweepConfig;
 use pmorph_sim::bitsim::{sweep_truth, BitSim};
-use pmorph_sim::netlist::NetId;
+use pmorph_sim::netlist::{NetId, Netlist};
 use pmorph_sim::table::WideMask;
 use pmorph_sim::testgen::random_combinational;
-use pmorph_sim::vectors::{
-    characterize, exhaustive_truth, exhaustive_truth_flat, exhaustive_truth_levelized,
-};
+use pmorph_sim::vectors::{exhaustive_truth, exhaustive_truth_levelized};
+use pmorph_sim::{Logic, Simulator};
 use pmorph_util::prop;
 use pmorph_util::prop_assert_eq;
+
+/// The event-driven oracle: a fresh simulator per assignment, settled,
+/// outputs sampled. Any `X`/`Z` sample poisons that output's mask, the
+/// same rule as the production sweep.
+fn event_truth(nl: &Netlist, inputs: &[NetId], outputs: &[NetId]) -> Vec<Option<WideMask>> {
+    let n = inputs.len();
+    let mut masks = vec![Some(WideMask::zero(n)); outputs.len()];
+    for m in 0u64..1 << n {
+        let mut sim = Simulator::new(nl.clone());
+        for (i, &inp) in inputs.iter().enumerate() {
+            sim.drive(inp, Logic::from_bool(m >> i & 1 == 1));
+        }
+        sim.settle(200_000).expect("a combinational DAG settles");
+        for (mask, &out) in masks.iter_mut().zip(outputs) {
+            match (mask.as_mut(), sim.value(out).to_bool()) {
+                (Some(mask), Some(v)) => mask.set(m, v),
+                (_, None) => *mask = None,
+                (None, Some(_)) => {}
+            }
+        }
+    }
+    masks
+}
 
 #[test]
 fn bitsim_matches_scalar_levelized_up_to_ten_inputs() {
@@ -34,7 +57,7 @@ fn bitsim_matches_scalar_levelized_up_to_ten_inputs() {
 
 #[test]
 fn three_way_agreement_with_event_driven_paths() {
-    // The event-driven legs cost 2^n full simulations each, so the
+    // The event-driven oracle costs 2^n full simulations, so the
     // three-way cases stay at n ≤ 8; the bitsim ⇔ scalar property above
     // covers the wider tables.
     prop::check("bitsim_vs_scalar_vs_event", 24, |g| {
@@ -42,11 +65,9 @@ fn three_way_agreement_with_event_driven_paths() {
         let bits = BitSim::new(nl.clone()).unwrap();
         let wide = sweep_truth(&bits, &inputs, &outputs, &SweepConfig::new());
         let scalar = exhaustive_truth_levelized(&nl, &inputs, &outputs).unwrap();
-        let event = characterize(&nl, &inputs, &outputs, &SweepConfig::new()).unwrap();
-        let flat = exhaustive_truth_flat(&nl, &inputs, &outputs).unwrap();
+        let event = event_truth(&nl, &inputs, &outputs);
         prop_assert_eq!(&wide, &scalar, "bitsim vs scalar levelized");
-        prop_assert_eq!(&wide, &event, "bitsim vs event-driven characterize");
-        prop_assert_eq!(&wide, &flat, "bitsim vs serial event reference");
+        prop_assert_eq!(&wide, &event, "bitsim vs event-driven oracle");
         Ok(())
     });
 }
@@ -100,10 +121,7 @@ fn ten_input_ripple_carry_three_ways() {
     let wide = exhaustive_truth(&nl, &inputs, &[cout]).unwrap();
     assert_eq!(wide, vec![Some(expect.clone())]);
     assert_eq!(exhaustive_truth_levelized(&nl, &inputs, &[cout]).unwrap(), wide);
-    assert_eq!(
-        characterize(&nl, &inputs, &[cout], &SweepConfig::new().with_workers(8)).unwrap(),
-        wide
-    );
+    assert_eq!(event_truth(&nl, &inputs, &[cout]), wide);
 }
 
 #[test]

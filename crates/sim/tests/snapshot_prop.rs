@@ -1,6 +1,8 @@
 //! Property tests for `Simulator::snapshot`/`restore` — the *restore ≡
-//! fresh* contract every sweep-reuse path (exec vector contexts,
-//! `vectors::characterize`, fig10) is built on.
+//! fresh* contract. No production sweep rewinds a simulator (exhaustive
+//! sweeps run on the bit-parallel kernel); the `kernel` bench bodies do,
+//! `obs_overhead` among them, so their timings stay those of independent
+//! fresh runs.
 //!
 //! Each case builds a random netlist (shared generator with the
 //! kernel-vs-reference differential suite), runs a fresh simulator

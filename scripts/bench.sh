@@ -3,20 +3,20 @@
 #
 # Runs the `kernel` bench suite (release/bench profile) with the JSON sink
 # pointed at BENCH_kernel.json in the repo root, then the `sweeps` suite
-# (sharded sweep engine vs flat references) into BENCH_sweeps.json, then
-# the `serve` suite (job-server end-to-end throughput and artifact-cache
-# cold/hit latency over live TCP) into BENCH_serve.json, and validates
-# each artifact with `benchcheck` (structure, positive medians, the
-# throughput workloads the suite itself declares in the artifact's
-# `required` array, and every recorded pass/fail check —
-# allocation-free steady state, the bitsim/ group's ≥10× bit-parallel
-# speedup over the scalar levelized sweep and its partial-word lane
-# masking for the kernel; bit-identity, the core-scaled sharded-vs-flat
-# speedup floor, the polymorphic synthesis proof sweeps' thread
-# bit-identity, and the hierarchical PnR's thread bit-identity and
-# ≥1.2× search speedup over the flat flow for the sweeps; the ≥5×
-# content-addressed cache-hit speedup and clean drain for the serve
-# suite).
+# (sharded sweep engine vs flat or serial baselines) into
+# BENCH_sweeps.json, then the `serve` suite (job-server end-to-end
+# throughput and artifact-cache cold/hit latency over live TCP) into
+# BENCH_serve.json, and validates each artifact with `benchcheck`
+# (structure, positive medians, the throughput workloads the suite
+# itself declares in the artifact's `required` array, and every recorded
+# pass/fail check — allocation-free steady state, the bitsim/ group's
+# ≥10× bit-parallel speedup over the scalar levelized sweep and its
+# partial-word lane masking for the kernel; bit-identity, the
+# core-scaled sharded-vs-flat speedup floor, the polymorphic synthesis
+# proof sweeps' thread bit-identity, and the hierarchical PnR's thread
+# bit-identity and ≥1.2× search speedup over the flat flow for the
+# sweeps; the ≥5× content-addressed cache-hit speedup and clean drain
+# for the serve suite).
 #
 # Budget: PMORPH_BENCH_MS per benchmark (default 300 ms). CI runs a short
 # smoke (PMORPH_BENCH_MS=20) via scripts/verify.sh; for a baseline worth

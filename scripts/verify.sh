@@ -84,9 +84,9 @@ done
 
 echo "== sweep-engine bench smoke (short budget) =="
 # Same treatment for the sharded sweep suite: exercises the sharded vs
-# flat legs of E18/E19/fig10, the hier-vs-flat PnR search legs, the
-# thread1-vs-N bit-identity checks, and the speedup floors, then
-# validates the JSON artifact.
+# flat E18 legs, the sharded vs serial E19/fig10/seq legs, the
+# hier-vs-flat PnR search legs, the thread1-vs-N bit-identity checks,
+# and the speedup floors, then validates the JSON artifact.
 PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_sweeps.smoke.json" \
     cargo bench -q -p pmorph-bench --bench sweeps >/dev/null
 cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_sweeps.smoke.json
