@@ -50,7 +50,7 @@ fn general_mapper(c: &mut Criterion) {
             b.iter(|| {
                 let (w, h) = mapk::fabric_size_for(n);
                 let mut fabric = Fabric::new(w, h);
-                black_box(mapk::map_function(&mut fabric, &tt).unwrap().tiles)
+                black_box(mapk::map_function(&mut fabric, 0, &tt).unwrap().tiles)
             })
         });
     }

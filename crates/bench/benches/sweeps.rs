@@ -2,24 +2,25 @@
 //! (`scripts/bench.sh`).
 //!
 //! Times the E18 variation Monte-Carlo, E19 defect-yield curves, the
-//! Fig. 10 adder vector sweep, the sequential 64-lane truth sweep, and
-//! the hierarchical partitioned PnR of a 100×100-block fabric through
-//! the sharded engine (`pmorph-exec`) against flat or 1-worker serial
-//! baselines — plus the polymorphic synthesis + personality-proof
-//! pipeline — and records six pass/fail checks:
+//! Fig. 10 adder vector sweep and the sequential 64-lane truth sweep
+//! through the sharded engine (`pmorph-exec`) against their 1-worker
+//! runs, and the hierarchical partitioned PnR of a 100×100-block fabric
+//! against the flat single-block search — plus the polymorphic
+//! synthesis + personality-proof pipeline — and records six pass/fail
+//! checks:
 //!
 //! * `sweeps_bit_identical_thread1_vs_n` — the sharded E18 study at the
-//!   host's worker count equals the flat serial study bit for bit.
+//!   host's worker count equals its 1-worker run bit for bit.
 //! * `seq_sweep_bit_identical_thread1_vs_n` — the sharded sequential
 //!   pipeline sweep equals the serial run bit for bit.
 //! * `poly_sweep_bit_identical_thread1_vs_n` — the per-mode truth masks
 //!   recovered while proving a polymorphic circuit's personalities are
 //!   bit-identical at 1 and N workers.
-//! * `e18_sharded_speedup_vs_flat` — sharded full-scale E18 throughput
-//!   over flat-serial meets a core-scaled floor: ≥4.0× with 8+ effective
-//!   workers, ≥0.45×workers with 2–7, and ≥0.7× when only one core is
-//!   available (overhead bound: sharding a serial host must stay within
-//!   ~30% of the flat loop).
+//! * `e18_sharded_speedup_vs_serial` — sharded full-scale E18 throughput
+//!   over the 1-worker run meets a core-scaled floor: ≥4.0× with 8+
+//!   effective workers, ≥0.45×workers with 2–7, and ≥0.7× when only one
+//!   core is available (overhead bound: sharding a serial host must stay
+//!   within ~30% of the 1-worker run).
 //! * `pnr_hier_bit_identical_thread1_vs_n` — the hierarchical seeded
 //!   placement search over the 10⁴-LUT fabric is bit-identical at 1 and
 //!   N workers.
@@ -32,7 +33,7 @@
 
 use pmorph_bench::experiments::extensions::defect_yield_curves;
 use pmorph_bench::experiments::fabric_figs::{fig10_adder_check, fig10_adder_vectors};
-use pmorph_device::variation::{run_study_cfg, run_study_flat, VariationModel};
+use pmorph_device::variation::{run_study_cfg, VariationModel};
 use pmorph_exec::SweepConfig;
 use pmorph_util::microbench::{Criterion, Throughput};
 use pmorph_util::{criterion_group, criterion_main, pool};
@@ -48,10 +49,10 @@ fn sharded_workers() -> usize {
     pool::worker_count().min(8)
 }
 
-/// Speedup floor for `e18_sharded_speedup_vs_flat`, scaled to what the
+/// Speedup floor for `e18_sharded_speedup_vs_serial`, scaled to what the
 /// host can actually run in parallel: `PMORPH_THREADS` (capped at 8)
 /// further capped by available cores — asking for 8 workers on a 1-core
-/// container cannot beat the serial loop, only match it.
+/// container cannot beat the 1-worker run, only match it.
 fn speedup_target() -> f64 {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let eff = sharded_workers().min(cores);
@@ -88,19 +89,20 @@ fn median_run_ns<O, F: FnMut() -> O>(budget_ms: u64, mut f: F) -> f64 {
     }
 }
 
-/// E18 full-scale Monte-Carlo through the sharded engine vs the flat
-/// serial loop — the headline `units_per_sec` pair the speedup check and
-/// `benchcheck`'s required-prefix list key on.
+/// E18 full-scale Monte-Carlo through the engine, sharded vs serial —
+/// the headline `units_per_sec` pair the speedup check and `benchcheck`'s
+/// required-prefix list key on.
 fn sweeps_e18_variation(c: &mut Criterion) {
     let model = VariationModel::doped_bulk();
     let cfg = SweepConfig::new().with_workers(sharded_workers());
+    let serial_cfg = SweepConfig::new().with_workers(1);
     let mut group = c.benchmark_group("sweeps/e18_variation");
     group.throughput(Throughput::Elements(E18_SAMPLES as u64));
     group.bench_function("sharded", |b| {
         b.iter(|| black_box(run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &cfg)))
     });
-    group.bench_function("flat", |b| {
-        b.iter(|| black_box(run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7)))
+    group.bench_function("serial", |b| {
+        b.iter(|| black_box(run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg)))
     });
     group.finish();
 }
@@ -187,34 +189,34 @@ fn sweeps_seq_pipeline(c: &mut Criterion) {
     );
 }
 
-/// The two tracked pass/fail checks: bit-identity across worker counts
-/// and the core-scaled sharded-vs-flat speedup floor.
+/// The two tracked E18 pass/fail checks: bit-identity across worker
+/// counts and the core-scaled sharded-vs-serial speedup floor.
 fn sweeps_checks(c: &mut Criterion) {
     let model = VariationModel::doped_bulk();
     let workers = sharded_workers();
 
-    let flat = run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7);
     let serial_cfg = SweepConfig::new().with_workers(1);
     let wide_cfg = SweepConfig::new().with_workers(workers);
-    let identical = run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg) == flat
-        && run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &wide_cfg) == flat;
+    let identical = run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &wide_cfg)
+        == run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg);
     assert!(
         c.record_check("sweeps_bit_identical_thread1_vs_n", identical),
-        "sharded E18 study diverged from the flat serial reference"
+        "sharded E18 study diverged from the 1-worker run"
     );
 
     let budget_ms = 120u64;
     let sharded_ns =
         median_run_ns(budget_ms, || run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &wide_cfg));
-    let flat_ns = median_run_ns(budget_ms, || run_study_flat(model, E18_SAMPLES, 1, 0.3, 0.7));
-    let speedup = flat_ns / sharded_ns;
+    let serial_ns =
+        median_run_ns(budget_ms, || run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg));
+    let speedup = serial_ns / sharded_ns;
     let target = speedup_target();
     println!(
-        "sweeps/e18_speedup: {speedup:.2}x (flat {flat_ns:.0} ns / sharded {sharded_ns:.0} ns, \
+        "sweeps/e18_speedup: {speedup:.2}x (serial {serial_ns:.0} ns / sharded {sharded_ns:.0} ns, \
          {workers} workers, target {target:.2}x)"
     );
     assert!(
-        c.record_check("e18_sharded_speedup_vs_flat", speedup >= target),
+        c.record_check("e18_sharded_speedup_vs_serial", speedup >= target),
         "sharded E18 speedup {speedup:.2}x under core-scaled target {target:.2}x"
     );
 }
@@ -355,7 +357,7 @@ fn sweeps_pnr_hier(c: &mut Criterion) {
 fn sweeps_required(c: &mut Criterion) {
     c.require(&[
         "sweeps/e18_variation/sharded",
-        "sweeps/e18_variation/flat",
+        "sweeps/e18_variation/serial",
         "sweeps/e19_faults/sharded",
         "sweeps/fig10_adder/sharded",
         "sweeps/seq_pipeline/sharded",

@@ -41,17 +41,14 @@ fn main() {
         "===================================================================================\n"
     );
 
-    // Iterate the registry directly (filtering before any experiment runs,
-    // so a subset invocation only pays for what it prints) and bracket each
-    // experiment with an observability snapshot: the delta is that
-    // experiment's metrics block in the run report.
+    // Filter the registry before any experiment runs (so a subset
+    // invocation only pays for what it prints) and bracket each experiment
+    // with an observability snapshot: the delta is that experiment's
+    // metrics block in the run report.
     let mut report = RunReport::from_env();
     let mut baseline = report.is_active().then(pmorph_obs::snapshot);
     let mut selected = Vec::new();
-    for (id, build) in experiments::registry() {
-        if !(filters.is_empty() || filters.iter().any(|f| id.contains(f.as_str()))) {
-            continue;
-        }
+    for (id, build) in experiments::matching(&filters) {
         let e = build(scale);
         if let Some(base) = &baseline {
             let now = pmorph_obs::snapshot();

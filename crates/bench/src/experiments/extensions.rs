@@ -54,12 +54,6 @@ fn lut_works(
     truth_word_matches(elab.netlist, &inputs, out, tt.vars(), expected).unwrap_or(false)
 }
 
-/// E19: defect tolerance — yield of a fixed-position mapping vs a
-/// defect-aware mapping that relocates to clean rows, across defect rates.
-pub fn study_defects() -> Experiment {
-    study_defects_scaled(40)
-}
-
 /// Per-worker scratch state for the sharded E19 sweep: the LUT tile
 /// pre-mapped at each of the six candidate rows (each on its own fabric,
 /// patched and unpatched per trial — no `Fabric` clone per trial), plus
@@ -124,11 +118,10 @@ fn defect_trial(ctx: &mut TrialCtx, rate: f64, t: usize) -> (bool, bool) {
 
 /// E19 yield curves on the sharded sweep engine: for each defect rate,
 /// `(rate, naive successes, defect-aware successes)` over `trials`
-/// independent trials. Each worker owns one [`TrialCtx`] of pre-mapped
+/// independent trials. Each worker owns one `TrialCtx` of pre-mapped
 /// scratch fabrics; trials patch → levelize → single-word evaluate →
 /// unpatch, so the per-trial cost is one kernel pass, not `2^n` event
 /// simulations plus a fabric clone.
-#[doc(hidden)]
 pub fn defect_yield_curves(trials: usize, cfg: &SweepConfig) -> Vec<(f64, usize, usize)> {
     DEFECT_RATES
         .iter()
@@ -145,7 +138,9 @@ fn reduce_yields(rate: f64, per_trial: &[(bool, bool)]) -> (f64, usize, usize) {
     (rate, naive_ok, aware_ok)
 }
 
-/// E19 at an explicit trial count per defect rate (see `experiments::Scale`).
+/// E19: defect tolerance — yield of a fixed-position mapping vs a
+/// defect-aware mapping that relocates to clean rows, across defect
+/// rates, at `trials` trials per rate (see `experiments::Scale`).
 pub fn study_defects_scaled(trials: usize) -> Experiment {
     let mut rows = vec!["defect rate  naive yield  defect-aware yield".into()];
     let mut pass = true;
@@ -326,12 +321,6 @@ pub fn study_thermal() -> Experiment {
     }
 }
 
-/// E21: generality — arbitrary 4–6-variable functions via Shannon trees of
-/// 3-LUT tiles.
-pub fn study_general_mapper() -> Experiment {
-    study_general_mapper_scaled(6)
-}
-
 /// The random functions E21 maps: `(n, count functions of width n)` for
 /// n ∈ {4, 5, 6}, drawn in that order from one seeded stream.
 fn general_mapper_functions(count: usize) -> Vec<(usize, Vec<TruthTable>)> {
@@ -346,7 +335,7 @@ fn general_mapper_functions(count: usize) -> Vec<(usize, Vec<TruthTable>)> {
 fn map_general(tt: &TruthTable) -> (Fabric, MappedFunction) {
     let (w, h) = mapk::fabric_size_for(tt.vars());
     let mut fabric = Fabric::new(w, h);
-    let mapped = map_function(&mut fabric, tt).expect("maps");
+    let mapped = map_function(&mut fabric, 0, tt).expect("maps");
     (fabric, mapped)
 }
 
@@ -362,7 +351,9 @@ fn mapping_correct(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) ->
     truth_word_matches(elab.netlist, &inputs, out, tt.vars(), tt.bits()).unwrap_or(false)
 }
 
-/// E21 at an explicit function count per width (see `experiments::Scale`).
+/// E21: generality — arbitrary 4–6-variable functions via Shannon trees
+/// of 3-LUT tiles, `count` random functions per width (see
+/// `experiments::Scale`).
 pub fn study_general_mapper_scaled(count: usize) -> Experiment {
     let mut rows = vec!["n  functions  correct  tiles  stitches".into()];
     let mut pass = true;

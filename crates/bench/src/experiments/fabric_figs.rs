@@ -174,7 +174,6 @@ pub fn fig9_lut_dff() -> Experiment {
 /// (seed 10), materialised up front so the sweep over vectors can be
 /// scheduled freely while the drawn values stay identical to the
 /// historical serial loop.
-#[doc(hidden)]
 pub fn fig10_adder_vectors(trials: usize) -> Vec<(u64, u64)> {
     let mut rng = StdRng::seed_from_u64(10);
     (0..trials).map(|_| (rng.random::<u64>() & 0xFF, rng.random::<u64>() & 0xFF)).collect()
@@ -187,7 +186,6 @@ pub fn fig10_adder_vectors(trials: usize) -> Vec<(u64, u64)> {
 /// planes packed per bit position) instead of one event-driven
 /// simulation per vector. Bit-identical at any worker count or shard
 /// size.
-#[doc(hidden)]
 pub fn fig10_adder_check(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec<bool> {
     let mut fabric = Fabric::new(2, 16);
     let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();

@@ -122,28 +122,18 @@ pub fn registry() -> Vec<(&'static str, ExperimentFn)> {
     ]
 }
 
-/// Run every experiment in index order at full scale.
-pub fn run_all() -> Vec<Experiment> {
-    run_all_with(Scale::full())
-}
-
-/// Run every experiment in index order at reduced (regression-test) scale.
-pub fn run_all_fast() -> Vec<Experiment> {
-    run_all_with(Scale::fast())
-}
-
 /// Run every experiment in index order at the given scale.
 pub fn run_all_with(scale: Scale) -> Vec<Experiment> {
     registry().into_iter().map(|(_, f)| f(scale)).collect()
 }
 
-/// Run the experiments whose id matches any filter substring (all of them
-/// when `filters` is empty), in index order.
-pub fn run_matching(filters: &[String], scale: Scale) -> Vec<Experiment> {
+/// The registry entries whose id contains any filter substring (all of
+/// them when `filters` is empty), in index order. Nothing runs until the
+/// caller invokes a constructor, so a subset pays only for itself.
+pub fn matching(filters: &[String]) -> Vec<(&'static str, ExperimentFn)> {
     registry()
         .into_iter()
         .filter(|(id, _)| filters.is_empty() || filters.iter().any(|f| id.contains(f.as_str())))
-        .map(|(_, f)| f(scale))
         .collect()
 }
 
@@ -183,7 +173,7 @@ mod tests {
     #[test]
     fn registry_ids_match_the_experiments_they_build() {
         // cheap subset only (the golden test runs the whole suite); the id
-        // pairing is what run_matching's filtering correctness rests on
+        // pairing is what `matching`'s filtering correctness rests on
         for (id, f) in registry() {
             match id {
                 "E6/Fig8" | "E11/§4" | "E12/§4-5" | "E13/§3" | "E14/§2.1" => {
@@ -196,9 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn run_matching_filters_by_substring() {
-        let got = run_matching(&["E12".into(), "Fig8".into()], Scale::fast());
-        let ids: Vec<&str> = got.iter().map(|e| e.id).collect();
+    fn matching_filters_by_substring() {
+        let got = matching(&["E12".into(), "Fig8".into()]);
+        let ids: Vec<&str> = got.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec!["E6/Fig8", "E12/§4-5"]);
+        assert_eq!(matching(&[]).len(), registry().len());
     }
 }

@@ -93,12 +93,8 @@ pub fn study_bitserial() -> Experiment {
     }
 }
 
-/// E18 / §3: undoped DG channel kills random-dopant threshold variation.
-pub fn study_variation() -> Experiment {
-    study_variation_scaled(400)
-}
-
-/// E18 at an explicit Monte-Carlo sample count (see `experiments::Scale`).
+/// E18 / §3: undoped DG channel kills random-dopant threshold variation,
+/// at `samples` Monte-Carlo samples per model (see `experiments::Scale`).
 pub fn study_variation_scaled(samples: usize) -> Experiment {
     let bulk = run_study(VariationModel::doped_bulk(), samples, 99, 0.42, 0.58);
     let dg = run_study(VariationModel::undoped_dg(), samples, 99, 0.42, 0.58);

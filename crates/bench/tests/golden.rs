@@ -7,7 +7,7 @@ use pmorph_bench::experiments::{self, Experiment, Scale};
 
 #[test]
 fn all_26_experiments_report_ok_in_fast_mode() {
-    let all = experiments::run_all_fast();
+    let all = experiments::run_all_with(Scale::fast());
     assert_eq!(all.len(), 26, "experiment index changed — update this count and DESIGN.md");
     for e in &all {
         assert!(e.pass, "{} mismatched the paper's shape:\n{e}", e.id);

@@ -5,7 +5,7 @@
 //! *tolerance*: faulty leaf cells are mapped around rather than repaired.
 //! This module injects manufacturing defects into a configured fabric and
 //! lets mapping flows query a defect map so they can avoid bad blocks —
-//! the mechanism behind the `study_defects` experiment (E19).
+//! the mechanism behind the `study_defects_scaled` experiment (E19).
 //!
 //! Defect semantics at the digital level:
 //!

@@ -97,17 +97,6 @@ fn sample_inverter(
     }
 }
 
-/// One sample's switching-threshold solve — the per-item kernel shared by
-/// the sharded and flat paths.
-fn sample_threshold(
-    sigma: f64,
-    nominal: &ConfigurableInverter,
-    seed: u64,
-    i: usize,
-) -> Option<f64> {
-    sample_inverter(sigma, nominal, seed, i).switching_threshold(0.0)
-}
-
 /// One shard item of the word-sharded study: up to 64 consecutive
 /// samples' thresholds (index order within the word) plus a per-lane
 /// failure mask — the sampled parameter only gates pass/fail bits, so
@@ -124,8 +113,7 @@ fn sample_word(
     let mut thresholds = Vec::with_capacity(lanes);
     let mut fail = 0u64;
     for l in 0..lanes {
-        let t = sample_threshold(sigma, nominal, seed, base + l);
-        // exact same predicate as the flat reference's reduce_study
+        let t = sample_inverter(sigma, nominal, seed, base + l).switching_threshold(0.0);
         let bad = match t {
             None => true,
             Some(v) => v < lo_frac * nominal.vdd || v > hi_frac * nominal.vdd,
@@ -137,8 +125,7 @@ fn sample_word(
 }
 
 /// [`run_study`] under an explicit sweep configuration (worker count,
-/// shard size) — bit-identical to the default and to the flat reference
-/// at any setting.
+/// shard size) — bit-identical to the default at any setting.
 pub fn run_study_cfg(
     model: VariationModel,
     samples: usize,
@@ -153,7 +140,7 @@ pub fn run_study_cfg(
     // whole words as shard items: 64 Monte-Carlo samples per item, drawn
     // serially in index order within the word, so the flattened threshold
     // stream — and therefore every float in the summary — is bit-identical
-    // to the per-sample flat loop at any worker count or shard geometry.
+    // to a per-sample serial loop at any worker count or shard geometry.
     let words = samples.div_ceil(64);
     let word_results = sweep(
         words,
@@ -179,44 +166,8 @@ pub fn run_study_cfg(
     summarize(samples, &ok, failures)
 }
 
-/// The serial per-sample loop, retained as the differential-test
-/// reference for the word-sharded study.
-#[doc(hidden)]
-pub fn run_study_flat(
-    model: VariationModel,
-    samples: usize,
-    seed: u64,
-    lo_frac: f64,
-    hi_frac: f64,
-) -> VariationStudy {
-    let nominal = ConfigurableInverter::default();
-    let sigma = model.sigma_total();
-    let thresholds: Vec<Option<f64>> =
-        (0..samples).map(|i| sample_threshold(sigma, &nominal, seed, i)).collect();
-    reduce_study(samples, &nominal, &thresholds, lo_frac, hi_frac)
-}
-
-/// Index-order reduction from per-sample thresholds to the study summary.
-fn reduce_study(
-    samples: usize,
-    nominal: &ConfigurableInverter,
-    thresholds: &[Option<f64>],
-    lo_frac: f64,
-    hi_frac: f64,
-) -> VariationStudy {
-    let ok: Vec<f64> = thresholds.iter().filter_map(|t| *t).collect();
-    let failures = thresholds
-        .iter()
-        .filter(|t| match t {
-            None => true,
-            Some(v) => *v < lo_frac * nominal.vdd || *v > hi_frac * nominal.vdd,
-        })
-        .count();
-    summarize(samples, &ok, failures)
-}
-
-/// Shared float tail of both reductions: identical expressions over an
-/// identical index-ordered `ok` stream ⇒ identical bits.
+/// The study's float tail: fixed expressions over the index-ordered `ok`
+/// stream, so an identical stream gives identical bits.
 fn summarize(samples: usize, ok: &[f64], failures: usize) -> VariationStudy {
     let mean = ok.iter().sum::<f64>() / ok.len().max(1) as f64;
     let var = ok.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / ok.len().max(1) as f64;
@@ -247,9 +198,34 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The per-sample serial loop: the oracle the word-sharded study
+    /// must match bit for bit.
+    fn flat_study(
+        model: VariationModel,
+        samples: usize,
+        seed: u64,
+        lo_frac: f64,
+        hi_frac: f64,
+    ) -> VariationStudy {
+        let nominal = ConfigurableInverter::default();
+        let sigma = model.sigma_total();
+        let thresholds: Vec<Option<f64>> = (0..samples)
+            .map(|i| sample_inverter(sigma, &nominal, seed, i).switching_threshold(0.0))
+            .collect();
+        let ok: Vec<f64> = thresholds.iter().filter_map(|t| *t).collect();
+        let failures = thresholds
+            .iter()
+            .filter(|t| match t {
+                None => true,
+                Some(v) => *v < lo_frac * nominal.vdd || *v > hi_frac * nominal.vdd,
+            })
+            .count();
+        summarize(samples, &ok, failures)
+    }
+
     #[test]
     fn sharded_study_matches_flat_reference() {
-        let flat = run_study_flat(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7);
+        let flat = flat_study(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7);
         assert_eq!(run_study(VariationModel::doped_bulk(), 64, 42, 0.3, 0.7), flat);
         for (workers, shard_size) in [(1, 1), (2, 7), (8, 64)] {
             let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard_size);

@@ -2,11 +2,11 @@
 //!
 //! Every ported call site (E18 variation Monte-Carlo, E19 defect-yield
 //! curves, the Fig. 10 adder vector sweep) is run across the full worker
-//! × shard-size matrix and demanded bit-identical to E18's retained flat
-//! study, or to E19's and Fig. 10's own 1-worker run (their event-driven
-//! oracles are unit tests beside the experiments). This is the
-//! enforcement arm of the exec determinism contract: result bits may
-//! depend only on item index and caller seeds, never on scheduling
+//! × shard-size matrix and demanded bit-identical to its own 1-worker
+//! run (E18's per-sample serial oracle and E19's and Fig. 10's
+//! event-driven oracles are unit tests beside the code they check). This
+//! is the enforcement arm of the exec determinism contract: result bits
+//! may depend only on item index and caller seeds, never on scheduling
 //! geometry.
 //!
 //! Worker counts are pinned with [`SweepConfig::with_workers`] so the
@@ -17,7 +17,7 @@
 
 use pmorph_bench::experiments::extensions::defect_yield_curves;
 use pmorph_bench::experiments::fabric_figs::{fig10_adder_check, fig10_adder_vectors};
-use pmorph_device::variation::{run_study_cfg, run_study_flat, VariationModel};
+use pmorph_device::variation::{run_study_cfg, VariationModel};
 use pmorph_exec::SweepConfig;
 use pmorph_util::env::EnvGuard;
 
@@ -40,11 +40,12 @@ fn matrix(n: usize) -> Vec<SweepConfig> {
 fn e18_variation_study_is_identical_across_the_thread_matrix() {
     let samples = 56;
     for model in [VariationModel::doped_bulk(), VariationModel::undoped_dg()] {
-        let flat = run_study_flat(model, samples, 42, 0.4, 0.6);
+        let serial = SweepConfig::new().with_workers(1);
+        let base = run_study_cfg(model, samples, 42, 0.4, 0.6, &serial);
         for cfg in matrix(samples) {
             let got = run_study_cfg(model, samples, 42, 0.4, 0.6, &cfg);
             assert_eq!(
-                got, flat,
+                got, base,
                 "E18 diverged at workers={:?} shard={}",
                 cfg.workers, cfg.shard_size
             );
@@ -88,7 +89,8 @@ fn env_derived_worker_count_is_differential_too() {
     // bit-for-bit under every env-derived worker count.
     let samples = 40;
     let model = VariationModel::doped_bulk();
-    let e18_flat = run_study_flat(model, samples, 42, 0.4, 0.6);
+    let e18_serial =
+        run_study_cfg(model, samples, 42, 0.4, 0.6, &SweepConfig::new().with_workers(1));
     let trials = 6;
     let e19_serial = defect_yield_curves(trials, &SweepConfig::new().with_workers(1));
     let vectors = fig10_adder_vectors(20);
@@ -97,7 +99,7 @@ fn env_derived_worker_count_is_differential_too() {
         let mut guard = EnvGuard::new();
         guard.set("PMORPH_THREADS", threads);
         let e18 = run_study_cfg(model, samples, 42, 0.4, 0.6, &SweepConfig::new());
-        assert_eq!(e18, e18_flat, "E18 env-derived run diverged at PMORPH_THREADS={threads}");
+        assert_eq!(e18, e18_serial, "E18 env-derived run diverged at PMORPH_THREADS={threads}");
         let e19 = defect_yield_curves(trials, &SweepConfig::new());
         assert_eq!(e19, e19_serial, "E19 env-derived run diverged at PMORPH_THREADS={threads}");
         let f10 = fig10_adder_check(&vectors, &SweepConfig::new());

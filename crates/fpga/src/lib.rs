@@ -12,9 +12,9 @@
 //! * [`mapper`] — greedy cone-growing K-LUT technology mapper with
 //!   random-vector equivalence checking, plus CLB packing statistics for
 //!   the §2.2 utilisation study,
-//! * [`pnr`] — deterministic placement, congestion-aware global routing
-//!   over the channel grid, and longest-path timing with the §2.1
-//!   O(λ^½) interconnect scaling law,
+//! * [`pnr`] — deterministic placement, L-path global routing over the
+//!   channel grid with per-segment occupancy counts, and longest-path
+//!   timing with the §2.1 O(λ^½) interconnect scaling law,
 //! * [`circuits`] — benchmark circuit generators shared by the studies.
 
 pub mod arch;

@@ -2,9 +2,10 @@
 //!
 //! Deliberately simple but *real*: CLBs go onto a near-square grid
 //! (deterministic scan order after a connectivity-driven ordering pass);
-//! every LUT input connection is routed as a 2-pin net through a channel
-//! graph by congestion-aware BFS; timing is longest-path with LUT delay
-//! plus per-segment routing delay. The routing delay carries the §2.1
+//! every LUT input connection is routed as a 2-pin net along one
+//! x-then-y L path through the channel grid, counting per-segment
+//! occupancy without steering around it; timing is longest-path with LUT
+//! delay plus per-segment routing delay. The routing delay carries the §2.1
 //! scaling law — segmented interconnect stops tracking gate speed as λ
 //! shrinks — so the same code yields both the absolute comparisons (E12)
 //! and the scaling study (E14).
@@ -252,8 +253,9 @@ where
     (pnr, cp, winner, extra)
 }
 
-/// Route every LUT-input connection through the channel grid with
-/// congestion-aware BFS (cost = 1 + occupancy per segment).
+/// Route every LUT-input connection through the channel grid along one
+/// fixed x-then-y L path, counting the occupancy of each segment it
+/// uses (congestion is reported, not avoided).
 ///
 /// Every LUT-driven connection must have both endpoints placed: a
 /// missing entry is a [`PnrError::Unplaced`] naming the offending net,
@@ -297,12 +299,9 @@ pub(crate) fn route_with_occupancy(
                 pnr.connection_lengths.push(0);
                 continue;
             }
-            // congestion-aware BFS (uniform-ish costs: Dijkstra-lite via
-            // repeated BFS relaxation is overkill at this scale; BFS on
-            // hop count, then charge occupancy along the path)
-            let path = bfs_path(g, src, dst);
+            // the L path, charging occupancy along it
             let mut len = 0;
-            for seg in path {
+            for seg in l_path(src, dst) {
                 let e = &mut occ[seg_index(g, seg)];
                 *e += 1;
                 pnr.max_occupancy = pnr.max_occupancy.max(*e);
@@ -315,16 +314,16 @@ pub(crate) fn route_with_occupancy(
     Ok(occ)
 }
 
-/// Channel segments along an L-shaped (x-then-y) path.
-fn bfs_path(_grid: usize, src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize, u8)> {
+/// Channel segments along the L-shaped (x-then-y) `src`→`dst` route.
+fn l_path(src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize, u8)> {
     let mut segs = Vec::new();
     walk_path(src, dst, |x, y, dir| segs.push((x, y, dir)));
     segs
 }
 
-/// Visit the segments of the L-shaped `src`→`dst` route in order without
-/// materializing them — the stitcher charges thousands of boundary routes
-/// per candidate and the per-route `Vec` was measurable.
+/// Visit the segments of the L-shaped (x-then-y) `src`→`dst` route in
+/// order without materializing them — the stitcher charges thousands of
+/// boundary routes per candidate and a per-route `Vec` was measurable.
 pub(crate) fn walk_path(
     (sx, sy): (usize, usize),
     (dx, dy): (usize, usize),

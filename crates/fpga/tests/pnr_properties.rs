@@ -1,10 +1,8 @@
-//! Router invariants under the seeded property harness.
+//! Router invariants under the seeded property harness:
 //!
-//! These hold for *any* legal router over the channel grid, so they pin
-//! the contract rather than the current implementation:
-//!
-//! * a routed connection is never shorter than the Manhattan distance
-//!   between its endpoints (channel segments are unit steps),
+//! * a routed connection is exactly as long as the Manhattan distance
+//!   between its endpoints — the router walks one x-then-y L path of
+//!   unit channel segments per connection,
 //! * `total_wirelength` is exactly `Σ connection_lengths`,
 //! * `max_occupancy` is monotone in design size — routing a prefix of
 //!   the design's LUTs under the *same held placement* can only reduce
@@ -32,10 +30,10 @@ fn route_length_dominates_manhattan_distance() {
             for inp in lut.inputs.iter().filter(|n| outs.contains(&n.0)) {
                 let (sx, sy) = pnr.placement[&inp.0];
                 let manhattan = sx.abs_diff(dx) + sy.abs_diff(dy);
-                prop_assert!(
-                    pnr.connection_lengths[i] >= manhattan,
-                    "connection {i}: routed {} < manhattan {manhattan}",
-                    pnr.connection_lengths[i]
+                prop_assert_eq!(
+                    pnr.connection_lengths[i],
+                    manhattan,
+                    "connection {i}: routed length vs manhattan distance"
                 );
                 i += 1;
             }

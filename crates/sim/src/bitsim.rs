@@ -204,7 +204,6 @@ pub fn sweep_truth(
     let n = inputs.len();
     assert!(n <= WideMask::MAX_VARS, "at most {} swept inputs", WideMask::MAX_VARS);
     let words = WideMask::word_count(n);
-    let lanes = WideMask::lane_mask(n);
     let out = sweep(
         words,
         cfg,
@@ -214,18 +213,7 @@ pub fn sweep_truth(
             outputs.iter().map(|&o| sim.plane(o)).collect::<Vec<(u64, u64)>>()
         },
     );
-    let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    for (w, planes) in out.iter().enumerate() {
-        for (o, &(v, k)) in planes.iter().enumerate() {
-            match masks[o].as_mut() {
-                // every valid lane known: commit the word (dead lanes masked)
-                Some(m) if k & lanes == lanes => m.words_mut()[w] = v & lanes,
-                // an X/Z lane anywhere poisons the whole output
-                _ => masks[o] = None,
-            }
-        }
-    }
-    pmorph_obs::counter!("sim.bitsim.words").add(words as u64);
+    let masks = fold_word_planes(n, outputs.len(), &out);
     let utilization = (1u64 << n) as f64 / (words as f64 * 64.0);
     pmorph_obs::gauge!("sim.bitsim.lane_utilization").set(utilization);
     pmorph_obs::trace::counter("sim.bitsim.lane_utilization", utilization);
@@ -604,7 +592,6 @@ pub fn sweep_seq_truth(
     let n = inputs.len();
     assert!(n <= WideMask::MAX_VARS, "at most {} swept inputs", WideMask::MAX_VARS);
     let words = WideMask::word_count(n);
-    let lanes = WideMask::lane_mask(n);
     let initial = proto.snapshot_state();
     let out = sweep(
         words,
@@ -617,16 +604,27 @@ pub fn sweep_seq_truth(
             outputs.iter().map(|&o| sim.plane(o)).collect::<Vec<(u64, u64)>>()
         },
     );
-    let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs.len()];
-    for (w, planes) in out.iter().enumerate() {
+    fold_word_planes(n, outputs.len(), &out)
+}
+
+/// The mask fold both exhaustive sweeps end in: word `w`'s per-output
+/// `(val, known)` planes over `n` swept inputs become word `w` of each
+/// output's truth mask. Lanes beyond `2^n` are masked out of both planes;
+/// an `X`/`Z` lane anywhere poisons the whole output to `None`.
+fn fold_word_planes(n: usize, outputs: usize, words: &[Vec<(u64, u64)>]) -> Vec<Option<WideMask>> {
+    let lanes = WideMask::lane_mask(n);
+    let mut masks: Vec<Option<WideMask>> = vec![Some(WideMask::zero(n)); outputs];
+    for (w, planes) in words.iter().enumerate() {
         for (o, &(v, k)) in planes.iter().enumerate() {
             match masks[o].as_mut() {
+                // every valid lane known: commit the word (dead lanes masked)
                 Some(m) if k & lanes == lanes => m.words_mut()[w] = v & lanes,
+                // an X/Z lane anywhere poisons the whole output
                 _ => masks[o] = None,
             }
         }
     }
-    pmorph_obs::counter!("sim.bitsim.words").add(words as u64);
+    pmorph_obs::counter!("sim.bitsim.words").add(words.len() as u64);
     masks
 }
 

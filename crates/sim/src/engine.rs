@@ -23,9 +23,10 @@
 //! for the dominant single-driver case, and scheduling runs on the calendar
 //! queue in [`crate::queue`]. After warm-up the loop performs no heap
 //! allocation (asserted by the `kernel` benchmark's counting allocator).
-//! The pre-CSR heap-scheduled kernel survives as
-//! [`crate::reference::ReferenceSimulator`], and a differential property
-//! test pins the two to bit-identical traces.
+//! The pre-CSR heap-scheduled kernel survives in test code as the
+//! `ReferenceSimulator` of the sim crate's integration-test support, and
+//! the `differential` property suite pins the two to bit-identical
+//! traces.
 
 use crate::logic::Logic;
 use crate::netlist::{CompId, CompState, NetId, Netlist, MAX_OUTPUTS};

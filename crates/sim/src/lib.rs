@@ -30,11 +30,7 @@ pub mod logic;
 pub mod measure;
 pub mod netlist;
 mod queue;
-#[doc(hidden)]
-pub mod reference;
 pub mod table;
-#[doc(hidden)]
-pub mod testgen;
 pub mod timing;
 pub mod vcd;
 pub mod vectors;

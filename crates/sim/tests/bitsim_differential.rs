@@ -10,15 +10,17 @@
 //! (`PMORPH_THREADS ∈ {1, 8}`) so the sharded merge is exercised both
 //! serially and work-stolen.
 
+mod support;
+
 use pmorph_exec::SweepConfig;
 use pmorph_sim::bitsim::{sweep_truth, BitSim};
 use pmorph_sim::netlist::{NetId, Netlist};
 use pmorph_sim::table::WideMask;
-use pmorph_sim::testgen::random_combinational;
 use pmorph_sim::vectors::{exhaustive_truth, exhaustive_truth_levelized};
 use pmorph_sim::{Logic, Simulator};
 use pmorph_util::prop;
 use pmorph_util::prop_assert_eq;
+use support::testgen::random_combinational;
 
 /// The event-driven oracle: a fresh simulator per assignment, settled,
 /// outputs sampled. Any `X`/`Z` sample poisons that output's mask, the

@@ -1,6 +1,6 @@
 //! Differential properties for the sequential bit-parallel kernel:
 //! `SeqBitSim::step_cycle` ⇔ the event-driven `Simulator`, lane by lane,
-//! on random registered netlists from `testgen::random_registered`
+//! on random registered netlists from `support::testgen::random_registered`
 //! (clock + DFF, with reset and wheel-overflow-spanning clock periods),
 //! and `SeqBitSim::step_cycles(n)` ⇔ `n` single `step_cycle` calls, which
 //! pins the fixed-point exit.
@@ -19,15 +19,17 @@
 //! `seq_sweep` (payload bytes pinned in `crates/serve/tests/determinism.rs`)
 //! and two benches. CI runs this suite at `PMORPH_THREADS ∈ {1, 8}`.
 
+mod support;
+
 use pmorph_exec::SweepConfig;
 use pmorph_sim::bitsim::{sweep_seq_truth, SeqBitSim};
 use pmorph_sim::netlist::NetId;
 use pmorph_sim::table::WideMask;
-use pmorph_sim::testgen::{random_registered, RegisteredCircuit};
 use pmorph_sim::{Logic, Simulator};
 use pmorph_util::prop;
 use pmorph_util::prop_assert;
 use pmorph_util::prop_assert_eq;
+use support::testgen::{random_registered, RegisteredCircuit};
 
 /// Per-cycle, per-input stimulus planes: `(val, known)` — unknown lanes
 /// are driven as `X` into the oracle.

@@ -1,6 +1,6 @@
 //! Differential property test: the CSR + timing-wheel kernel
 //! ([`Simulator`]) against the retained heap-based engine
-//! ([`ReferenceSimulator`]).
+//! ([`ReferenceSimulator`], test code in `support/reference.rs`).
 //!
 //! The optimized kernel's contract is *bit-identical traces*: same event
 //! counts, same settle times, same waveform on every watched net, for any
@@ -10,13 +10,15 @@
 //! netlist, runs both engines through an identical stimulus schedule, and
 //! compares everything observable.
 
+mod support;
+
 use pmorph_sim::logic::Logic;
 use pmorph_sim::netlist::NetId;
-use pmorph_sim::reference::ReferenceSimulator;
-use pmorph_sim::testgen::{random_netlist, random_schedule};
 use pmorph_sim::Simulator;
 use pmorph_util::prop;
 use pmorph_util::{prop_assert, prop_assert_eq};
+use support::reference::ReferenceSimulator;
+use support::testgen::{random_netlist, random_schedule};
 
 #[test]
 fn kernel_matches_reference_engine_bit_for_bit() {

@@ -13,12 +13,14 @@
 //! trace points must equal the fresh run's points after its initial
 //! watch sample.
 
+mod support;
+
 use pmorph_sim::logic::Logic;
 use pmorph_sim::netlist::{NetId, Netlist};
-use pmorph_sim::testgen::{random_netlist, random_schedule};
 use pmorph_sim::{SimError, Simulator};
 use pmorph_util::prop;
 use pmorph_util::{prop_assert, prop_assert_eq};
+use support::testgen::{random_netlist, random_schedule};
 
 /// Drive `schedule` and run to `deadline`; returns the run outcome.
 fn replay(

@@ -1,18 +1,17 @@
-//! The pre-CSR heap-scheduled simulation kernel, kept as a frozen
-//! *reference semantics* implementation.
+//! The pre-CSR heap-scheduled simulation kernel, kept in test code as a
+//! frozen *reference semantics* implementation.
 //!
 //! This is the original `engine.rs` event loop: closure-based
 //! `Component::evaluate`, per-net driver scans, and a global
-//! `BinaryHeap<Reverse<Event>>` with lazy version-cancellation. The
-//! production [`crate::Simulator`] must stay bit-identical to it — the
-//! differential property test (`crates/sim/tests/differential.rs`) runs
-//! random netlists on both and asserts equal traces, values and event
-//! counts. It is not part of the public API surface and carries none of
-//! the fast-path statistics.
+//! `BinaryHeap<Reverse<Event>>` with lazy version-cancellation, built on
+//! the public netlist API only. The production `pmorph_sim::Simulator`
+//! must stay bit-identical to it — the differential property test
+//! (`differential.rs`) runs random netlists on both and asserts equal
+//! traces, values and event counts. It carries none of the fast-path
+//! statistics.
 
-use crate::engine::{SimError, SimStats};
-use crate::logic::Logic;
-use crate::netlist::{CompId, NetId, Netlist};
+use pmorph_sim::netlist::{CompId, NetId, Netlist};
+use pmorph_sim::{Logic, SimError, SimStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -56,9 +55,7 @@ struct Slot {
     pending: Option<(u64, Logic)>,
 }
 
-/// The original heap-scheduled simulator. Test-only reference; see the
-/// module docs.
-#[doc(hidden)]
+/// The original heap-scheduled simulator; see the module docs.
 pub struct ReferenceSimulator {
     netlist: Netlist,
     values: Vec<Logic>,

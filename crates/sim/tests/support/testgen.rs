@@ -1,14 +1,13 @@
 //! Randomized netlist/stimulus generators for property tests.
 //!
 //! Shared by the kernel-vs-reference differential suite
-//! (`tests/differential.rs`), the snapshot/restore property suite
-//! (`tests/snapshot_prop.rs`), and any downstream crate that wants to
-//! throw random circuits at the engine. Hidden from docs: the API is a
-//! test fixture, not a modelling surface, and may change shape freely.
+//! (`differential.rs`), the snapshot/restore property suite
+//! (`snapshot_prop.rs`) and the bit-parallel differentials
+//! (`bitsim_differential.rs`, `bitsim_seq_differential.rs`). A test
+//! fixture, not a modelling surface: it may change shape freely.
 
-use crate::builder::NetlistBuilder;
-use crate::logic::Logic;
-use crate::netlist::{DriveMode, NetId, Netlist};
+use pmorph_sim::netlist::{DriveMode, NetId, Netlist};
+use pmorph_sim::{Logic, NetlistBuilder};
 use pmorph_util::prop::Gen;
 
 /// Build a random netlist: gates with feedback, optional state elements,

@@ -41,15 +41,26 @@ pub struct MappedFunction {
 impl MappedFunction {
     /// Elaborate the host fabric and apply the operand stitches.
     pub fn elaborate(&self, fabric: &Fabric, timing: &FabricTiming) -> Elaborated {
-        let mut elab = elaborate(fabric, timing);
-        let hop = timing.block_hop_ps();
-        for (from, to) in &self.stitches {
-            let f = from.net(&elab);
-            let t = to.net(&elab);
-            elab.stitch(f, t, hop);
-        }
-        elab
+        elaborate_stitched(fabric, &self.stitches, timing)
     }
+}
+
+/// Elaborate `fabric` and apply pending `(from, to)` connections, each
+/// one block hop long — how every mapping that defers its operand joins
+/// to [`pmorph_core::Elaborated::stitch`] is turned into a netlist.
+pub fn elaborate_stitched(
+    fabric: &Fabric,
+    stitches: &[(PortLoc, PortLoc)],
+    timing: &FabricTiming,
+) -> Elaborated {
+    let mut elab = elaborate(fabric, timing);
+    let hop = timing.block_hop_ps();
+    for (from, to) in stitches {
+        let f = from.net(&elab);
+        let t = to.net(&elab);
+        elab.stitch(f, t, hop);
+    }
+    elab
 }
 
 /// Rows per tile slot.
@@ -119,15 +130,20 @@ pub fn fabric_size_for(n: usize) -> (usize, usize) {
     (TILE_W + 1, nodes * ROW_PITCH)
 }
 
-/// Map an arbitrary ≤6-variable function into `fabric` (which must be at
-/// least [`fabric_size_for`] big and empty).
-pub fn map_function(fabric: &mut Fabric, tt: &TruthTable) -> Result<MappedFunction, MapError> {
+/// Map an arbitrary ≤6-variable function into `fabric`, one tile row per
+/// tree node from row `row` down: the fabric must have at least
+/// [`fabric_size_for`] free width and height from there.
+pub fn map_function(
+    fabric: &mut Fabric,
+    row: usize,
+    tt: &TruthTable,
+) -> Result<MappedFunction, MapError> {
     let n = tt.vars();
     if n > 6 {
         return Err(MapError::TooManyVars { needed: n, available: 6 });
     }
     let (w, h) = fabric_size_for(n);
-    if fabric.width() < w || fabric.height() < h {
+    if fabric.width() < w || fabric.height() < row + h {
         return Err(MapError::OutOfRoom);
     }
     let mut ctx = MapCtx {
@@ -135,7 +151,7 @@ pub fn map_function(fabric: &mut Fabric, tt: &TruthTable) -> Result<MappedFuncti
         var_ports: vec![Vec::new(); n.max(1)],
         tiles: 0,
         stitches: Vec::new(),
-        next_row: 0,
+        next_row: row,
     };
     let vars: Vec<usize> = (0..n).collect();
     let output = ctx.map_rec(tt, &vars)?;
@@ -157,7 +173,7 @@ mod tests {
     fn verify(tt: &TruthTable) {
         let (w, h) = fabric_size_for(tt.vars());
         let mut fabric = Fabric::new(w, h);
-        let mapped = map_function(&mut fabric, tt)
+        let mapped = map_function(&mut fabric, 0, tt)
             .unwrap_or_else(|e| panic!("{}-var map failed: {e}", tt.vars()));
         let elab = mapped.elaborate(&fabric, &FabricTiming::default());
         for m in 0..(1u64 << tt.vars()) {
@@ -212,7 +228,7 @@ mod tests {
     fn small_functions_single_tile_no_stitches() {
         let (w, h) = fabric_size_for(3);
         let mut fabric = Fabric::new(w, h);
-        let mapped = map_function(&mut fabric, &TruthTable::majority3()).unwrap();
+        let mapped = map_function(&mut fabric, 0, &TruthTable::majority3()).unwrap();
         assert_eq!(mapped.tiles, 1);
         assert!(mapped.stitches.is_empty());
     }
@@ -221,7 +237,7 @@ mod tests {
     fn tile_and_stitch_counts_match_tree_shape() {
         let (w, h) = fabric_size_for(6);
         let mut fabric = Fabric::new(w, h);
-        let mapped = map_function(&mut fabric, &TruthTable::parity(6)).unwrap();
+        let mapped = map_function(&mut fabric, 0, &TruthTable::parity(6)).unwrap();
         // 8 leaves + (4 + 2 + 1) muxes; 2 stitches per mux
         assert_eq!(mapped.tiles, 15);
         assert_eq!(mapped.stitches.len(), 14);
@@ -231,7 +247,7 @@ mod tests {
     fn too_small_fabric_rejected() {
         let mut fabric = Fabric::new(3, 3);
         assert!(matches!(
-            map_function(&mut fabric, &TruthTable::parity(5)),
+            map_function(&mut fabric, 0, &TruthTable::parity(5)),
             Err(MapError::OutOfRoom)
         ));
     }

@@ -3,7 +3,7 @@
 #
 # Runs the `kernel` bench suite (release/bench profile) with the JSON sink
 # pointed at BENCH_kernel.json in the repo root, then the `sweeps` suite
-# (sharded sweep engine vs flat or serial baselines) into
+# (sharded sweep engine vs 1-worker runs, hier vs flat PnR) into
 # BENCH_sweeps.json, then the `serve` suite (job-server end-to-end
 # throughput and artifact-cache cold/hit latency over live TCP) into
 # BENCH_serve.json, and validates each artifact with `benchcheck`
@@ -12,7 +12,7 @@
 # pass/fail check — allocation-free steady state, the bitsim/ group's
 # ≥10× bit-parallel speedup over the scalar levelized sweep and its
 # partial-word lane masking for the kernel; bit-identity, the
-# core-scaled sharded-vs-flat speedup floor, the polymorphic synthesis
+# core-scaled sharded-vs-serial speedup floor, the polymorphic synthesis
 # proof sweeps' thread bit-identity, and the hierarchical PnR's thread
 # bit-identity and ≥1.2× search speedup over the flat flow for the
 # sweeps; the ≥5× content-addressed cache-hit speedup and clean drain

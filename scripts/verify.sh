@@ -63,28 +63,19 @@ PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_kernel.smoke.json" \
     cargo bench -q -p pmorph-bench --bench kernel >/dev/null
 cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_kernel.smoke.json
 
-echo "== hierarchical PnR thread matrix (release) =="
-# The hier-vs-flat differential and property suites must hold whether
-# the pool defaults to one worker or eight — the partitioned PnR shards
-# each candidate's regions over pmorph-exec, so this is the determinism
-# contract applied to the newest consumer.
+echo "== thread-matrix suites (PMORPH_THREADS 1 and 8) =="
+# The determinism contract under the env-derived worker count: the
+# exec, bitsim, PnR, poly-synthesis, serve and obs/trace differential
+# suites, the perfbench unit tests and the sweeps bench smoke must hold
+# whether the pool defaults to one worker or eight. The same script is
+# CI's thread-matrix job.
 for t in 1 8; do
-    PMORPH_THREADS="$t" cargo test --release -q -p pmorph-fpga \
-        --test pnr_differential --test pnr_properties
-done
-
-echo "== polymorphic synthesis suite (thread matrix) =="
-# Bi-decomposed circuits must prove every mode personality by exhaustive
-# sharded sweeps with bit-identical recovered masks at 1 and 8 workers,
-# and the completeness checker must agree with its brute-force oracle.
-for t in 1 8; do
-    PMORPH_THREADS="$t" cargo test --release -q -p pmorph-synth \
-        --test poly_synthesis --test poly_complete_prop
+    ./scripts/thread_matrix.sh "$t"
 done
 
 echo "== sweep-engine bench smoke (short budget) =="
-# Same treatment for the sharded sweep suite: exercises the sharded vs
-# flat E18 legs, the sharded vs serial E19/fig10/seq legs, the
+# Same treatment for the sharded sweep suite at the default worker
+# count: exercises the sharded vs serial E18/E19/fig10/seq legs, the
 # hier-vs-flat PnR search legs, the thread1-vs-N bit-identity checks,
 # and the speedup floors, then validates the JSON artifact.
 PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_sweeps.smoke.json" \

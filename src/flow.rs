@@ -7,21 +7,22 @@
 //! fabric backend, so every comparison (area, configuration bits, delay)
 //! is between two executable implementations of one design.
 //!
-//! Each mapped LUT becomes:
-//!
-//! * a 3-block `lut3` tile when it has ≤ 3 inputs,
-//! * a Shannon pair of `lut3` tiles plus a mux tile when it has 4.
+//! Each mapped LUT's table goes through the general mapper
+//! ([`pmorph_synth::mapk::map_function`]), stacked one tree below the
+//! last, so a LUT with ≤ 3 inputs becomes one 3-block `lut3` tile and a
+//! 4-input LUT a Shannon pair of `lut3` tiles plus a mux tile.
 //!
 //! Net connections between tiles use [`pmorph_core::Elaborated::stitch`]
-//! (see DESIGN.md §5 on joins); primary inputs are driven at every
-//! consuming tile's boundary taps.
+//! (see DESIGN.md §5 on joins), applied by the mapper's own
+//! [`elaborate_stitched`]; primary inputs are driven at every consuming
+//! tile's boundary taps.
 
-use pmorph_core::elaborate::elaborate;
 use pmorph_core::{Elaborated, Fabric, FabricTiming};
 use pmorph_fpga::MappedDesign;
 use pmorph_sim::{Logic, NetId};
+use pmorph_synth::mapk::{elaborate_stitched, fabric_size_for, map_function};
 use pmorph_synth::tile::{MapError, PortLoc};
-use pmorph_synth::{lut3, TruthTable};
+use pmorph_synth::TruthTable;
 use std::collections::HashMap;
 
 /// A LUT network mapped onto the fabric.
@@ -38,94 +39,57 @@ pub struct FabricDesign {
     pub blocks_used: usize,
 }
 
+/// Blocks in one `lut3` tile: polarity, product and sum.
+const TILE_BLOCKS: usize = 3;
+
 /// Map a (combinational) K≤4-LUT design onto a fresh fabric.
 pub fn map_design_to_fabric(design: &MappedDesign) -> Result<FabricDesign, MapError> {
-    // Row budget: ≤3-input LUT = 1 row; 4-input = 3 rows (two cofactor
-    // tiles + mux).
-    let rows: usize = design.luts.iter().map(|l| if l.inputs.len() <= 3 { 1 } else { 3 }).sum();
-    let mut fabric = Fabric::new(4, rows.max(1));
-    let mut next_row = 0usize;
-    let mut out = FabricDesign {
-        fabric: Fabric::new(1, 1), // replaced below
-        outputs: HashMap::new(),
-        input_taps: HashMap::new(),
-        stitches: Vec::new(),
-        blocks_used: 0,
-    };
+    // One Shannon tree per LUT, stacked row after row (a 0-input LUT is
+    // padded to one variable below).
+    let rows: usize = design.luts.iter().map(|l| fabric_size_for(l.inputs.len().max(1)).1).sum();
+    let mut fabric = Fabric::new(fabric_size_for(1).0, rows.max(1));
+    let mut outputs = HashMap::new();
+    let mut stitches = Vec::new();
+    let mut blocks_used = 0;
 
     // Tile placement. `pending` records (tile input port, source net) so
     // sources mapped later still connect.
     let mut pending: Vec<(PortLoc, NetId)> = Vec::new();
+    let mut row = 0;
     for lut in &design.luts {
-        let k = lut.inputs.len();
-        assert!(k <= 4, "tech map was run with K ≤ 4");
+        assert!(lut.inputs.len() <= 4, "tech map was run with K ≤ 4");
         // degenerate 0-input LUTs keep the historical 1-var padded shape
-        let tt = if k == 0 {
+        let tt = if lut.inputs.is_empty() {
             TruthTable::from_fn(1, |m| m == 0 && lut.truth.get(0))
         } else {
             TruthTable::from_mask(lut.truth.clone())
         };
-        let output_port =
-            if k <= 3 {
-                let ports = lut3(&mut fabric, 0, next_row, &tt)?;
-                next_row += 1;
-                out.blocks_used += ports.footprint.len();
-                for (i, p) in ports.inputs.iter().enumerate() {
-                    pending.push((*p, lut.inputs[i]));
-                }
-                ports.output
-            } else {
-                // Shannon on the highest input: two 3-input cofactor tiles
-                // plus a mux tile (s̄·f0 + s·f1).
-                let f0 = tt.cofactor(3, false);
-                let f1 = tt.cofactor(3, true);
-                let p0 = lut3(&mut fabric, 0, next_row, &f0)?;
-                let p1 = lut3(&mut fabric, 0, next_row + 1, &f1)?;
-                let mux_tt = TruthTable::from_fn(3, |m| {
-                    if m >> 2 & 1 == 1 {
-                        m >> 1 & 1 == 1
-                    } else {
-                        m & 1 == 1
-                    }
-                });
-                let pm = lut3(&mut fabric, 0, next_row + 2, &mux_tt)?;
-                next_row += 3;
-                out.blocks_used += p0.footprint.len() + p1.footprint.len() + pm.footprint.len();
-                for (i, (a, b)) in p0.inputs.iter().zip(p1.inputs.iter()).enumerate() {
-                    pending.push((*a, lut.inputs[i]));
-                    pending.push((*b, lut.inputs[i]));
-                }
-                out.stitches.push((p0.output, pm.inputs[0]));
-                out.stitches.push((p1.output, pm.inputs[1]));
-                pending.push((pm.inputs[2], lut.inputs[3]));
-                pm.output
-            };
-        out.outputs.insert(lut.output.0, output_port);
+        let mapped = map_function(&mut fabric, row, &tt)?;
+        row += fabric_size_for(tt.vars()).1;
+        blocks_used += TILE_BLOCKS * mapped.tiles;
+        stitches.extend(mapped.stitches);
+        for (ports, &src) in mapped.var_ports.iter().zip(&lut.inputs) {
+            pending.extend(ports.iter().map(|&p| (p, src)));
+        }
+        outputs.insert(lut.output.0, mapped.output);
     }
     // Resolve pending connections: internal nets become stitches, primary
     // inputs become taps.
+    let mut input_taps: HashMap<u32, Vec<PortLoc>> = HashMap::new();
     for (port, src) in pending {
-        if let Some(&producer) = out.outputs.get(&src.0) {
-            out.stitches.push((producer, port));
+        if let Some(&producer) = outputs.get(&src.0) {
+            stitches.push((producer, port));
         } else {
-            out.input_taps.entry(src.0).or_default().push(port);
+            input_taps.entry(src.0).or_default().push(port);
         }
     }
-    out.fabric = fabric;
-    Ok(out)
+    Ok(FabricDesign { fabric, outputs, input_taps, stitches, blocks_used })
 }
 
 impl FabricDesign {
     /// Elaborate and apply the stitches.
     pub fn elaborate(&self, timing: &FabricTiming) -> Elaborated {
-        let mut elab = elaborate(&self.fabric, timing);
-        let hop = timing.block_hop_ps();
-        for (from, to) in &self.stitches {
-            let f = from.net(&elab);
-            let t = to.net(&elab);
-            elab.stitch(f, t, hop);
-        }
-        elab
+        elaborate_stitched(&self.fabric, &self.stitches, timing)
     }
 
     /// Evaluate one input assignment (original-netlist input net → value),

@@ -173,7 +173,7 @@ fn alu_slice_via_general_mapper() {
     });
     let (w, h) = mapk::fabric_size_for(4);
     let mut fabric = Fabric::new(w, h);
-    let mapped = mapk::map_function(&mut fabric, &alu).unwrap();
+    let mapped = mapk::map_function(&mut fabric, 0, &alu).unwrap();
     let elab = mapped.elaborate(&fabric, &FabricTiming::default());
     for m in 0..16u64 {
         let mut sim = Simulator::new(elab.netlist.clone());

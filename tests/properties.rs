@@ -248,7 +248,7 @@ fn general_mapper_arbitrary_4var() {
         let tt = TruthTable::from_bits(4, g.u64());
         let (w, h) = mapk::fabric_size_for(4);
         let mut fabric = Fabric::new(w, h);
-        let mapped = mapk::map_function(&mut fabric, &tt).unwrap();
+        let mapped = mapk::map_function(&mut fabric, 0, &tt).unwrap();
         let elab = mapped.elaborate(&fabric, &FabricTiming::default());
         for m in 0..16u64 {
             let mut sim = Simulator::new(elab.netlist.clone());
