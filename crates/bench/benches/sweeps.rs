@@ -330,8 +330,8 @@ fn sweeps_pnr_hier(c: &mut Criterion) {
     );
 
     // Single-worker legs: the check certifies the algorithmic win, not
-    // the host's core count (parallel scaling helps both paths — flat
-    // shards candidates, hier shards partitions).
+    // the host's core count (parallel scaling helps both paths alike —
+    // each shards its candidates).
     let budget_ms = 300u64;
     let hier_ns = median_run_ns(budget_ms, || {
         best_seeded_placement_hier(&design, PNR_CANDIDATES, 7, &timing, partitions, &serial_cfg)

@@ -33,8 +33,8 @@ fn run_to_done(registry: &Registry, spec_json: &str) -> (bool, Vec<u8>) {
 pub fn study_job_server() -> Experiment {
     const SWEEP: &str = r#"{"type":"truth_sweep","circuit":"ripple_adder","size":3}"#;
     // `partitions: 2` forces the hierarchical flow, so the run covers
-    // the partition-stitch path (and its trace span), not just the flat
-    // placement search.
+    // the region-by-region placement (and its `fpga.pnr.stitch` trace
+    // span), not just the flat placement search.
     const PNR: &str = concat!(
         r#"{"type":"place_route","circuit":"parity_tree","size":8,"#,
         r#""candidates":4,"seed":7,"partitions":2}"#

@@ -250,11 +250,6 @@ impl BlockConfig {
         }
     }
 
-    /// Kill term `t` (forces the product line high).
-    pub fn clear_term(&mut self, t: usize) {
-        self.crosspoints[t] = [CellMode::StuckOff; LANES];
-    }
-
     /// Pack into the 16-byte (128-bit) configuration image. Symbols are
     /// written row-major, 2 bits each, LSB-first within each byte.
     pub fn encode(&self) -> [u8; CONFIG_BYTES_PER_BLOCK] {

@@ -129,11 +129,6 @@ impl Clb {
         }
     }
 
-    /// Flip-flop state (for inspection).
-    pub fn ff_state(&self) -> bool {
-        self.ff
-    }
-
     /// Which of the three major components a configuration actually uses —
     /// the §2.2 utilisation view of a single cell.
     pub fn components_used(&self) -> (bool, bool, bool) {

@@ -10,7 +10,6 @@
 //! shrinks — so the same code yields both the absolute comparisons (E12)
 //! and the scaling study (E14).
 
-use crate::arch::FpgaArch;
 use crate::mapper::MappedDesign;
 use pmorph_exec::{sweep, SweepConfig};
 use pmorph_sim::NetId;
@@ -129,29 +128,22 @@ fn bfs_order(design: &MappedDesign) -> Vec<usize> {
 /// Scan placement of an explicit LUT ordering onto the smallest square
 /// grid (slot `k` of `order` lands at `(k % grid, k / grid)`).
 fn place_with_order(design: &MappedDesign, order: &[usize]) -> PnrResult {
-    let n = design.luts.len().max(1);
-    let grid = (n as f64).sqrt().ceil() as usize;
-    place_with_order_on_grid(design, order, grid)
-}
-
-/// Scan placement onto an explicit square grid side (the hierarchical
-/// flow places each partition onto its region's sub-grid).
-fn place_with_order_on_grid(design: &MappedDesign, order: &[usize], grid: usize) -> PnrResult {
-    let grid = grid.max(1);
+    let grid = (design.luts.len().max(1) as f64).sqrt().ceil() as usize;
     let mut placement = HashMap::new();
     for (slot, &lut_idx) in order.iter().enumerate() {
-        let (x, y) = (slot % grid, slot / grid);
-        placement.insert(design.luts[lut_idx].output.0, (x, y));
+        placement.insert(design.luts[lut_idx].output.0, (slot % grid, slot / grid));
     }
     PnrResult { grid, placement, ..PnrResult::default() }
 }
 
 /// Seeded placement-candidate search, the one PnR entry point.
-/// Candidate 0 is the deterministic BFS ordering ([`place`]); candidate
-/// `k > 0` shuffles it with `mix_seed(seed, k)`. The winner is the argmin
-/// of `(critical path, total wirelength, candidate index)` — a total
-/// order, so the result is deterministic at any worker count or shard
-/// size, and never worse than the unseeded flow.
+/// Candidate 0 is the deterministic BFS placement ([`place`] on the flat
+/// path, each partition's BFS ordering on the hierarchical one);
+/// candidate `k > 0` shuffles those orderings, seeded by `seed` and `k`
+/// alone. The winner is the argmin of `(critical path, total
+/// wirelength, candidate index)` — a total order, so the result is
+/// deterministic at any worker count or shard size, and never worse
+/// than candidate 0.
 ///
 /// `partitions` is the serve spec's field: `0` resolves to
 /// [`hier::auto_partitions`], `1` runs the flat single-block search
@@ -179,9 +171,10 @@ pub fn best_seeded_placement(
     (pnr, cp, winner, None)
 }
 
-/// The flat (single-block) seeded placement search, candidates sharded
-/// across `cfg`'s workers — the reference oracle for the hierarchical
-/// path.
+/// The flat (single-block) seeded placement search: candidate `c > 0`
+/// scan-places the BFS ordering shuffled with `mix_seed(seed, c)`. The
+/// hierarchical search is held to it for legality only
+/// (`pnr_differential.rs`); their results differ by design.
 #[doc(hidden)]
 pub fn best_seeded_placement_flat(
     design: &MappedDesign,
@@ -190,56 +183,66 @@ pub fn best_seeded_placement_flat(
     timing: &FpgaTiming,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize) {
-    let (pnr, cp, winner, ()) = fold_candidates(candidates, |candidates| {
-        let base_order = bfs_order(design);
-        sweep(
-            candidates,
-            cfg,
-            || (),
-            |_, c| {
-                let mut order = base_order.clone();
-                if c > 0 {
-                    // candidate seed keyed by candidate index alone
-                    // (contract rule 1), never by shard/worker identity
-                    let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
-                    rng.shuffle(&mut order);
-                }
-                let mut pnr = place_with_order(design, &order);
-                route(design, &mut pnr).expect("scan placement covers every LUT");
-                let cp = critical_path_ps(design, &pnr, timing);
-                (pnr, cp, ())
-            },
-        )
-    });
-    (pnr, cp, winner)
+    let base_order = bfs_order(design);
+    search(design, candidates, timing, cfg, |c| {
+        let mut order = base_order.clone();
+        if c > 0 {
+            // candidate seed keyed by candidate index alone (contract
+            // rule 1), never by shard/worker identity
+            let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
+            rng.shuffle(&mut order);
+        }
+        place_with_order(design, &order)
+    })
 }
 
-/// The fold both seeded searches end in: `search` gets the candidate
-/// count (at least 1) and yields `(pnr, critical path, extra)` per
-/// candidate in index order. A candidate replaces the incumbent only
-/// when strictly better under `(cp, wirelength, index)`, a strict total
-/// order, which also counts how often the search improved on the BFS
-/// baseline. Adds the `fpga.pnr.candidates`/`improvements` counters and
-/// records the `fpga.pnr.search` span.
-fn fold_candidates<T, I>(
+/// The most candidates one sweep of [`search`] routes, so a search holds
+/// at most this many routed candidates at once whatever its size. 64 is
+/// the most any benchmark `place_route` spec asks for, so those searches
+/// stay one sweep each.
+const SEARCH_BLOCK: usize = 64;
+
+/// The search both flows run. Each candidate is one sweep item:
+/// `place(c)` lays it out, [`route`] routes it and [`critical_path_ps`]
+/// times it. Blocks of up to [`SEARCH_BLOCK`] candidates fold in index
+/// order: a candidate replaces the incumbent only when strictly better
+/// under `(cp, wirelength, index)`, a strict total order, so the winner
+/// is the same at any worker count, shard size or block split, and the
+/// fold also counts how often the search improved on candidate 0. Adds
+/// the `fpga.pnr.candidates`/`improvements` counters and records the
+/// `fpga.pnr.search` span.
+fn search(
+    design: &MappedDesign,
     candidates: usize,
-    search: impl FnOnce(usize) -> I,
-) -> (PnrResult, f64, usize, T)
-where
-    I: IntoIterator<Item = (PnrResult, f64, T)>,
-{
+    timing: &FpgaTiming,
+    cfg: &SweepConfig,
+    place: impl Fn(usize) -> PnrResult + Sync,
+) -> (PnrResult, f64, usize) {
     let candidates = candidates.max(1);
     let obs_t0 = pmorph_obs::enabled().then(std::time::Instant::now);
     let mut improvements = 0u64;
-    let mut best: Option<(usize, PnrResult, f64, T)> = None;
-    for (i, (pnr, cp, extra)) in search(candidates).into_iter().enumerate() {
-        let beats = |(bi, bp, bc, _): &(usize, PnrResult, f64, T)| {
-            let wl = pnr.total_wirelength.cmp(&bp.total_wirelength);
-            cp.total_cmp(bc).then(wl).then(i.cmp(bi)).is_lt()
-        };
-        if best.as_ref().is_none_or(beats) {
-            improvements += best.is_some() as u64;
-            best = Some((i, pnr, cp, extra));
+    let mut best: Option<(usize, PnrResult, f64)> = None;
+    for start in (0..candidates).step_by(SEARCH_BLOCK) {
+        let block = sweep(
+            (candidates - start).min(SEARCH_BLOCK),
+            cfg,
+            || (),
+            |_, k| {
+                let mut pnr = place(start + k);
+                route(design, &mut pnr).expect("every candidate places every LUT");
+                let cp = critical_path_ps(design, &pnr, timing);
+                (pnr, cp)
+            },
+        );
+        for (i, (pnr, cp)) in (start..).zip(block) {
+            let beats = |(bi, bp, bc): &(usize, PnrResult, f64)| {
+                let wl = pnr.total_wirelength.cmp(&bp.total_wirelength);
+                cp.total_cmp(bc).then(wl).then(i.cmp(bi)).is_lt()
+            };
+            if best.as_ref().is_none_or(beats) {
+                improvements += best.is_some() as u64;
+                best = Some((i, pnr, cp));
+            }
         }
     }
     pmorph_obs::counter!("fpga.pnr.candidates").add(candidates as u64);
@@ -249,38 +252,22 @@ where
         pmorph_obs::span!("fpga.pnr.search").record_ns(ns);
         pmorph_obs::trace::complete("fpga.pnr.search", "fpga", t0, ns);
     }
-    let (winner, pnr, cp, extra) = best.expect("at least one candidate");
-    (pnr, cp, winner, extra)
+    let (winner, pnr, cp) = best.expect("at least one candidate");
+    (pnr, cp, winner)
 }
 
 /// Route every LUT-input connection through the channel grid along one
 /// fixed x-then-y L path, counting the occupancy of each segment it
-/// uses (congestion is reported, not avoided).
+/// uses (congestion is reported, not avoided). Channel segments:
+/// horizontal between `(x,y)-(x+1,y)` (`dir 0`), vertical between
+/// `(x,y)-(x,y+1)` (`dir 1`), counted in one dense `grid × grid × 2`
+/// plane.
 ///
 /// Every LUT-driven connection must have both endpoints placed: a
 /// missing entry is a [`PnrError::Unplaced`] naming the offending net,
 /// not a silent skip (which used to under-report wirelength and leave
 /// the design electrically open).
 pub fn route(design: &MappedDesign, pnr: &mut PnrResult) -> Result<(), PnrError> {
-    route_with_occupancy(design, pnr).map(|_| ())
-}
-
-/// Dense index of a channel segment in a `grid × grid × 2` occupancy
-/// plane (a `Vec` beats a hash map by an order of magnitude on the
-/// fabric-sized routes the hierarchical flow exists for).
-pub(crate) fn seg_index(grid: usize, (x, y, dir): (usize, usize, u8)) -> usize {
-    (y * grid + x) * 2 + dir as usize
-}
-
-/// [`route`], additionally returning the per-segment occupancy plane
-/// (indexed by [`seg_index`]) so the hierarchical stitcher can continue
-/// charging congestion across region boundaries. Channel segments:
-/// horizontal between `(x,y)-(x+1,y)` (`dir 0`), vertical between
-/// `(x,y)-(x,y+1)` (`dir 1`).
-pub(crate) fn route_with_occupancy(
-    design: &MappedDesign,
-    pnr: &mut PnrResult,
-) -> Result<Vec<usize>, PnrError> {
     let g = pnr.grid.max(1);
     let mut occ = vec![0usize; g * g * 2];
     let by_out: HashMap<u32, ()> = design.luts.iter().map(|l| (l.output.0, ())).collect();
@@ -301,8 +288,8 @@ pub(crate) fn route_with_occupancy(
             }
             // the L path, charging occupancy along it
             let mut len = 0;
-            for seg in l_path(src, dst) {
-                let e = &mut occ[seg_index(g, seg)];
+            for (x, y, dir) in l_path(src, dst) {
+                let e = &mut occ[(y * g + x) * 2 + dir as usize];
                 *e += 1;
                 pnr.max_occupancy = pnr.max_occupancy.max(*e);
                 len += 1;
@@ -311,7 +298,7 @@ pub(crate) fn route_with_occupancy(
             pnr.total_wirelength += len;
         }
     }
-    Ok(occ)
+    Ok(())
 }
 
 /// Channel segments along the L-shaped (x-then-y) `src`→`dst` route.
@@ -322,9 +309,8 @@ fn l_path(src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize, u8)> {
 }
 
 /// Visit the segments of the L-shaped (x-then-y) `src`→`dst` route in
-/// order without materializing them — the stitcher charges thousands of
-/// boundary routes per candidate and a per-route `Vec` was measurable.
-pub(crate) fn walk_path(
+/// order without materializing them.
+fn walk_path(
     (sx, sy): (usize, usize),
     (dx, dy): (usize, usize),
     mut f: impl FnMut(usize, usize, u8),
@@ -422,11 +408,6 @@ pub fn min_channel_width(design: &MappedDesign) -> usize {
     let mut pnr = place(design);
     route(design, &mut pnr).expect("place() covers every LUT");
     pnr.max_occupancy.max(1)
-}
-
-/// Total area of the placed design (λ²): occupied grid × tile area.
-pub fn total_area_lambda2(pnr: &PnrResult, arch: &FpgaArch) -> f64 {
-    (pnr.grid * pnr.grid) as f64 * arch.tile_area_lambda2()
 }
 
 #[cfg(test)]

@@ -1,25 +1,27 @@
-//! Hierarchical partitioned place-and-route.
+//! Hierarchical placement.
 //!
-//! The flat flow in the parent module places one square grid and routes
-//! every connection across it — fine for hundreds of LUTs, hopeless for
-//! the fabric sizes the paper's density claim implies (>10⁹ cells/cm²).
-//! This module scales it the classic way (Kastrup's hybrid-CPU synthesis
-//! pipeline: partition → per-block map/place → stitch):
+//! The flat flow in the parent module scan-places one ordering over one
+//! square grid — fine for hundreds of LUTs, hopeless for the fabric
+//! sizes the paper's density claim implies (>10⁹ cells/cm²). This module
+//! places the classic way, after Kastrup's hybrid-CPU synthesis pipeline
+//! (partition → per-block place → stitch), where the stitch needs no
+//! step of its own (see below):
 //!
 //! 1. **Partition** the LUT connectivity graph into region-sized blocks
 //!    by deterministic seeded recursive bipartitioning with FM-style
 //!    positive-gain refinement (min-cut: fewer crossing connections ⇒
-//!    fewer boundary nets to stitch).
-//! 2. **Place and route each partition independently** as one work item
-//!    of a sharded [`pmorph_exec::sweep`]: partition `k`'s result
-//!    depends only on `k`'s member set and `mix_seed(seed, k)` (rule 1
-//!    of the determinism contract), items merge in index order, so the
-//!    stitched result is bit-identical at any worker count/shard size.
-//! 3. **Stitch**: lay the regions out on a region grid, translate local
-//!    placements to global coordinates, then route every boundary net
-//!    (connection crossing a partition) with the global inter-region
-//!    router on top of the merged per-segment occupancy, and recompute
-//!    `critical_path_ps`/wirelength on the stitched whole.
+//!    fewer long routes between regions).
+//! 2. **Lay the regions out** on a region grid, heavily coupled
+//!    partitions in adjacent regions.
+//! 3. **Place each candidate region by region**: candidate `c`
+//!    scan-places each partition's BFS ordering, shuffled for `c > 0`,
+//!    onto its region's sub-grid.
+//!
+//! Routing, timing and the candidate fold are the parent module's one
+//! search, one sweep item per candidate. An L path between two tiles of
+//! one region never leaves the region, so one route of the assembled
+//! placement lays the same segments as routing each region on its own
+//! and then the connections between regions.
 //!
 //! Legality is the same contract as the flat flow (every LUT-driven
 //! connection routed, placement injective, occupancy accounted); the
@@ -32,25 +34,21 @@
 //! hierarchical candidate only shuffles within regions — perturbations
 //! stay region-local, so every candidate routes region-sized wire.
 
-use super::{
-    bfs_order, critical_path_ps, place_with_order_on_grid, route_with_occupancy, seg_index,
-    FpgaTiming, PnrResult,
-};
+use super::{bfs_order, FpgaTiming, PnrResult};
 use crate::mapper::{Lut, MappedDesign};
-use pmorph_exec::{sweep, SweepConfig};
+use pmorph_exec::SweepConfig;
 use pmorph_sim::NetId;
 use pmorph_util::rng::{mix_seed, Rng, StdRng};
 use std::collections::HashMap;
 
 /// LUT count at which [`super::best_seeded_placement`]'s auto mode
 /// switches from the flat single-block flow to the hierarchical path.
-/// Chosen so the serve benchmark set's largest circuits (a 64-bit ripple adder maps to ~130 LUTs) already
-/// take the scalable path.
+/// Chosen so the serve benchmark set's largest circuits (a 64-bit ripple
+/// adder maps to 192 LUTs) already take the scalable path.
 pub const HIER_LUT_THRESHOLD: usize = 128;
 
 /// Target LUTs per partition in auto mode: regions of ~64 LUTs place on
-/// an 8×8 sub-grid, small enough that intra-region routes stay short and
-/// partitions outnumber workers for the sweep to balance.
+/// an 8×8 sub-grid, small enough that intra-region routes stay short.
 pub const TARGET_REGION_LUTS: usize = 64;
 
 /// The partition count auto mode resolves to for a design of `luts`
@@ -69,12 +67,8 @@ pub fn auto_partitions(luts: usize) -> usize {
 pub struct HierStats {
     /// Partitions actually used (after clamping to the LUT count).
     pub partitions: usize,
-    /// Connections crossing a partition boundary (stitched globally).
+    /// Connections crossing a partition boundary.
     pub boundary_nets: usize,
-    /// Intra-partition connections (routed inside their region).
-    pub local_nets: usize,
-    /// Side of one region's square sub-grid (tiles).
-    pub region_side: usize,
 }
 
 /// A min-cut partitioning of a design's LUTs.
@@ -273,12 +267,12 @@ fn bisect(
     (left, right)
 }
 
-/// Geometry of the stitched fabric: regions on a near-square region
+/// Geometry of the hierarchical fabric: regions on a near-square region
 /// grid, each a `region_side × region_side` sub-grid of tiles, with
 /// partitions assigned to region slots by connectivity so that heavily
 /// coupled partitions sit in adjacent regions (boundary routes stay
-/// short — assigning slots by partition id makes the stitched critical
-/// path track the *id* numbering instead of the netlist).
+/// short — assigning slots by partition id makes the critical path
+/// track the *id* numbering instead of the netlist).
 struct RegionLayout {
     region_side: usize,
     grid: usize,
@@ -373,19 +367,13 @@ impl RegionLayout {
     }
 }
 
-/// Everything about a partitioning that candidates share: the member
-/// sub-designs, their base BFS orderings, the region layout, and the
-/// boundary connection list — computed once per search, not per
-/// candidate (sub-design extraction clones truth tables, which would
-/// otherwise be the expensive part of every candidate).
+/// Everything about a partitioning that candidates share, computed once
+/// per search: the region layout, each partition's base BFS ordering
+/// (as LUT output nets) and the search's [`HierStats`].
 struct HierContext {
-    parts: Partitioning,
     layout: RegionLayout,
-    subs: Vec<MappedDesign>,
-    orders: Vec<Vec<usize>>,
-    /// Boundary connections as `(driver net, sink LUT output net)`, in
-    /// deterministic (LUT index, input position) order.
-    boundary: Vec<(u32, u32)>,
+    orders: Vec<Vec<u32>>,
+    stats: HierStats,
 }
 
 fn prepare(design: &MappedDesign, partitions: usize, seed: u64) -> HierContext {
@@ -402,29 +390,34 @@ fn prepare(design: &MappedDesign, partitions: usize, seed: u64) -> HierContext {
             exports[i] = true;
         }
     }
-    let mut boundary = Vec::new();
+    let mut boundary_nets = 0;
     for (i, lut) in design.luts.iter().enumerate() {
         for inp in &lut.inputs {
             if let Some(&j) = by_out.get(inp) {
                 if parts.part_of[i] != parts.part_of[j] {
                     exports[j] = true;
-                    boundary.push((inp.0, lut.output.0));
+                    boundary_nets += 1;
                 }
             }
         }
     }
 
-    let subs: Vec<MappedDesign> =
-        parts.members.iter().map(|m| sub_design(design, m, &exports)).collect();
-    let orders: Vec<Vec<usize>> = subs.iter().map(bfs_order).collect();
-    HierContext { parts, layout, subs, orders, boundary }
+    let orders = parts
+        .members
+        .iter()
+        .map(|m| {
+            let sub = sub_design(design, m, &exports);
+            bfs_order(&sub).into_iter().map(|i| sub.luts[i].output.0).collect()
+        })
+        .collect();
+    let stats = HierStats { partitions: parts.partitions(), boundary_nets };
+    HierContext { layout, orders, stats }
 }
 
 /// The extracted sub-design of one partition: member LUTs (in ascending
 /// index order) with the partition's exports as local outputs. Inputs
-/// driven by other partitions are left dangling on purpose — the local
-/// router treats them as primary injections and the stitcher routes
-/// them globally.
+/// driven by other partitions are left dangling on purpose, so its BFS
+/// ordering follows only the partition's own connections.
 fn sub_design(design: &MappedDesign, members: &[usize], exports: &[bool]) -> MappedDesign {
     let luts: Vec<Lut> = members.iter().map(|&i| design.luts[i].clone()).collect();
     let outputs: Vec<NetId> =
@@ -432,103 +425,44 @@ fn sub_design(design: &MappedDesign, members: &[usize], exports: &[bool]) -> Map
     MappedDesign { luts, outputs, ..MappedDesign::default() }
 }
 
-/// One hierarchical candidate: candidate `0` uses each partition's
-/// deterministic BFS ordering; candidate `c > 0` shuffles partition
-/// `k`'s ordering with `mix_seed(mix_seed(seed, k), c)` — keyed by
-/// partition index and candidate only (contract rule 1).
-fn hier_candidate(
-    design: &MappedDesign,
-    timing: &FpgaTiming,
-    ctx: &HierContext,
-    seed: u64,
-    candidate: usize,
-    cfg: &SweepConfig,
-) -> (PnrResult, f64, HierStats) {
-    let p = ctx.parts.partitions();
-    let rs = ctx.layout.region_side.max(1);
-
-    // Per-partition place+route, one sharded work item per region.
-    let regional = sweep(
-        p,
-        cfg,
-        || (),
-        |_, k| {
-            let sub = &ctx.subs[k];
-            let mut order = ctx.orders[k].clone();
-            if candidate > 0 {
-                let mut rng =
-                    StdRng::seed_from_u64(mix_seed(mix_seed(seed, k as u64), candidate as u64));
-                rng.shuffle(&mut order);
-            }
-            let mut local = place_with_order_on_grid(sub, &order, rs);
-            let occ = route_with_occupancy(sub, &mut local)
-                .expect("partition placement covers every member LUT");
-            (local, occ)
-        },
-    );
-
-    // Stitch: translate to global coordinates, merge occupancy, route
-    // boundary nets on top, re-time the whole.
+/// One hierarchical candidate's placement: slot `s` of partition `k`'s
+/// ordering lands at `(s % side, s / side)` of `k`'s region. Candidate
+/// `0` uses each partition's BFS ordering; candidate `c > 0` shuffles
+/// partition `k`'s with `mix_seed(mix_seed(seed, k), c)` — keyed by
+/// partition index and candidate only (contract rule 1). Records the
+/// assembly as the `fpga.pnr.stitch` span.
+fn hier_candidate(ctx: &HierContext, seed: u64, candidate: usize) -> PnrResult {
     let stitch_t = pmorph_obs::enabled().then(std::time::Instant::now);
-    let g = ctx.layout.grid.max(1);
-    let mut pnr = PnrResult { grid: g, ..PnrResult::default() };
-    let mut occ = vec![0usize; g * g * 2];
-    let mut local_nets = 0usize;
-    for (k, (local, local_occ)) in regional.iter().enumerate() {
+    let rs = ctx.layout.region_side;
+    let mut placement = HashMap::new();
+    for (k, base) in ctx.orders.iter().enumerate() {
+        let mut order = base.clone();
+        if candidate > 0 {
+            let mut rng =
+                StdRng::seed_from_u64(mix_seed(mix_seed(seed, k as u64), candidate as u64));
+            rng.shuffle(&mut order);
+        }
         let (ox, oy) = ctx.layout.origin(k);
-        for (&net, &(x, y)) in &local.placement {
-            pnr.placement.insert(net, (x + ox, y + oy));
+        for (slot, net) in order.into_iter().enumerate() {
+            placement.insert(net, (ox + slot % rs, oy + slot / rs));
         }
-        for (idx, &count) in local_occ.iter().enumerate() {
-            if count > 0 {
-                let (x, y, dir) = (idx / 2 % rs, idx / 2 / rs, (idx % 2) as u8);
-                occ[seg_index(g, (x + ox, y + oy, dir))] += count;
-            }
-        }
-        pnr.connection_lengths.extend_from_slice(&local.connection_lengths);
-        local_nets += local.connection_lengths.len();
-        pnr.total_wirelength += local.total_wirelength;
-        pnr.max_occupancy = pnr.max_occupancy.max(local.max_occupancy);
     }
-
-    // Boundary nets, in the context's deterministic order.
-    let mut max_occ = pnr.max_occupancy;
-    for &(src_net, dst_net) in &ctx.boundary {
-        let src = pnr.placement[&src_net];
-        let dst = pnr.placement[&dst_net];
-        let mut len = 0;
-        super::walk_path(src, dst, |x, y, dir| {
-            let e = &mut occ[seg_index(g, (x, y, dir))];
-            *e += 1;
-            max_occ = max_occ.max(*e);
-            len += 1;
-        });
-        pnr.connection_lengths.push(len);
-        pnr.total_wirelength += len;
-    }
-    pnr.max_occupancy = max_occ;
-
-    let cp = critical_path_ps(design, &pnr, timing);
-    pmorph_obs::counter!("fpga.pnr.partitions").add(p as u64);
-    pmorph_obs::counter!("fpga.pnr.boundary_nets").add(ctx.boundary.len() as u64);
+    pmorph_obs::counter!("fpga.pnr.partitions").add(ctx.stats.partitions as u64);
+    pmorph_obs::counter!("fpga.pnr.boundary_nets").add(ctx.stats.boundary_nets as u64);
     if let Some(t0) = stitch_t {
         let ns = t0.elapsed().as_nanos() as u64;
         pmorph_obs::span!("fpga.pnr.stitch").record_ns(ns);
         pmorph_obs::trace::complete("fpga.pnr.stitch", "fpga", t0, ns);
     }
-    let stats =
-        HierStats { partitions: p, boundary_nets: ctx.boundary.len(), local_nets, region_side: rs };
-    (pnr, cp, stats)
+    PnrResult { grid: ctx.layout.grid, placement, ..PnrResult::default() }
 }
 
 /// Seeded placement-candidate search on the hierarchical flow: the
-/// partitioning is computed once, candidate `c` varies each partition's
-/// ordering, and the flat search's candidate fold picks the winner.
-/// Candidate 0 alone is the plain hierarchical place-and-route.
-///
-/// Candidates iterate serially; the per-partition sweep inside each
-/// candidate is what shards across `cfg`'s workers (partitions are the
-/// work items, per the crate's sharding contract).
+/// partitioning and region layout are computed once, candidate `c`
+/// varies each partition's ordering, and the parent module's search
+/// routes, times and folds the candidates, sharded across `cfg`'s
+/// workers like the flat search's. Candidate 0 alone is the plain
+/// hierarchical place-and-route.
 pub fn best_seeded_placement_hier(
     design: &MappedDesign,
     candidates: usize,
@@ -537,10 +471,10 @@ pub fn best_seeded_placement_hier(
     partitions: usize,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize, HierStats) {
-    super::fold_candidates(candidates, |candidates| {
-        let ctx = prepare(design, partitions, seed);
-        (0..candidates).map(move |c| hier_candidate(design, timing, &ctx, seed, c, cfg))
-    })
+    let ctx = prepare(design, partitions, seed);
+    let (pnr, cp, winner) =
+        super::search(design, candidates, timing, cfg, |c| hier_candidate(&ctx, seed, c));
+    (pnr, cp, winner, ctx.stats)
 }
 
 #[cfg(test)]
@@ -602,7 +536,7 @@ mod tests {
         let t = FpgaTiming::default();
         let (pnr, cp, _, stats) = best_seeded_placement_hier(&d, 1, 3, &t, 7, &SweepConfig::new());
         assert_eq!(pnr.placement.len(), d.luts.len());
-        // Injective placement within the stitched grid.
+        // Injective placement within the region grid.
         let mut tiles: Vec<_> = pnr.placement.values().collect();
         tiles.sort_unstable();
         tiles.dedup();
@@ -611,8 +545,8 @@ mod tests {
         // Every LUT-driven connection routed, totals consistent.
         let (flat, _) = super::super::place_and_route(&d, &t);
         assert_eq!(pnr.connection_lengths.len(), flat.connection_lengths.len());
-        assert_eq!(stats.local_nets + stats.boundary_nets, pnr.connection_lengths.len());
         assert_eq!(pnr.total_wirelength, pnr.connection_lengths.iter().sum::<usize>());
+        assert_eq!(stats.boundary_nets, partition(&d, 7, 3).cut_connections(&d));
         assert!(stats.boundary_nets > 0, "a 7-way split of a connected fabric has a cut");
         assert!(cp > 0.0);
     }

@@ -1,14 +1,16 @@
 //! Hierarchical-vs-flat PnR differential suite.
 //!
-//! The hierarchical flow (`fpga::pnr::hier`) is *not* bit-equal to the
-//! flat reference — partitioning changes the placement by design — so
-//! the differential contract is **legality equivalence**: on the same
-//! design, both flows place every LUT injectively inside their grid and
-//! route exactly the same set of LUT-driven connections, with
-//! self-consistent wirelength/occupancy accounting. On top of that the
-//! hierarchical flow must honour the exec determinism contract: result
-//! bits depend only on `(design, partitions, seed, candidate)`, never on
-//! worker count or shard size.
+//! Both flows run the same candidate search (route, time, fold); they
+//! differ only in how a candidate is placed, and the hierarchical
+//! placement (`fpga::pnr::hier`) is *not* bit-equal to the flat one —
+//! partitioning changes the placement by design. So the differential
+//! contract is **legality equivalence**: on the same design, both flows
+//! place every LUT injectively inside their grid and route exactly the
+//! same set of LUT-driven connections, with self-consistent
+//! wirelength/occupancy accounting. On top of that the hierarchical
+//! search must honour the exec determinism contract: result bits depend
+//! only on `(design, candidates, partitions, seed)`, never on worker
+//! count or shard size.
 //!
 //! Worker counts are pinned per-run via `SweepConfig::with_workers`, so
 //! the {1, 2, 8} matrix is exercised regardless of the harness
@@ -67,14 +69,9 @@ fn hier_and_flat_agree_on_legality() {
         assert_legal(&d, &flat, "flat")?;
         prop_assert!(flat_cp > 0.0, "flat critical path");
         for p in [2usize, 3, 5] {
-            let (pnr, cp, _, stats) = best_seeded_placement_hier(&d, 1, g.seed, &t, p, &cfg);
+            let (pnr, cp, _, _) = best_seeded_placement_hier(&d, 1, g.seed, &t, p, &cfg);
             assert_legal(&d, &pnr, "hier")?;
             prop_assert!(cp > 0.0, "hier critical path at p={p}");
-            prop_assert_eq!(
-                stats.local_nets + stats.boundary_nets,
-                flat.connection_lengths.len(),
-                "hier routes exactly the flat connection set at p={p}"
-            );
         }
         Ok(())
     });
@@ -82,19 +79,23 @@ fn hier_and_flat_agree_on_legality() {
 
 #[test]
 fn hier_is_bit_identical_across_workers_and_partitions() {
+    // Candidates are the sweep items: six of them split into several
+    // shards at every (workers, shard) point of the matrix.
+    const CANDIDATES: usize = 6;
     let t = FpgaTiming::default();
     prop::check("pnr.hier.worker_invariance", 48, |g| {
         let d = testgen::random_mapped_design(g);
         for p in [2usize, 5] {
             let serial = SweepConfig::new().with_workers(1);
-            let (refr, ref_cp, _, ref_stats) =
-                best_seeded_placement_hier(&d, 1, g.seed, &t, p, &serial);
+            let (refr, ref_cp, ref_winner, ref_stats) =
+                best_seeded_placement_hier(&d, CANDIDATES, g.seed, &t, p, &serial);
             for workers in [2usize, 8] {
                 for shard in [1usize, 3] {
                     let cfg = SweepConfig::new().with_workers(workers).with_shard_size(shard);
-                    let (got, cp, _, stats) =
-                        best_seeded_placement_hier(&d, 1, g.seed, &t, p, &cfg);
+                    let (got, cp, winner, stats) =
+                        best_seeded_placement_hier(&d, CANDIDATES, g.seed, &t, p, &cfg);
                     let tag = format!("p={p} w={workers} s={shard}");
+                    prop_assert_eq!(winner, ref_winner, "winner {tag}");
                     prop_assert_eq!(&got.placement, &refr.placement, "placement {tag}");
                     prop_assert_eq!(
                         &got.connection_lengths,

@@ -223,10 +223,14 @@ const SEQ_PINS: [(&str, usize, Option<usize>, u64); 9] = [
 /// hierarchical flow, forced partition counts (`1` on a hier-sized
 /// design), a hierarchical search won past candidate 0, and a split
 /// clamped to the LUT count: two LUTs asked for four regions answer
-/// `"path":"hier","partitions":1`. The digests were recorded before the
-/// flat and hierarchical searches shared one candidate fold.
+/// `"path":"hier","partitions":1`. The two 150-candidate rows, flat and
+/// hierarchical, span three 64-candidate search blocks, the last one
+/// partial. The digests were recorded before the flat and hierarchical
+/// searches shared one candidate fold; the 150-candidate ones before a
+/// search routed in blocks and before a hierarchical candidate was
+/// routed in one pass instead of region by region and then stitched.
 type PnrFields = Option<(usize, u64, Option<usize>)>;
-const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 10] = [
+const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 12] = [
     ("parity_tree", 16, Some((24, 7, None)), 0xe86c_b62d_af25_c2a8),
     ("ripple_adder", 8, Some((24, 7, None)), 0xad83_6e5e_cd0b_96f0),
     ("registered_pipeline", 10, Some((6, 5, None)), 0x9c64_9744_8247_15cd),
@@ -235,6 +239,8 @@ const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 10] = [
     ("ripple_adder", 64, Some((4, 3, Some(1))), 0xe29b_4a61_46a9_d75f),
     ("parity_tree", 32, Some((16, 2, Some(2))), 0x5ca8_ed55_d206_fa7a),
     ("parity_tree", 2, Some((2, 1, Some(4))), 0xb350_f13c_95d1_70dd),
+    ("ripple_adder", 16, Some((150, 5, Some(1))), 0x3e1e_77a4_8a02_ffe3),
+    ("ripple_adder", 48, Some((150, 5, Some(3))), 0x1754_ac11_6b8d_2653),
     ("ripple_adder", 9, None, 0x5ae5_cdde_924d_ca92),
     ("parity_tree", 20, None, 0x569b_adff_167a_a431),
 ];

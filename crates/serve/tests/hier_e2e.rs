@@ -1,6 +1,6 @@
 //! End-to-end: `place_route` over the hierarchical flow.
 //!
-//! A large circuit (64-bit ripple adder, ~130 LUTs — past
+//! A large circuit (64-bit ripple adder, 192 LUTs — past
 //! `hier::HIER_LUT_THRESHOLD`) submitted with no `partitions` field must
 //! take the hierarchical path automatically, stay content-cacheable
 //! (cold vs hit byte-identical), and key its artifact on the partition
@@ -60,7 +60,7 @@ fn large_place_route_takes_the_hierarchical_path_and_caches() {
     let doc = payload(&cold);
     assert_eq!(doc.get("path").and_then(Value::as_str), Some("hier"), "{doc:?}");
     let partitions = doc.get("partitions").and_then(Value::as_f64).unwrap();
-    assert!(partitions >= 2.0, "auto mode must partition a ~130-LUT design: {partitions}");
+    assert!(partitions >= 2.0, "auto mode must partition a 192-LUT design: {partitions}");
     assert!(
         doc.get("boundary_nets").and_then(Value::as_f64).unwrap() > 0.0,
         "a partitioned adder has cross-region carries"

@@ -424,11 +424,6 @@ impl SeqBitSim {
         self.dffs.len()
     }
 
-    /// The register output (Q) nets, in component order.
-    pub fn register_outputs(&self) -> Vec<NetId> {
-        self.dffs.iter().map(|ff| ff.q).collect()
-    }
-
     /// Hold a 64-lane input plane on `net` (persists across cycles until
     /// overwritten). Lanes with the `known` bit clear read `X`.
     pub fn set_input(&mut self, net: NetId, val: u64, known: u64) {
@@ -449,13 +444,6 @@ impl SeqBitSim {
             self.in_val[inp.0 as usize] = WideMask::var_plane(i, word);
             self.in_known[inp.0 as usize] = u64::MAX;
         }
-        self.dirty = true;
-    }
-
-    /// Release every held input plane back to all-lanes-`X`.
-    pub fn clear_inputs(&mut self) {
-        self.in_val.fill(0);
-        self.in_known.fill(0);
         self.dirty = true;
     }
 

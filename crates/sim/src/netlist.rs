@@ -488,14 +488,6 @@ impl Component {
         }
     }
 
-    /// Number of output ports (compile-time property of the component kind).
-    pub fn output_count(&self) -> usize {
-        match self {
-            Component::Mutex { .. } => 2,
-            _ => 1,
-        }
-    }
-
     /// Capture the component's mutable state (see [`CompState`]). Stateless
     /// components return the default.
     pub fn save_state(&self) -> CompState {
@@ -610,11 +602,6 @@ impl Netlist {
         self.comps.len()
     }
 
-    /// Find a net by exact name (first match).
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.nets.iter().position(|n| n.name == name).map(|i| NetId(i as u32))
-    }
-
     /// Rebuild fanout and driver lists. Idempotent; called automatically by
     /// the simulator constructor.
     pub fn finalize(&mut self) {
@@ -635,11 +622,6 @@ impl Netlist {
             net.fanout.dedup();
         }
         self.finalized = true;
-    }
-
-    /// Whether connectivity tables are up to date.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
     }
 
     /// Nets with no drivers at all — these are the circuit's primary inputs

@@ -6,9 +6,10 @@
 //! paths start at primary inputs and state-element outputs, and end at
 //! state-element inputs and primary outputs — the conventional STA graph.
 //!
-//! The fabric experiments use this to *compute* critical paths (e.g. the
-//! ripple-adder carry chain) and the tests pin the computed figure to the
-//! event-driven kernel's measured settle time.
+//! No experiment calls it: the workspace tests `tests/full_flow.rs` and
+//! `tests/tooling.rs` compute critical paths of elaborated fabric
+//! circuits with it (the ripple-adder carry chain, the LUT tile) and pin
+//! the adder's figure to the event-driven kernel's measured settle time.
 
 use crate::netlist::{Component, NetId, Netlist};
 use std::collections::HashMap;

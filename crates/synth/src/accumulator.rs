@@ -16,7 +16,7 @@
 
 use crate::adder::{ripple_adder, AdderPorts};
 use crate::seq::{dff, DffPorts};
-use crate::tile::{MapError, PortLoc};
+use crate::tile::MapError;
 use pmorph_core::{elaborate::elaborate, Fabric, FabricTiming};
 use pmorph_sim::{Logic, NetId, Simulator};
 
@@ -83,11 +83,6 @@ impl Accumulator {
         sim.drive(self.adder.cin.0.net(&elab), Logic::L0);
         sim.drive(self.adder.cin.1.net(&elab), Logic::L1);
         AccumulatorSim { n: self.n, sim, b, clk, reset_n, q }
-    }
-
-    /// Sum tap of bit `i` (for observation).
-    pub fn sum_port(&self, i: usize) -> PortLoc {
-        self.adder.sum[i]
     }
 
     /// Total blocks the accumulator occupies.

@@ -49,11 +49,6 @@ impl Router {
         }
     }
 
-    /// Is a block entirely free?
-    pub fn is_free(&self, x: usize, y: usize) -> bool {
-        !self.occupied.contains(&(x, y)) && !self.shared.contains_key(&(x, y))
-    }
-
     /// May a route enter this block via `entry`, leave via `exit`, and
     /// carry `lanes`? True for free blocks, and for feed-through blocks
     /// this router already placed with the same orientation and disjoint

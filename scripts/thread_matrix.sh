@@ -31,9 +31,11 @@ cargo test --release -p pmorph-sim --test bitsim_seq_differential
 cargo test --release -p pmorph-sim --test seq_obs
 
 echo "== hierarchical PnR differential suite (PMORPH_THREADS=$PMORPH_THREADS) =="
-# hier-vs-flat legality equivalence plus stitched-result bit-identity
-# across worker counts and partition counts
+# hier-vs-flat legality equivalence plus search-result bit-identity
+# across worker counts and partition counts, and the search's sweep
+# structure (one item per candidate, at most 64 per sweep)
 cargo test --release -p pmorph-fpga --test pnr_differential
+cargo test --release -p pmorph-fpga --test pnr_obs
 cargo test --release -p pmorph-fpga --test pnr_properties
 
 echo "== observability differential suite (PMORPH_THREADS=$PMORPH_THREADS) =="
