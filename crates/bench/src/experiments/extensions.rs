@@ -295,9 +295,10 @@ pub fn study_thermal() -> Experiment {
         let inv = corner.inverter(&base_inv);
         let rtd = corner.rtd(&base_rtd);
         let states = RtdStack::new(rtd.clone(), 0.9).stable_states().len();
-        let (nml, nmh) = inv.noise_margins(0.0).unwrap_or((0.0, 0.0));
+        let scan = inv.gain_scan(0.0);
+        let (nml, nmh) = scan.noise_margins().unwrap_or((0.0, 0.0));
         let margin = nml + nmh;
-        let gain = inv.peak_gain(0.0);
+        let gain = scan.peak_gain();
         rows.push(format!(
             "{t:<6.0} {:>8.0} {:>9.0} {:>10.1} {:>11} {:>5.1}",
             nml * 1e3,

@@ -154,9 +154,13 @@ pub fn study_poly_completeness() -> Experiment {
         let space = 1usize << (4 * k);
         // the quantitative row is |reachable| / 16^k from the full
         // fixpoint — cross-checked against the early-exit verdict. The
-        // exact closure is O(|reached|²·gates), so it is only computed
-        // where the space is small (k = 2); at k = 3 the verdict row
-        // stands on the basis theorem alone.
+        // exact closure stops once the whole space is reached, but an
+        // incomplete set pays O(|reached|²·gates) to reach its fixpoint,
+        // and even the k = 3 fabric's closure costs more than the rest of
+        // this table. So it is only computed where the space is small
+        // (k = 2); at k = 3 the row prints `?` and the verdict stands on
+        // the basis theorem alone (`poly_complete_prop.rs` checks the
+        // k = 3 fabric's closure against it).
         let (reach_str, consistent) = if space <= 256 {
             let reach = closure(set).len();
             (format!("{reach:>4}/{space:<4}"), verdict == (reach == space))

@@ -118,12 +118,27 @@ impl DefectMap {
         seeds: &[u64],
         cfg: &SweepConfig,
     ) -> Vec<DefectMap> {
+        Self::sample_sweep_with(width, height, cell_defect_rate, seeds, cfg, |map| map)
+    }
+
+    /// [`DefectMap::sample_sweep`] that hands each map to `reduce` inside
+    /// its sweep item and keeps only what `reduce` returns, so at most one
+    /// map per worker is alive at a time. The `core.faults.sample_sweep`
+    /// span covers the reductions too.
+    pub fn sample_sweep_with<T: Send>(
+        width: usize,
+        height: usize,
+        cell_defect_rate: f64,
+        seeds: &[u64],
+        cfg: &SweepConfig,
+        reduce: impl Fn(DefectMap) -> T + Sync,
+    ) -> Vec<T> {
         let t0 = pmorph_obs::enabled().then(std::time::Instant::now);
         let results = sweep(
             seeds.len(),
             cfg,
             || (),
-            |_, i| DefectMap::sample(width, height, cell_defect_rate, seeds[i]),
+            |_, i| reduce(DefectMap::sample(width, height, cell_defect_rate, seeds[i])),
         );
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;

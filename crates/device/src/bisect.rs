@@ -133,6 +133,16 @@ pub(crate) mod tests {
         }
     }
 
+    /// Both settled comparisons the device solvers make, `> level` and
+    /// `< level`, against the full-count answer.
+    fn assert_settled_comparisons_match(lo: f64, hi: f64, root: f64, level: f64) {
+        let full = fixed_count(lo, hi, 80, |m| m >= root);
+        let above = bisect_until(lo, hi, 80, |m| m >= root, |l, h| h <= level || l > level);
+        let below = bisect_until(lo, hi, 80, |m| m >= root, |l, h| h < level || l >= level);
+        assert_eq!(above > level, full > level, "[{lo}, {hi}] root {root} > level {level}");
+        assert_eq!(below < level, full < level, "[{lo}, {hi}] root {root} < level {level}");
+    }
+
     #[test]
     fn settled_comparison_matches_the_full_solve() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -146,10 +156,25 @@ pub(crate) mod tests {
                 2 => lo + (hi - lo) * rng.random_range(-0.5..1.5),
                 _ => fixed_count(lo, hi, 80, |m| m >= root),
             };
-            let full = fixed_count(lo, hi, 80, |m| m >= root) > level;
-            let early =
-                bisect_until(lo, hi, 80, |m| m >= root, |l, h| h <= level || l > level) > level;
-            assert_eq!(early, full, "[{lo}, {hi}] root {root} level {level}");
+            assert_settled_comparisons_match(lo, hi, root, level);
+        }
+        // a root and level on a midpoint the bisection visits, as VDD/2 is
+        // the first midpoint of an output solve over [0, VDD]: the bracket
+        // then has the level as an end while it is still wide
+        let mut rng = StdRng::seed_from_u64(98);
+        for _ in 0..4000 {
+            let (lo, hi) = bracket(&mut rng);
+            let (mut a, mut b) = (lo, hi);
+            for _ in 0..rng.random_range(0u64..6) {
+                let m = 0.5 * (a + b);
+                if rng.random_range(0u64..2) == 0 {
+                    a = m;
+                } else {
+                    b = m;
+                }
+            }
+            let root = 0.5 * (a + b);
+            assert_settled_comparisons_match(lo, hi, root, root);
         }
     }
 

@@ -15,11 +15,15 @@
 //! Both NAND bisections stop as soon as their bracket has closed to
 //! adjacent floats, the closed-bracket rule of [`crate::bisect`]. From
 //! then on every remaining step would recompute the same midpoint, so
-//! the early return is the exact f64 the full step count gives.
+//! the early return is the exact f64 the full step count gives. The
+//! pull-ups and the stack's lower device keep their gate, source and
+//! bias for a whole output solve, so their channels (`DgMosfet::channel`)
+//! are taken once per solve; only the upper stack device, whose source
+//! is the bisected internal node, is evaluated in full at every step.
 
 use crate::bisect::bisect;
 use crate::leaf::Trit;
-use crate::mosfet::DgMosfet;
+use crate::mosfet::{Channel, DgMosfet};
 use crate::vtc::ConfigurableInverter;
 
 /// Fraction of VDD below/above which a solved node is called 0/1.
@@ -64,24 +68,26 @@ impl Default for ConfigurableNand {
 impl ConfigurableNand {
     /// Current through the series NMOS stack for a candidate output
     /// voltage: balances the internal node `v_mid` (strictly monotone, so
-    /// bisection), then returns the stack current.
-    fn series_current(&self, va: f64, vb: f64, vga: f64, vgb: f64, vout: f64) -> f64 {
+    /// bisection), then returns the stack current. `bottom` is the lower
+    /// device's channel, whose gate, source and bias the caller fixed.
+    fn series_current(&self, bottom: &Channel, va: f64, vga: f64, vout: f64) -> f64 {
         // Stack: vout — [NMOS_A gate=va bias=vga] — v_mid — [NMOS_B gate=vb
         // bias=vgb] — GND. g(v_mid) = I_B(v_mid) − I_A(v_mid) is increasing.
-        let g = |vmid: f64| {
-            self.nmos.current(vb, 0.0, vmid, vgb) - self.nmos.current(va, vmid, vout, vga)
-        };
+        let g = |vmid: f64| bottom.current(vmid) - self.nmos.current(va, vmid, vout, vga);
         let vmid = bisect(0.0, vout.max(1e-12), 60, |vmid| g(vmid) > 0.0);
-        self.nmos.current(vb, 0.0, vmid, vgb)
+        bottom.current(vmid)
     }
 
     /// Solve the static output voltage for inputs `(va, vb)` under
     /// per-input back-gate biases `(vga, vgb)`.
     pub fn solve_vout(&self, va: f64, vb: f64, vga: f64, vgb: f64) -> f64 {
+        // every device but the stack's upper one has its gate, source and
+        // bias fixed for the whole solve
+        let bottom = self.nmos.channel(vb, 0.0, vgb);
+        let (up_a, up_b) =
+            (self.pmos.channel(va, self.vdd, vga), self.pmos.channel(vb, self.vdd, vgb));
         let h = |vout: f64| {
-            self.series_current(va, vb, vga, vgb, vout)
-                - self.pmos.current(va, self.vdd, vout, vga)
-                - self.pmos.current(vb, self.vdd, vout, vgb)
+            self.series_current(&bottom, va, vga, vout) - up_a.current(vout) - up_b.current(vout)
         };
         bisect(0.0, self.vdd, 70, |vout| h(vout) > 0.0)
     }

@@ -46,4 +46,4 @@ pub use rtd::{Equilibrium, Peak, Rtd, RtdRamCell, RtdStack};
 pub use tech::Technology;
 pub use thermal::ThermalCorner;
 pub use variation::{run_study, VariationModel, VariationStudy};
-pub use vtc::{ConfigurableInverter, InverterBehaviour, VtcPoint};
+pub use vtc::{ConfigurableInverter, GainScan, InverterBehaviour, VtcPoint};

@@ -18,6 +18,15 @@
 //!
 //! which is monotone in every terminal voltage — exactly what the nested
 //! bisection solvers in [`crate::vtc`] and [`crate::gates`] need.
+//!
+//! The forward term `ℓ²((V_P − V_S)/φt)` does not depend on the drain.
+//! A solver that holds a device's gate, source and back gate fixed while
+//! it bisects on the drain takes a `Channel` from `DgMosfet::channel`,
+//! which computes that term once; each `Channel::current` then adds only
+//! the reverse term. The formula lives there alone:
+//! [`DgMosfet::current`] is `channel(..).current(vd)`, so a solver that
+//! hoists the channel gets the same bits as one that calls `current` at
+//! every step.
 
 /// Thermal voltage at 300 K (V).
 pub const PHI_T: f64 = 0.02585;
@@ -100,23 +109,23 @@ impl DgMosfet {
     ///
     /// `vgb` is the back-gate (configuration) voltage.
     pub fn current(&self, vg: f64, vs: f64, vd: f64, vgb: f64) -> f64 {
+        self.channel(vg, vs, vgb).current(vd)
+    }
+
+    /// The device with gate `vg`, source `vs` and back gate `vgb` fixed:
+    /// the pinch-off voltage and the squared forward term, computed once
+    /// for any number of drain voltages.
+    #[inline]
+    pub(crate) fn channel(&self, vg: f64, vs: f64, vgb: f64) -> Channel {
         let vt = self.vt_eff(vgb);
-        match self.polarity {
-            Polarity::N => {
-                let vp = (vg - vs - vt) / self.n;
-                let fwd = Self::ell(vp / PHI_T);
-                let rev = Self::ell((vp - (vd - vs)) / PHI_T);
-                self.is_spec * (fwd * fwd - rev * rev)
-            }
-            Polarity::P => {
-                // Mirror: swap polarities of all controlling voltages
-                // relative to the source.
-                let vp = (vs - vg - vt) / self.n;
-                let fwd = Self::ell(vp / PHI_T);
-                let rev = Self::ell((vp - (vs - vd)) / PHI_T);
-                self.is_spec * (fwd * fwd - rev * rev)
-            }
-        }
+        // PMOS mirrors NMOS: every controlling voltage is taken relative
+        // to the source with its sign swapped
+        let vp = match self.polarity {
+            Polarity::N => (vg - vs - vt) / self.n,
+            Polarity::P => (vs - vg - vt) / self.n,
+        };
+        let fwd = Self::ell(vp / PHI_T);
+        Channel { polarity: self.polarity, is_spec: self.is_spec, vs, vp, fwd_sq: fwd * fwd }
     }
 
     /// Sub-threshold leakage estimate: |I_D| at vgs = 0, saturated drain.
@@ -128,9 +137,35 @@ impl DgMosfet {
     }
 }
 
+/// A [`DgMosfet`] with its gate, source and back gate fixed, from
+/// [`DgMosfet::channel`].
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Channel {
+    polarity: Polarity,
+    is_spec: f64,
+    vs: f64,
+    vp: f64,
+    fwd_sq: f64,
+}
+
+impl Channel {
+    /// Drain current (A) at drain voltage `vd`, with the sign convention
+    /// of [`DgMosfet::current`].
+    #[inline]
+    pub(crate) fn current(&self, vd: f64) -> f64 {
+        let vds = match self.polarity {
+            Polarity::N => vd - self.vs,
+            Polarity::P => self.vs - vd,
+        };
+        let rev = DgMosfet::ell((self.vp - vds) / PHI_T);
+        self.is_spec * (self.fwd_sq - rev * rev)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmorph_util::rng::{Rng, StdRng};
 
     const VDD: f64 = 1.0;
 
@@ -194,6 +229,52 @@ mod tests {
         let leak = m.leakage(VDD, 0.0);
         let on = m.current(VDD, 0.0, VDD, 0.0);
         assert!(leak / on < 1e-2, "leakage {leak} vs on {on}");
+    }
+
+    /// Oracle: the EKV current written out in one piece, with its own
+    /// `ell`.
+    fn formula(m: &DgMosfet, vg: f64, vs: f64, vd: f64, vgb: f64) -> f64 {
+        let ell = |x: f64| if x > 60.0 { x / 2.0 } else { (1.0 + (x / 2.0).exp()).ln() };
+        let vt = m.vt_eff(vgb);
+        let (vp, vds) = match m.polarity {
+            Polarity::N => ((vg - vs - vt) / m.n, vd - vs),
+            Polarity::P => ((vs - vg - vt) / m.n, vs - vd),
+        };
+        let fwd = ell(vp / PHI_T);
+        let rev = ell((vp - vds) / PHI_T);
+        m.is_spec * (fwd * fwd - rev * rev)
+    }
+
+    #[test]
+    fn channel_current_matches_the_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xc4a2);
+        let (mut fwd_linear, mut rev_linear, mut drain_below) = (0, 0, 0);
+        for case in 0..4000 {
+            let m = DgMosfet {
+                polarity: if case % 2 == 0 { Polarity::N } else { Polarity::P },
+                vt0: rng.random_range(0.0..0.5),
+                n: rng.random_range(1.0..1.5),
+                ..DgMosfet::nmos()
+            };
+            let vgb = rng.random_range(-2.0..2.0);
+            let (vg, vs) = (rng.random_range(-2.0..4.0), rng.random_range(-2.0..4.0));
+            let ch = m.channel(vg, vs, vgb);
+            // one channel serves many drains, as in a bisection
+            for _ in 0..4 {
+                let vd = rng.random_range(-2.0..4.0);
+                let want = formula(&m, vg, vs, vd, vgb);
+                assert_eq!(ch.current(vd).to_bits(), want.to_bits(), "{m:?} {vg} {vs} {vd} {vgb}");
+                assert_eq!(m.current(vg, vs, vd, vgb).to_bits(), want.to_bits());
+                let vds = if m.polarity == Polarity::N { vd - vs } else { vs - vd };
+                drain_below += usize::from(vd < vs);
+                rev_linear += usize::from((ch.vp - vds) / PHI_T > 60.0);
+            }
+            fwd_linear += usize::from(ch.vp / PHI_T > 60.0);
+        }
+        // both of `ell`'s branches, for both terms, and drains either side
+        assert!(fwd_linear > 100 && fwd_linear < 3900, "{fwd_linear} forward x > 60");
+        assert!(rev_linear > 100, "{rev_linear} reverse x > 60");
+        assert!(drain_below > 1000 && drain_below < 15000, "{drain_below} drains below vs");
     }
 
     #[test]

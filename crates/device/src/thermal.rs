@@ -91,8 +91,8 @@ mod tests {
         let base = ConfigurableInverter::default();
         let room = ThermalCorner::room().inverter(&base);
         let hot = ThermalCorner { temperature_k: 400.0 }.inverter(&base);
-        let (nml_r, nmh_r) = room.noise_margins(0.0).expect("room active");
-        let (nml_h, nmh_h) = hot.noise_margins(0.0).expect("hot still active");
+        let (nml_r, nmh_r) = room.gain_scan(0.0).noise_margins().expect("room active");
+        let (nml_h, nmh_h) = hot.gain_scan(0.0).noise_margins().expect("hot still active");
         assert!(
             nml_h + nmh_h < nml_r + nmh_r,
             "total margin shrinks: {:.3} vs {:.3}",

@@ -261,6 +261,11 @@ fn get_circuit(obj: &Value) -> Result<CircuitSpec, SpecError> {
 /// distinguishable states, and the canonical-form size stays bounded.
 pub const POLY_SWEEP_MAX_MODES: usize = 8;
 
+/// Ceiling on a `fault_campaign`'s `trials × width × height`: 64 trials
+/// of the largest (256×256) fabric, about 4 CPU-seconds of sampling on a
+/// 2-core x86_64 host. The fields' own ranges allow 100,000 such trials.
+const FAULT_CAMPAIGN_CELLS: u64 = 1 << 22;
+
 /// Parse the [`mask_hex`] image back into a `WideMask`, strictly:
 /// exactly `word_count(vars)` colon-separated 16-digit words,
 /// most-significant word first. Rejecting rather than padding keeps one
@@ -392,12 +397,24 @@ impl JobSpec {
             }
             "fault_campaign" => {
                 check_fields(doc, &["type", "width", "height", "rate", "trials", "seed"])?;
+                let width = get_int(doc, "width", 1, 256)?;
+                let height = get_int(doc, "height", 1, 256)?;
+                let rate = get_f64(doc, "rate", 0.0, 1.0)?;
+                let trials = get_int(doc, "trials", 1, 100_000)?;
+                let seed = get_int(doc, "seed", 0, u64::MAX >> 11)?;
+                let cells = trials * width * height;
+                if cells > FAULT_CAMPAIGN_CELLS {
+                    return Err(err(format!(
+                        "fault_campaign `trials` × `width` × `height` is {cells}, above the \
+                         limit of {FAULT_CAMPAIGN_CELLS}"
+                    )));
+                }
                 Ok(JobSpec::FaultCampaign {
-                    width: get_int(doc, "width", 1, 256)? as usize,
-                    height: get_int(doc, "height", 1, 256)? as usize,
-                    rate: get_f64(doc, "rate", 0.0, 1.0)?,
-                    trials: get_int(doc, "trials", 1, 100_000)? as usize,
-                    seed: get_int(doc, "seed", 0, u64::MAX >> 11)?,
+                    width: width as usize,
+                    height: height as usize,
+                    rate,
+                    trials: trials as usize,
+                    seed,
                 })
             }
             "place_route" => {
@@ -612,7 +629,16 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
         }
         JobSpec::FaultCampaign { width, height, rate, trials, seed } => {
             let seeds: Vec<u64> = (0..*trials).map(|t| mix_seed(*seed, t as u64)).collect();
-            let maps = DefectMap::sample_sweep(*width, *height, *rate, &seeds, &SweepConfig::new());
+            // each map is cut to its counts inside its sweep item, so at
+            // most one map per worker is alive
+            let counts = DefectMap::sample_sweep_with(
+                *width,
+                *height,
+                *rate,
+                &seeds,
+                &SweepConfig::new(),
+                |map| (map.len(), map.bad_blocks().len()),
+            );
             check_cancel(cancel)?;
             payload.set(
                 "fabric",
@@ -620,10 +646,10 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
             );
             payload.set("rate", Value::Num(*rate));
             payload.set("trials", Value::Num(*trials as f64));
-            let defects: Vec<Value> = maps.iter().map(|m| Value::Num(m.len() as f64)).collect();
+            let defects: Vec<Value> = counts.iter().map(|&(d, _)| Value::Num(d as f64)).collect();
             let bad_blocks: Vec<Value> =
-                maps.iter().map(|m| Value::Num(m.bad_blocks().len() as f64)).collect();
-            let total: usize = maps.iter().map(DefectMap::len).sum();
+                counts.iter().map(|&(_, b)| Value::Num(b as f64)).collect();
+            let total: usize = counts.iter().map(|&(d, _)| d).sum();
             payload.set("defects_per_trial", Value::Array(defects));
             payload.set("bad_blocks_per_trial", Value::Array(bad_blocks));
             payload.set("mean_defects", Value::Num(total as f64 / *trials as f64));
@@ -857,6 +883,7 @@ mod tests {
             r#"{"type":"seq_sweep","circuit":"shift_register","size":4,"cycles":9}"#,
             r#"{"type":"seq_sweep","circuit":"registered_pipeline","size":3}"#,
             r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":7}"#,
+            r#"{"type":"fault_campaign","width":256,"height":256,"rate":0.05,"trials":64,"seed":1}"#,
             r#"{"type":"place_route","circuit":"ripple_adder","size":4,"candidates":2,"seed":0}"#,
             r#"{"type":"place_route","circuit":"parity_tree","size":8,"candidates":2,"seed":1,"partitions":4}"#,
             r#"{"type":"sleep","steps":1,"step_ms":0}"#,
@@ -896,6 +923,10 @@ mod tests {
             (
                 r#"{"type":"fault_campaign","width":4,"height":4,"rate":1.5,"trials":1,"seed":0}"#,
                 "rate",
+            ),
+            (
+                r#"{"type":"fault_campaign","width":256,"height":256,"rate":0.05,"trials":65,"seed":0}"#,
+                "`trials` × `width` × `height` is 4259840, above the limit of 4194304",
             ),
             (r#"{"type":"sleep","steps":1.5,"step_ms":0}"#, "non-negative integer"),
             (

@@ -286,3 +286,29 @@ fn seq_sweep_payloads_match_their_pinned_digests() {
         .collect();
     assert_eq!(got, SEQ_PINS, "seq_sweep payload digests moved");
 }
+
+/// `(fault_campaign spec, fnv1a_64 of the payload)`: `SPECS[2]` and a
+/// spec at `heavy_cold`'s largest fabric and trial count. The digests
+/// were recorded while the job still kept every sampled map until it
+/// built the payload.
+const FAULT_PINS: [(&str, u64); 2] = [
+    (SPECS[2], 0x7216_d6b6_1eb6_8fb6),
+    (
+        r#"{"type":"fault_campaign","width":48,"height":48,"rate":0.05,"trials":9,"seed":3}"#,
+        0x2812_3f24_224d_d2b2,
+    ),
+];
+
+#[test]
+fn fault_campaign_payloads_match_their_pinned_digests() {
+    let got: Vec<(&str, u64)> = FAULT_PINS
+        .iter()
+        .map(|&(text, _)| {
+            let spec = JobSpec::parse(&json::parse(text).unwrap()).expect("valid spec");
+            let payload =
+                job::run(&spec, &ArtifactCache::new(), &AtomicBool::new(false)).expect("samples");
+            (text, fnv1a_64(payload.to_string_compact().as_bytes()))
+        })
+        .collect();
+    assert_eq!(got, FAULT_PINS, "fault_campaign payload digests moved");
+}

@@ -169,9 +169,11 @@ pub fn is_complete(set: &PolyGateSet) -> bool {
     closure_until(set, Some(&basis(set.k))).is_none()
 }
 
-/// The full reachable set of function vectors, sorted. `2^{4k}` bits of
-/// state; exact fixpoint. This is the expensive form — prefer
-/// [`is_complete`] for the yes/no question.
+/// The full reachable set of function vectors, sorted: the exact
+/// fixpoint. It returns as soon as all `16^k` vectors are reached, so a
+/// complete set stops early, while an incomplete one pays
+/// O(|reached|²·gates) compositions to prove that nothing more is
+/// reachable. Prefer [`is_complete`] for the yes/no question.
 pub fn closure(set: &PolyGateSet) -> Vec<u32> {
     match closure_until(set, None) {
         Some(reached) => reached,
@@ -192,7 +194,13 @@ fn basis(k: usize) -> Vec<u32> {
 /// Worklist closure from the projection vectors. With `targets`:
 /// returns `None` as soon as every target is reached (complete), or
 /// `Some(reached)` at fixpoint with targets missing (incomplete).
-/// Without: always `Some(full fixpoint)`.
+/// Without: always `Some(full fixpoint)`, returned as soon as the whole
+/// `16^k` space is reached, since nothing can be added after that.
+///
+/// Each popped vector is paired, under every gate and in both argument
+/// orders, with the vectors reached before it was popped. That prefix of
+/// `reached` never changes (new vectors are appended), so the pairing
+/// walks it by index instead of copying it.
 fn closure_until(set: &PolyGateSet, targets: Option<&[u32]>) -> Option<Vec<u32>> {
     let k = set.k;
     let space = 1usize << (4 * k);
@@ -218,17 +226,19 @@ fn closure_until(set: &PolyGateSet, targets: Option<&[u32]>) -> Option<Vec<u32>>
     if targets.is_some() && missing.is_empty() {
         return None;
     }
-    while let Some(f) = work.pop() {
-        // pair the popped vector with everything reached so far, both
-        // argument orders, under every gate
-        let snapshot: Vec<u32> = reached.clone();
+    'closure: while let Some(f) = work.pop() {
+        let before = reached.len();
         for &g in &set.gates {
-            for &other in &snapshot {
+            for i in 0..before {
+                let other = reached[i];
                 for (u, v) in [(f, other), (other, f)] {
                     let w = compose(k, g, u, v);
                     push(w, &mut seen, &mut reached, &mut work, &mut missing);
                     if targets.is_some() && missing.is_empty() {
                         return None;
+                    }
+                    if reached.len() == space {
+                        break 'closure;
                     }
                 }
             }

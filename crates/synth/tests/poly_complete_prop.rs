@@ -101,9 +101,13 @@ fn three_mode_sets_agree_with_the_oracle() {
 fn known_facts_from_the_paper() {
     use tables::*;
     // the device fabric (all five personalities freely per mode) is
-    // complete at every supported mode count
+    // complete at every supported mode count, and its exact closure is
+    // the whole space, as the basis verdict says
     for k in 2..=3 {
-        assert!(is_complete(&PolyGateSet::fabric(k).unwrap()), "fabric k={k}");
+        let fabric = PolyGateSet::fabric(k).unwrap();
+        assert!(is_complete(&fabric), "fabric k={k}");
+        let space: Vec<u32> = (0..1u32 << (4 * k)).collect();
+        assert!(closure(&fabric) == space, "fabric k={k} closure");
     }
     // a mode-invariant universal gate is NOT polymorphically complete:
     // it can never make the modes disagree

@@ -27,13 +27,15 @@ echo "== end-to-end benchmark unit tests (perfbench) =="
 # path), so the workspace test pass above does not reach it.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== release-mode sim semantics and bench timer =="
+echo "== release-mode sim semantics, bench timer and bit-for-bit oracles =="
 # The queue's past-event handling differs by build profile (debug
 # asserts, release clamps + counts); the debug leg already ran in the
 # workspace test pass above, this runs the release leg. The microbench
 # timer's tests run here too: only an optimised build times routines
-# faster than a nanosecond per iteration.
-cargo test --release -q -p pmorph-sim -p pmorph-util
+# faster than a nanosecond per iteration. The device and synth suites
+# hold the solvers and the completeness closure to their oracles bit for
+# bit, so they run on the optimised build that `repro` ships as well.
+cargo test --release -q -p pmorph-sim -p pmorph-util -p pmorph-device -p pmorph-synth
 
 echo "== observability differential suite =="
 # Repro stdout must be byte-identical with PMORPH_OBS unset vs =1 at 1

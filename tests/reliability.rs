@@ -17,7 +17,7 @@ fn hot_corner_design_round_trips_and_still_works() {
     let hot = ThermalCorner { temperature_k: 380.0 };
     let inv = hot.inverter(&base);
     // devices still regenerate at 380 K
-    assert!(inv.peak_gain(0.0) > 1.0, "hot inverter must still regenerate");
+    assert!(inv.gain_scan(0.0).peak_gain() > 1.0, "hot inverter must still regenerate");
     let timing = FabricTiming::from_devices(&inv, &SwitchingModel::default());
 
     let tt = TruthTable::parity(3);
