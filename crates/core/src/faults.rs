@@ -7,6 +7,12 @@
 //! lets mapping flows query a defect map so they can avoid bad blocks —
 //! the mechanism behind the `study_defects_scaled` experiment (E19).
 //!
+//! Sampling visits the fabric's leaf resources in one fixed order (blocks
+//! row by row, then term, then column; see [`DefectMap::sample`]), so a
+//! map is a pure function of its seed. A campaign that needs only the
+//! defect and bad-block counts ([`DefectMap::count_sweep`]) counts them
+//! as they are drawn and never builds the map.
+//!
 //! Defect semantics at the digital level:
 //!
 //! * a **stuck-off crosspoint** behaves as `CellMode::StuckOff` regardless
@@ -81,28 +87,16 @@ impl DefectMap {
     /// Sample a defect map: every leaf resource (36 crosspoints + 6
     /// drivers per block) fails independently with probability
     /// `cell_defect_rate`; failed crosspoints are stuck-off or stuck-on
-    /// with equal probability. Deterministic in `seed`.
+    /// with equal probability. Deterministic in `seed`: the resources are
+    /// drawn block by block, row by row (`y`, then `x`), then term by
+    /// term, each term's crosspoints by column before its driver, with
+    /// one uniform per resource and one more per failed crosspoint for
+    /// its polarity.
     pub fn sample(width: usize, height: usize, cell_defect_rate: f64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut defects = BTreeSet::new();
-        for y in 0..height {
-            for x in 0..width {
-                for term in 0..LANES {
-                    for col in 0..LANES {
-                        if rng.random::<f64>() < cell_defect_rate {
-                            defects.insert(if rng.random::<bool>() {
-                                Defect::CrosspointStuckOff { x, y, term, col }
-                            } else {
-                                Defect::CrosspointStuckOn { x, y, term, col }
-                            });
-                        }
-                    }
-                    if rng.random::<f64>() < cell_defect_rate {
-                        defects.insert(Defect::DriverDead { x, y, term });
-                    }
-                }
-            }
-        }
+        draw(width, height, cell_defect_rate, seed, |d| {
+            defects.insert(d);
+        });
         DefectMap { defects }
     }
 
@@ -118,38 +112,33 @@ impl DefectMap {
         seeds: &[u64],
         cfg: &SweepConfig,
     ) -> Vec<DefectMap> {
-        Self::sample_sweep_with(width, height, cell_defect_rate, seeds, cfg, |map| map)
+        trials(seeds, cfg, |seed| DefectMap::sample(width, height, cell_defect_rate, seed))
     }
 
-    /// [`DefectMap::sample_sweep`] that hands each map to `reduce` inside
-    /// its sweep item and keeps only what `reduce` returns, so at most one
-    /// map per worker is alive at a time. The `core.faults.sample_sweep`
-    /// span covers the reductions too.
-    pub fn sample_sweep_with<T: Send>(
+    /// `(defects, bad blocks)` per entry of `seeds`, on the sweep engine
+    /// like [`DefectMap::sample_sweep`], equal to `(map.len(),
+    /// map.bad_blocks().len())` of each map it would sample. Each trial
+    /// counts its defects as they are drawn and builds no map.
+    pub fn count_sweep(
         width: usize,
         height: usize,
         cell_defect_rate: f64,
         seeds: &[u64],
         cfg: &SweepConfig,
-        reduce: impl Fn(DefectMap) -> T + Sync,
-    ) -> Vec<T> {
-        let t0 = pmorph_obs::enabled().then(std::time::Instant::now);
-        let results = sweep(
-            seeds.len(),
-            cfg,
-            || (),
-            |_, i| reduce(DefectMap::sample(width, height, cell_defect_rate, seeds[i])),
-        );
-        if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            pmorph_obs::counter!("core.faults.samples").add(seeds.len() as u64);
-            pmorph_obs::span!("core.faults.sample_sweep").record_ns(ns);
-            if ns > 0 && !seeds.is_empty() {
-                pmorph_obs::gauge!("core.faults.samples_per_sec")
-                    .set(seeds.len() as f64 * 1.0e9 / ns as f64);
-            }
-        }
-        results
+    ) -> Vec<(usize, usize)> {
+        trials(seeds, cfg, |seed| {
+            let (mut defects, mut bad_blocks, mut last) = (0, 0, None);
+            draw(width, height, cell_defect_rate, seed, |d| {
+                defects += 1;
+                // draws are block-major, so a block's defects arrive
+                // together
+                if last != Some(d.block()) {
+                    last = Some(d.block());
+                    bad_blocks += 1;
+                }
+            });
+            (defects, bad_blocks)
+        })
     }
 
     /// Number of defects.
@@ -222,6 +211,65 @@ impl DefectMap {
             Defect::DriverDead { x, y, term } => fabric.block(x, y).drivers[term] != OutMode::Off,
         })
     }
+}
+
+/// The one defect draw loop: visit every defect of the map `seed`
+/// samples, in draw order — blocks row by row (`y`, then `x`), then term,
+/// each term's crosspoints by column before its driver. Each resource
+/// takes one raw draw `u` and fails when `(u >> 11) <` [`threshold`]; a
+/// failed crosspoint takes one more draw for its polarity. No resource
+/// is drawn twice, so the visited defects are distinct, and a block's
+/// defects are visited consecutively (the invariant
+/// [`DefectMap::count_sweep`] counts bad blocks by).
+fn draw(width: usize, height: usize, rate: f64, seed: u64, mut visit: impl FnMut(Defect)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let threshold = threshold(rate);
+    for y in 0..height {
+        for x in 0..width {
+            for term in 0..LANES {
+                for col in 0..LANES {
+                    if rng.next_u64() >> 11 < threshold {
+                        visit(if rng.random::<bool>() {
+                            Defect::CrosspointStuckOff { x, y, term, col }
+                        } else {
+                            Defect::CrosspointStuckOn { x, y, term, col }
+                        });
+                    }
+                }
+                if rng.next_u64() >> 11 < threshold {
+                    visit(Defect::DriverDead { x, y, term });
+                }
+            }
+        }
+    }
+}
+
+/// `⌈rate · 2⁵³⌉`, the integer form of the draw test: `random::<f64>()`
+/// is `(u >> 11) · 2⁻⁵³`, and scaling by a power of two is exact, so
+/// `random::<f64>() < rate` holds exactly when `(u >> 11) <
+/// threshold(rate)`. A NaN or negative rate saturates to 0 (never
+/// fails) and a rate above 1 to at least 2⁵³ (always fails), as the
+/// float compare does.
+fn threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Run `trial` once per seed on the sweep engine, adding the trials to
+/// `core.faults.samples` and the sweep to the `core.faults.sample_sweep`
+/// span.
+fn trials<T: Send>(seeds: &[u64], cfg: &SweepConfig, trial: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    let t0 = pmorph_obs::enabled().then(std::time::Instant::now);
+    let results = sweep(seeds.len(), cfg, || (), |_, i| trial(seeds[i]));
+    if let Some(t0) = t0 {
+        let ns = t0.elapsed().as_nanos() as u64;
+        pmorph_obs::counter!("core.faults.samples").add(seeds.len() as u64);
+        pmorph_obs::span!("core.faults.sample_sweep").record_ns(ns);
+        if ns > 0 && !seeds.is_empty() {
+            pmorph_obs::gauge!("core.faults.samples_per_sec")
+                .set(seeds.len() as f64 * 1.0e9 / ns as f64);
+        }
+    }
+    results
 }
 
 /// One patched fabric site with its pre-defect value.
@@ -349,6 +397,36 @@ mod tests {
         assert_eq!(patch.len(), 2);
         patch.undo(&mut fabric);
         assert_eq!(fabric, pristine);
+    }
+
+    #[test]
+    fn integer_threshold_is_the_float_compare() {
+        // one raw draw, handed to the float conversion the sampler used
+        struct Fixed(u64);
+        impl Rng for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x7123);
+        let mut rates = vec![0.0, 5e-324, f64::MIN_POSITIVE, 1e-17, 0.001, 0.05, 0.5, 1.0];
+        rates.extend((0..200).map(|_| rng.random::<f64>()));
+        rates.extend((0..50).map(|k| rng.random::<f64>() * 10f64.powi(-k)));
+        for rate in rates {
+            let t = threshold(rate);
+            let mut draws: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
+            // the two draws either side of the boundary, with their low
+            // bits set and clear
+            for m in [t.wrapping_sub(1), t] {
+                if m < 1 << 53 {
+                    draws.extend([m << 11, m << 11 | 0x7ff]);
+                }
+            }
+            for u in draws {
+                let float = Fixed(u).random::<f64>() < rate;
+                assert_eq!(u >> 11 < t, float, "rate {rate:e}, u {u:#x}, threshold {t}");
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //!   how many workers or what shard geometry produced the maps;
 //! * **different seeds ⇒ different maps** (at any rate dense enough to
 //!   inject at all).
+//!
+//! Counting a map's defects and bad blocks as they are drawn must agree
+//! with building the map and counting its sets.
 
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{BlockConfig, DefectMap, Edge, Fabric, FabricTiming, OutMode};
 use pmorph_exec::SweepConfig;
 use pmorph_sim::{Logic, Simulator};
+use pmorph_util::rng::{mix_seed, Rng, StdRng};
 
 /// The historical E19 per-trial seed schedule.
 fn e19_seeds(trials: usize, rate: f64) -> Vec<u64> {
@@ -84,6 +88,33 @@ fn same_seed_same_post_injection_behaviour_across_thread_counts() {
     // so the fingerprint comparison is not vacuously about clean fabrics
     let maps = DefectMap::sample_sweep(2, 2, 0.05, &seeds, &SweepConfig::new());
     assert!(maps.iter().any(|m| m.disturbs(&fabric)), "no sampled map disturbed the block");
+}
+
+#[test]
+fn counting_matches_the_sampled_sets() {
+    // seeded fabrics with sides from 1 to 48, the extremes of that range,
+    // a single block and a 256-block row; rates from never to always
+    let mut rng = StdRng::seed_from_u64(0xFA_0173);
+    let mut shapes = vec![(1, 1), (256, 1), (1, 256), (48, 48)];
+    shapes.extend(
+        (0..20).map(|_| (rng.random_range(1..49u64) as usize, rng.random_range(1..49u64) as usize)),
+    );
+    for (k, &(width, height)) in shapes.iter().enumerate() {
+        let mut rates = vec![0.0, 5e-324, 0.001, 0.05, 1.0];
+        rates.extend((0..2).map(|_| rng.random::<f64>() * 0.2));
+        for rate in rates {
+            let seeds: Vec<u64> = (0..2).map(|t| mix_seed(k as u64, t)).collect();
+            let counts = DefectMap::count_sweep(width, height, rate, &seeds, &SweepConfig::new());
+            for (&seed, got) in seeds.iter().zip(counts) {
+                let map = DefectMap::sample(width, height, rate, seed);
+                assert_eq!(
+                    got,
+                    (map.len(), map.bad_blocks().len()),
+                    "{width}x{height} at rate {rate:e}, seed {seed}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

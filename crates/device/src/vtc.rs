@@ -126,22 +126,35 @@ impl ConfigurableInverter {
             .collect()
     }
 
+    /// Whether the output never crosses VDD/2: already low at input 0 or
+    /// still high at input VDD. V_out(V_in) falls monotonically, so
+    /// otherwise it crosses exactly once.
+    fn stuck(&self, vg2: f64) -> bool {
+        let mid = self.vdd / 2.0;
+        self.vout_below(0.0, vg2, mid) || self.vout_above(self.vdd, vg2, mid)
+    }
+
     /// Input voltage at which the output crosses VDD/2, if it does.
     /// (Bisection on the monotonically falling V_out(V_in).)
     pub fn switching_threshold(&self, vg2: f64) -> Option<f64> {
-        let mid = self.vdd / 2.0;
-        if self.vout_below(0.0, vg2, mid) || self.vout_above(self.vdd, vg2, mid) {
-            return None; // output never crosses the midpoint: stuck
+        if self.stuck(vg2) {
+            return None;
         }
+        let mid = self.vdd / 2.0;
         Some(bisect(0.0, self.vdd, 60, |m| !self.vout_above(m, vg2, mid)))
     }
 
-    /// Classify the configured behaviour (the trichotomy of Fig. 3).
+    /// Classify the configured behaviour (the trichotomy of Fig. 3):
+    /// active exactly when [`Self::switching_threshold`] is `Some`,
+    /// decided by its two stuck checks without bisecting for the
+    /// threshold.
     pub fn behaviour(&self, vg2: f64) -> InverterBehaviour {
-        match self.switching_threshold(vg2) {
-            Some(_) => InverterBehaviour::Active,
-            None if self.vout_above(0.0, vg2, self.vdd / 2.0) => InverterBehaviour::StuckHigh,
-            None => InverterBehaviour::StuckLow,
+        if !self.stuck(vg2) {
+            InverterBehaviour::Active
+        } else if self.vout_above(0.0, vg2, self.vdd / 2.0) {
+            InverterBehaviour::StuckHigh
+        } else {
+            InverterBehaviour::StuckLow
         }
     }
 

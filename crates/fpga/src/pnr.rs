@@ -9,6 +9,13 @@
 //! scaling law — segmented interconnect stops tracking gate speed as λ
 //! shrinks — so the same code yields both the absolute comparisons (E12)
 //! and the scaling study (E14).
+//!
+//! A placement search builds the design's LUT graph once. Each candidate
+//! is placed into a LUT-indexed slot vector and routed and timed in
+//! per-worker scratch, so a candidate allocates nothing; only the
+//! winner's [`PnrResult`], with its net-keyed placement map, is built.
+//! [`route`] and [`critical_path_ps`] take a [`PnrResult`] and run the
+//! same router and timer.
 
 use crate::mapper::MappedDesign;
 use pmorph_exec::{sweep, SweepConfig};
@@ -84,56 +91,129 @@ impl FpgaTiming {
     }
 }
 
-/// Place a mapped design: connectivity-aware ordering (BFS from the first
-/// output cone) then scan placement on the smallest square grid.
-pub fn place(design: &MappedDesign) -> PnrResult {
-    place_with_order(design, &bfs_order(design))
+/// A tile `(x, y)` of the grid.
+type Tile = (usize, usize);
+
+/// The LUT connectivity of a mapped design, built once per search and
+/// read by every ordering, partitioning, routing and timing pass: for
+/// each LUT, the LUTs that drive its inputs, in input order (inputs no
+/// LUT drives are left out), and the LUTs that drive the design's
+/// outputs, in output order. LUT outputs are distinct nets, as
+/// `tech_map` makes them, so a LUT index stands for its output net.
+struct LutGraph {
+    /// `fanin[fanin_start[i]..fanin_start[i + 1]]` drive LUT `i`.
+    fanin_start: Vec<usize>,
+    fanin: Vec<usize>,
+    /// The LUTs driving the design's outputs, in output order.
+    outputs: Vec<usize>,
 }
 
-/// The deterministic connectivity-driven LUT ordering: BFS over fanin
-/// edges from the output cones, stragglers appended in index order.
-fn bfs_order(design: &MappedDesign) -> Vec<usize> {
-    let by_out: HashMap<NetId, usize> =
-        design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
-    let mut order = Vec::with_capacity(design.luts.len());
-    let mut seen = vec![false; design.luts.len()];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &o in &design.outputs {
-        if let Some(&i) = by_out.get(&o) {
+impl LutGraph {
+    fn new(design: &MappedDesign) -> LutGraph {
+        let by_out: HashMap<NetId, usize> =
+            design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
+        let mut fanin_start = Vec::with_capacity(design.luts.len() + 1);
+        let mut fanin = Vec::new();
+        fanin_start.push(0);
+        for lut in &design.luts {
+            fanin.extend(lut.inputs.iter().filter_map(|n| by_out.get(n).copied()));
+            fanin_start.push(fanin.len());
+        }
+        let outputs = design.outputs.iter().filter_map(|o| by_out.get(o).copied()).collect();
+        LutGraph { fanin_start, fanin, outputs }
+    }
+
+    /// Number of LUTs.
+    fn len(&self) -> usize {
+        self.fanin_start.len() - 1
+    }
+
+    /// The LUTs driving LUT `i`'s inputs, in input order.
+    fn fanin(&self, i: usize) -> &[usize] {
+        &self.fanin[self.fanin_start[i]..self.fanin_start[i + 1]]
+    }
+
+    /// The deterministic connectivity-driven LUT ordering: BFS over fanin
+    /// edges from the output cones, stragglers appended in index order.
+    fn bfs_order(&self) -> Vec<usize> {
+        let mut seen = vec![false; self.len()];
+        self.bfs(self.outputs.iter().copied(), 0..self.len(), |_| true, &mut seen)
+    }
+
+    /// BFS over fanin edges from `roots`, following only the LUTs `keep`
+    /// accepts, then the `members` it did not reach, in their order.
+    /// `seen` marks the LUTs already ordered.
+    fn bfs(
+        &self,
+        roots: impl Iterator<Item = usize>,
+        members: impl Iterator<Item = usize> + Clone,
+        keep: impl Fn(usize) -> bool,
+        seen: &mut [bool],
+    ) -> Vec<usize> {
+        let mut order = Vec::new();
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        for i in roots {
             if !seen[i] {
                 seen[i] = true;
                 queue.push_back(i);
             }
         }
-    }
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for inp in &design.luts[i].inputs {
-            if let Some(&j) = by_out.get(inp) {
-                if !seen[j] {
+        while let Some(i) = queue.pop_front() {
+            order.push(i);
+            for &j in self.fanin(i) {
+                if keep(j) && !seen[j] {
                     seen[j] = true;
                     queue.push_back(j);
                 }
             }
         }
-    }
-    for (i, seen_i) in seen.iter().enumerate() {
-        if !seen_i {
-            order.push(i);
+        for i in members {
+            if !seen[i] {
+                seen[i] = true;
+                order.push(i);
+            }
         }
+        order
     }
-    order
 }
 
-/// Scan placement of an explicit LUT ordering onto the smallest square
-/// grid (slot `k` of `order` lands at `(k % grid, k / grid)`).
-fn place_with_order(design: &MappedDesign, order: &[usize]) -> PnrResult {
-    let grid = (design.luts.len().max(1) as f64).sqrt().ceil() as usize;
-    let mut placement = HashMap::new();
-    for (slot, &lut_idx) in order.iter().enumerate() {
-        placement.insert(design.luts[lut_idx].output.0, (slot % grid, slot / grid));
+/// Side of the smallest square grid that holds `luts` tiles.
+fn grid_side(luts: usize) -> usize {
+    (luts.max(1) as f64).sqrt().ceil() as usize
+}
+
+/// Scan-place `order` onto the `side`-wide grid at `origin`: slot `k`
+/// lands at `origin + (k % side, k / side)`.
+fn scan_place(order: &[usize], side: usize, (ox, oy): Tile, pos: &mut [Option<Tile>]) {
+    for (slot, &i) in order.iter().enumerate() {
+        pos[i] = Some((ox + slot % side, oy + slot / side));
     }
-    PnrResult { grid, placement, ..PnrResult::default() }
+}
+
+/// The BFS ordering scan-placed on the smallest square grid.
+fn bfs_placement(graph: &LutGraph) -> (usize, Vec<Option<Tile>>) {
+    let grid = grid_side(graph.len());
+    let mut pos = vec![None; graph.len()];
+    scan_place(&graph.bfs_order(), grid, (0, 0), &mut pos);
+    (grid, pos)
+}
+
+/// The placement map of a LUT-indexed slot vector, keyed by output net;
+/// unplaced LUTs are left out.
+fn placement_map(design: &MappedDesign, pos: &[Option<Tile>]) -> HashMap<u32, Tile> {
+    design.luts.iter().zip(pos).filter_map(|(l, p)| Some((l.output.0, (*p)?))).collect()
+}
+
+/// The slot vector of a placement map: each LUT's output-net tile.
+fn slots(design: &MappedDesign, placement: &HashMap<u32, Tile>) -> Vec<Option<Tile>> {
+    design.luts.iter().map(|l| placement.get(&l.output.0).copied()).collect()
+}
+
+/// Place a mapped design: connectivity-aware ordering (BFS from the first
+/// output cone) then scan placement on the smallest square grid.
+pub fn place(design: &MappedDesign) -> PnrResult {
+    let (grid, pos) = bfs_placement(&LutGraph::new(design));
+    PnrResult { grid, placement: placement_map(design, &pos), ..PnrResult::default() }
 }
 
 /// Seeded placement-candidate search, the one PnR entry point.
@@ -183,68 +263,97 @@ pub fn best_seeded_placement_flat(
     timing: &FpgaTiming,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize) {
-    let base_order = bfs_order(design);
-    search(design, candidates, timing, cfg, |c| {
-        let mut order = base_order.clone();
+    let graph = LutGraph::new(design);
+    let base_order = graph.bfs_order();
+    let grid = grid_side(graph.len());
+    let problem = Problem { design, graph: &graph, grid, timing };
+    search(&problem, candidates, cfg, false, |c, pos, order| {
+        order.clear();
+        order.extend_from_slice(&base_order);
         if c > 0 {
             // candidate seed keyed by candidate index alone (contract
             // rule 1), never by shard/worker identity
             let mut rng = StdRng::seed_from_u64(mix_seed(seed, c as u64));
-            rng.shuffle(&mut order);
+            rng.shuffle(order);
         }
-        place_with_order(design, &order)
+        scan_place(order, grid, (0, 0), pos);
     })
 }
 
-/// The most candidates one sweep of [`search`] routes, so a search holds
-/// at most this many routed candidates at once whatever its size. 64 is
-/// the most any benchmark `place_route` spec asks for, so those searches
-/// stay one sweep each.
-const SEARCH_BLOCK: usize = 64;
+/// What one search places and scores: the design, its LUT graph, the
+/// side of the grid its candidates land on, and the timing model.
+struct Problem<'a> {
+    design: &'a MappedDesign,
+    graph: &'a LutGraph,
+    grid: usize,
+    timing: &'a FpgaTiming,
+}
 
-/// The search both flows run. Each candidate is one sweep item:
-/// `place(c)` lays it out, [`route`] routes it and [`critical_path_ps`]
-/// times it. Blocks of up to [`SEARCH_BLOCK`] candidates fold in index
-/// order: a candidate replaces the incumbent only when strictly better
-/// under `(cp, wirelength, index)`, a strict total order, so the winner
-/// is the same at any worker count, shard size or block split, and the
-/// fold also counts how often the search improved on candidate 0. Adds
-/// the `fpga.pnr.candidates`/`improvements` counters and records the
-/// `fpga.pnr.search` span.
+/// One worker's reusable candidate state: the LUT-indexed slot vector a
+/// candidate is placed into, an ordering buffer to shuffle, the router's
+/// occupancy plane and the timer's planes.
+struct Scratch {
+    pos: Vec<Option<Tile>>,
+    order: Vec<usize>,
+    occ: Vec<u32>,
+    timer: Timer,
+}
+
+/// The search both flows run, over one [`LutGraph`]. Each candidate is
+/// one sweep item in per-worker [`Scratch`]: `place(c, pos, order)`
+/// writes every LUT's tile into `pos` (with `order` as a buffer), the
+/// router walks it into the occupancy plane and the timer times it, and
+/// the item returns `(wirelength, cp)`. The items fold in index order: a
+/// candidate replaces the incumbent only when strictly better under
+/// `(cp, wirelength, index)`, a strict total order, so the winner is the
+/// same at any worker count or shard size, and the fold also counts how
+/// often the search improved on candidate 0. Only the winner's
+/// [`PnrResult`] is built, by placing it again. With `stitch`, each
+/// item's placement is recorded as the `fpga.pnr.stitch` span (the
+/// hierarchical region assembly). Adds the `fpga.pnr.candidates`/
+/// `improvements` counters and records the `fpga.pnr.search` span.
 fn search(
-    design: &MappedDesign,
+    problem: &Problem,
     candidates: usize,
-    timing: &FpgaTiming,
     cfg: &SweepConfig,
-    place: impl Fn(usize) -> PnrResult + Sync,
+    stitch: bool,
+    place: impl Fn(usize, &mut [Option<Tile>], &mut Vec<usize>) + Sync,
 ) -> (PnrResult, f64, usize) {
+    let Problem { design, graph, grid, timing } = *problem;
     let candidates = candidates.max(1);
     let obs_t0 = pmorph_obs::enabled().then(std::time::Instant::now);
+    let scratch = || Scratch {
+        pos: vec![None; graph.len()],
+        order: Vec::with_capacity(graph.len()),
+        occ: Vec::new(),
+        timer: Timer::default(),
+    };
+    let scores = sweep(candidates, cfg, scratch, |s, c| {
+        let stitch_t = (stitch && pmorph_obs::enabled()).then(std::time::Instant::now);
+        place(c, &mut s.pos, &mut s.order);
+        if let Some(t0) = stitch_t {
+            let ns = t0.elapsed().as_nanos() as u64;
+            pmorph_obs::span!("fpga.pnr.stitch").record_ns(ns);
+            pmorph_obs::trace::complete("fpga.pnr.stitch", "fpga", t0, ns);
+        }
+        let (wirelength, _) = route_slots(graph, grid, &s.pos, &mut s.occ, |_| {});
+        (wirelength, critical_path(graph, &s.pos, timing, &mut s.timer))
+    });
     let mut improvements = 0u64;
-    let mut best: Option<(usize, PnrResult, f64)> = None;
-    for start in (0..candidates).step_by(SEARCH_BLOCK) {
-        let block = sweep(
-            (candidates - start).min(SEARCH_BLOCK),
-            cfg,
-            || (),
-            |_, k| {
-                let mut pnr = place(start + k);
-                route(design, &mut pnr).expect("every candidate places every LUT");
-                let cp = critical_path_ps(design, &pnr, timing);
-                (pnr, cp)
-            },
-        );
-        for (i, (pnr, cp)) in (start..).zip(block) {
-            let beats = |(bi, bp, bc): &(usize, PnrResult, f64)| {
-                let wl = pnr.total_wirelength.cmp(&bp.total_wirelength);
-                cp.total_cmp(bc).then(wl).then(i.cmp(bi)).is_lt()
-            };
-            if best.as_ref().is_none_or(beats) {
-                improvements += best.is_some() as u64;
-                best = Some((i, pnr, cp));
-            }
+    let mut best: Option<(usize, usize, f64)> = None;
+    for (i, (wl, cp)) in scores.into_iter().enumerate() {
+        let beats = |&(bi, bwl, bc): &(usize, usize, f64)| {
+            cp.total_cmp(&bc).then(wl.cmp(&bwl)).then(i.cmp(&bi)).is_lt()
+        };
+        if best.as_ref().is_none_or(beats) {
+            improvements += best.is_some() as u64;
+            best = Some((i, wl, cp));
         }
     }
+    let (winner, _, cp) = best.expect("at least one candidate");
+    let mut s = scratch();
+    place(winner, &mut s.pos, &mut s.order);
+    let pnr = routed(design, graph, grid, &s.pos);
     pmorph_obs::counter!("fpga.pnr.candidates").add(candidates as u64);
     pmorph_obs::counter!("fpga.pnr.improvements").add(improvements);
     if let Some(t0) = obs_t0 {
@@ -252,8 +361,22 @@ fn search(
         pmorph_obs::span!("fpga.pnr.search").record_ns(ns);
         pmorph_obs::trace::complete("fpga.pnr.search", "fpga", t0, ns);
     }
-    let (winner, pnr, cp) = best.expect("at least one candidate");
     (pnr, cp, winner)
+}
+
+/// The full [`PnrResult`] of a complete slot vector: its placement map
+/// and its route, connection by connection.
+fn routed(design: &MappedDesign, graph: &LutGraph, grid: usize, pos: &[Option<Tile>]) -> PnrResult {
+    let mut connection_lengths = Vec::with_capacity(graph.fanin.len());
+    let (total_wirelength, max_occupancy) =
+        route_slots(graph, grid, pos, &mut Vec::new(), |len| connection_lengths.push(len));
+    PnrResult {
+        grid,
+        placement: placement_map(design, pos),
+        connection_lengths,
+        max_occupancy,
+        total_wirelength,
+    }
 }
 
 /// Route every LUT-input connection through the channel grid along one
@@ -261,51 +384,64 @@ fn search(
 /// uses (congestion is reported, not avoided). Channel segments:
 /// horizontal between `(x,y)-(x+1,y)` (`dir 0`), vertical between
 /// `(x,y)-(x,y+1)` (`dir 1`), counted in one dense `grid × grid × 2`
-/// plane.
+/// plane. Appends each connection's length to `connection_lengths` and
+/// adds to `total_wirelength` and `max_occupancy`.
 ///
-/// Every LUT-driven connection must have both endpoints placed: a
-/// missing entry is a [`PnrError::Unplaced`] naming the offending net,
-/// not a silent skip (which used to under-report wirelength and leave
-/// the design electrically open).
+/// Every LUT-driven connection must have both endpoints placed: the
+/// first missing entry, taking LUTs in index order and each LUT's own
+/// tile before its inputs', is a [`PnrError::Unplaced`] naming the
+/// offending net, not a silent skip (which used to under-report
+/// wirelength and leave the design electrically open). Entries for nets
+/// that are no LUT's output are ignored.
 pub fn route(design: &MappedDesign, pnr: &mut PnrResult) -> Result<(), PnrError> {
-    let g = pnr.grid.max(1);
-    let mut occ = vec![0usize; g * g * 2];
-    let by_out: HashMap<u32, ()> = design.luts.iter().map(|l| (l.output.0, ())).collect();
-    for lut in &design.luts {
-        let Some(&dst) = pnr.placement.get(&lut.output.0) else {
-            return Err(PnrError::Unplaced { net: lut.output });
-        };
-        for inp in &lut.inputs {
-            if !by_out.contains_key(&inp.0) {
-                continue; // primary input: assume perimeter injection
+    let graph = LutGraph::new(design);
+    let pos = slots(design, &pnr.placement);
+    for i in 0..graph.len() {
+        for j in std::iter::once(i).chain(graph.fanin(i).iter().copied()) {
+            if pos[j].is_none() {
+                return Err(PnrError::Unplaced { net: design.luts[j].output });
             }
-            let Some(&src) = pnr.placement.get(&inp.0) else {
-                return Err(PnrError::Unplaced { net: *inp });
-            };
-            if src == dst {
-                pnr.connection_lengths.push(0);
-                continue;
-            }
-            // the L path, charging occupancy along it
-            let mut len = 0;
-            for (x, y, dir) in l_path(src, dst) {
-                let e = &mut occ[(y * g + x) * 2 + dir as usize];
-                *e += 1;
-                pnr.max_occupancy = pnr.max_occupancy.max(*e);
-                len += 1;
-            }
-            pnr.connection_lengths.push(len);
-            pnr.total_wirelength += len;
         }
     }
+    let lengths = &mut pnr.connection_lengths;
+    let (wirelength, occupancy) =
+        route_slots(&graph, pnr.grid, &pos, &mut Vec::new(), |len| lengths.push(len));
+    pnr.total_wirelength += wirelength;
+    pnr.max_occupancy = pnr.max_occupancy.max(occupancy);
     Ok(())
 }
 
-/// Channel segments along the L-shaped (x-then-y) `src`→`dst` route.
-fn l_path(src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize, u8)> {
-    let mut segs = Vec::new();
-    walk_path(src, dst, |x, y, dir| segs.push((x, y, dir)));
-    segs
+/// The one router: walk every connection of a complete slot vector, LUTs
+/// in index order and each LUT's inputs in input order, into the
+/// occupancy plane `occ` (cleared first), handing each connection's
+/// length to `conn`. Returns `(total wirelength, max occupancy)`.
+fn route_slots(
+    graph: &LutGraph,
+    grid: usize,
+    pos: &[Option<Tile>],
+    occ: &mut Vec<u32>,
+    mut conn: impl FnMut(usize),
+) -> (usize, usize) {
+    let g = grid.max(1);
+    occ.clear();
+    occ.resize(g * g * 2, 0);
+    let (mut total, mut max_occupancy) = (0, 0);
+    for (i, dst) in pos.iter().enumerate() {
+        let dst = dst.expect("every LUT placed");
+        for &j in graph.fanin(i) {
+            let src = pos[j].expect("every LUT placed");
+            let mut len = 0;
+            walk_path(src, dst, |x, y, dir| {
+                let e = &mut occ[(y * g + x) * 2 + dir as usize];
+                *e += 1;
+                max_occupancy = max_occupancy.max(*e);
+                len += 1;
+            });
+            conn(len);
+            total += len;
+        }
+    }
+    (total, max_occupancy as usize)
 }
 
 /// Visit the segments of the L-shaped (x-then-y) `src`→`dst` route in
@@ -328,77 +464,88 @@ fn walk_path(
     }
 }
 
-/// Longest combinational path delay of a routed design (ps).
+/// Longest combinational path delay of a routed design (ps). A
+/// connection with an unplaced endpoint counts one segment.
+pub fn critical_path_ps(design: &MappedDesign, pnr: &PnrResult, timing: &FpgaTiming) -> f64 {
+    let graph = LutGraph::new(design);
+    critical_path(&graph, &slots(design, &pnr.placement), timing, &mut Timer::default())
+}
+
+/// DFS frames: Enter marks the loop guard and schedules children in
+/// input order (pushed reversed onto the LIFO stack); Exit folds the
+/// memoized child arrivals.
+enum Frame {
+    Enter(usize),
+    Exit(usize),
+}
+
+/// The timer's LUT-indexed planes and frame stack, reused across calls.
+#[derive(Default)]
+struct Timer {
+    memo: Vec<f64>,
+    seen: Vec<bool>,
+    frames: Vec<Frame>,
+}
+
+/// The one timer: the longest arrival over the design's output LUTs.
 ///
 /// Iterative DFS with an explicit frame stack — fabric-scale designs
 /// (10⁴+ LUTs with long carry-style chains) would overflow the thread
-/// stack under the naive recursion this replaces. The traversal order
-/// and the 0.0 loop-guard semantics (FF boundaries break real loops)
-/// are exactly the recursion's, so the result bits are unchanged.
-pub fn critical_path_ps(design: &MappedDesign, pnr: &PnrResult, timing: &FpgaTiming) -> f64 {
-    let by_out: HashMap<NetId, usize> =
-        design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
-    let mut memo: HashMap<usize, f64> = HashMap::new();
-    // DFS frames: Enter marks the loop guard and schedules children in
-    // input order (pushed reversed onto the LIFO stack); Exit folds the
-    // memoized child arrivals exactly as the recursion's return did.
-    enum Frame {
-        Enter(usize),
-        Exit(usize),
-    }
-    let arrival = |root: usize, memo: &mut HashMap<usize, f64>| -> f64 {
-        let mut stack = vec![Frame::Enter(root)];
-        while let Some(frame) = stack.pop() {
+/// stack under a naive recursion. A LUT's arrival is 0.0 while it is on
+/// the stack (the loop guard: FF boundaries break real loops), and an
+/// already-entered child is not scheduled again, since entering it
+/// would do nothing.
+fn critical_path(
+    graph: &LutGraph,
+    pos: &[Option<Tile>],
+    timing: &FpgaTiming,
+    t: &mut Timer,
+) -> f64 {
+    t.memo.resize(graph.len(), 0.0);
+    t.seen.clear();
+    t.seen.resize(graph.len(), false);
+    let mut worst: f64 = 0.0;
+    for &root in &graph.outputs {
+        t.frames.push(Frame::Enter(root));
+        while let Some(frame) = t.frames.pop() {
             match frame {
                 Frame::Enter(i) => {
-                    if memo.contains_key(&i) {
+                    if t.seen[i] {
                         continue;
                     }
-                    memo.insert(i, 0.0); // loop guard
-                    stack.push(Frame::Exit(i));
-                    for inp in design.luts[i].inputs.iter().rev() {
-                        if let Some(&j) = by_out.get(inp) {
-                            stack.push(Frame::Enter(j));
+                    t.seen[i] = true;
+                    t.memo[i] = 0.0; // loop guard
+                    t.frames.push(Frame::Exit(i));
+                    for &j in graph.fanin(i).iter().rev() {
+                        if !t.seen[j] {
+                            t.frames.push(Frame::Enter(j));
                         }
                     }
                 }
                 Frame::Exit(i) => {
-                    let lut = &design.luts[i];
-                    let dst = pnr.placement.get(&lut.output.0);
-                    let mut worst: f64 = 0.0;
-                    for inp in &lut.inputs {
-                        if let Some(&j) = by_out.get(inp) {
-                            let src = pnr.placement.get(&inp.0);
-                            let dist = match (src, dst) {
-                                (Some(&(sx, sy)), Some(&(dx, dy))) => {
-                                    sx.abs_diff(dx) + sy.abs_diff(dy)
-                                }
-                                _ => 1,
-                            };
-                            worst = worst.max(memo[&j] + dist as f64 * timing.segment_ps);
-                        }
+                    let mut arrival: f64 = 0.0;
+                    for &j in graph.fanin(i) {
+                        let dist = match (pos[j], pos[i]) {
+                            (Some((sx, sy)), Some((dx, dy))) => sx.abs_diff(dx) + sy.abs_diff(dy),
+                            _ => 1,
+                        };
+                        arrival = arrival.max(t.memo[j] + dist as f64 * timing.segment_ps);
                     }
-                    memo.insert(i, worst + timing.lut_ps);
+                    t.memo[i] = arrival + timing.lut_ps;
                 }
             }
         }
-        memo[&root]
-    };
-    let mut worst: f64 = 0.0;
-    for &o in &design.outputs {
-        if let Some(&i) = by_out.get(&o) {
-            worst = worst.max(arrival(i, &mut memo));
-        }
+        worst = worst.max(t.memo[root]);
     }
     worst
 }
 
 /// One-call flow: place, route, and report `(pnr, critical path ps)`.
 pub fn place_and_route(design: &MappedDesign, timing: &FpgaTiming) -> (PnrResult, f64) {
-    let mut pnr = place(design);
-    route(design, &mut pnr).expect("place() covers every LUT");
-    let cp = critical_path_ps(design, &pnr, timing);
-    (pnr, cp)
+    let graph = LutGraph::new(design);
+    let (grid, pos) = bfs_placement(&graph);
+    let cp = critical_path(&graph, &pos, timing, &mut Timer::default());
+    (routed(design, &graph, grid, &pos), cp)
 }
 
 /// Smallest channel width that routes the design without oversubscribed

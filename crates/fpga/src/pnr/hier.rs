@@ -17,11 +17,13 @@
 //!    scan-places each partition's BFS ordering, shuffled for `c > 0`,
 //!    onto its region's sub-grid.
 //!
-//! Routing, timing and the candidate fold are the parent module's one
-//! search, one sweep item per candidate. An L path between two tiles of
-//! one region never leaves the region, so one route of the assembled
-//! placement lays the same segments as routing each region on its own
-//! and then the connections between regions.
+//! All three steps read the parent module's LUT graph, built once per
+//! search; each partition's ordering is a BFS restricted to the
+//! partition. Routing, timing and the candidate fold are the parent
+//! module's one search, one sweep item per candidate. An L path between
+//! two tiles of one region never leaves the region, so one route of the
+//! assembled placement lays the same segments as routing each region on
+//! its own and then the connections between regions.
 //!
 //! Legality is the same contract as the flat flow (every LUT-driven
 //! connection routed, placement injective, occupancy accounted); the
@@ -34,12 +36,10 @@
 //! hierarchical candidate only shuffles within regions — perturbations
 //! stay region-local, so every candidate routes region-sized wire.
 
-use super::{bfs_order, FpgaTiming, PnrResult};
-use crate::mapper::{Lut, MappedDesign};
+use super::{scan_place, search, FpgaTiming, LutGraph, PnrResult, Problem, Tile};
+use crate::mapper::MappedDesign;
 use pmorph_exec::SweepConfig;
-use pmorph_sim::NetId;
 use pmorph_util::rng::{mix_seed, Rng, StdRng};
-use std::collections::HashMap;
 
 /// LUT count at which [`super::best_seeded_placement`]'s auto mode
 /// switches from the flat single-block flow to the hierarchical path.
@@ -89,19 +89,13 @@ impl Partitioning {
     /// Connections whose driver and sink LUTs land in different
     /// partitions (the cut the bipartitioner minimizes).
     pub fn cut_connections(&self, design: &MappedDesign) -> usize {
-        let by_out: HashMap<NetId, usize> =
-            design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
-        let mut cut = 0;
-        for (i, lut) in design.luts.iter().enumerate() {
-            for inp in &lut.inputs {
-                if let Some(&j) = by_out.get(inp) {
-                    if self.part_of[i] != self.part_of[j] {
-                        cut += 1;
-                    }
-                }
-            }
-        }
-        cut
+        self.cut(&LutGraph::new(design))
+    }
+
+    fn cut(&self, graph: &LutGraph) -> usize {
+        (0..graph.len())
+            .map(|i| graph.fanin(i).iter().filter(|&&j| self.part_of[i] != self.part_of[j]).count())
+            .sum()
     }
 }
 
@@ -111,35 +105,35 @@ impl Partitioning {
 /// Each bisection starts from a connectivity-contiguous split (the BFS
 /// placement ordering, so tightly coupled cones start on one side) and
 /// runs an FM-style refinement pass: nodes are visited in descending
-/// stale-gain order (ties broken by a `mix_seed`-derived key, then
-/// index) and moved across the cut when their *recomputed* gain is
+/// stale-gain order (ties broken by a `mix_seed`-derived key, distinct
+/// per node) and moved across the cut when their *recomputed* gain is
 /// positive and the balance slack allows. Everything is keyed by LUT
 /// index and the seed — never by thread identity — so the partitioning
 /// is deterministic on every host.
 pub fn partition(design: &MappedDesign, partitions: usize, seed: u64) -> Partitioning {
-    let n = design.luts.len();
+    partition_graph(&LutGraph::new(design), partitions, seed)
+}
+
+fn partition_graph(graph: &LutGraph, partitions: usize, seed: u64) -> Partitioning {
+    let n = graph.len();
     let p = partitions.clamp(1, n.max(1));
     let mut part_of = vec![0u32; n];
     if p > 1 {
         // Weighted adjacency (parallel connections collapse into edge
         // weight), built once and shared by every bisection level.
-        let by_out: HashMap<NetId, usize> =
-            design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
         let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        for (i, lut) in design.luts.iter().enumerate() {
-            for inp in &lut.inputs {
-                if let Some(&j) = by_out.get(inp) {
-                    if i != j {
-                        bump_edge(&mut adj[i], j);
-                        bump_edge(&mut adj[j], i);
-                    }
+        for i in 0..n {
+            for &j in graph.fanin(i) {
+                if i != j {
+                    bump_edge(&mut adj[i], j);
+                    bump_edge(&mut adj[j], i);
                 }
             }
         }
         // Recursive bisection over (member set, parts wanted, base id),
         // with flat LUT-indexed scratch planes reused across every level
         // (hashing per-node state here dominated the whole flow before).
-        let order = bfs_order(design);
+        let order = graph.bfs_order();
         let mut side = vec![false; n];
         let mut in_set = vec![false; n];
         let mut stack: Vec<(Vec<usize>, usize, u32)> = vec![(order, p, 0)];
@@ -230,10 +224,19 @@ fn bisect(
     // One refinement pass: stale-gain ordering, recomputed-gain moves.
     // (A second pass was measured to recover <1% more cut for ~50% more
     // partitioning time — not worth it at this refinement strength.)
-    let mut ranked: Vec<(i64, u64, usize)> =
-        nodes.iter().map(|&i| (gain(i, side, in_set), mix_seed(seed, i as u64), i)).collect();
-    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    for &(_, _, i) in &ranked {
+    // Nodes rank by descending gain, then ascending tie key, packed into
+    // one integer: the gain's sign-flipped negation above the key.
+    // `mix_seed(seed, ·)` is a bijection, so no two nodes share a key and
+    // the order is total without the index.
+    let mut ranked: Vec<(u128, usize)> = nodes
+        .iter()
+        .map(|&i| {
+            let descending = (gain(i, side, in_set).wrapping_neg() as u64) ^ (1 << 63);
+            ((descending as u128) << 64 | mix_seed(seed, i as u64) as u128, i)
+        })
+        .collect();
+    ranked.sort_unstable_by_key(|&(key, _)| key);
+    for &(_, i) in &ranked {
         let my = side[i];
         // Balance feasibility for moving `i` off side `my`.
         let feasible = if my {
@@ -281,7 +284,7 @@ struct RegionLayout {
 }
 
 impl RegionLayout {
-    fn new(design: &MappedDesign, parts: &Partitioning) -> RegionLayout {
+    fn new(graph: &LutGraph, parts: &Partitioning) -> RegionLayout {
         let p = parts.partitions().max(1);
         let biggest = parts.members.iter().map(Vec::len).max().unwrap_or(1).max(1);
         let region_side = (biggest as f64).sqrt().ceil() as usize;
@@ -290,17 +293,13 @@ impl RegionLayout {
         let side = region_cols.max(region_rows);
 
         // Partition-level connectivity: weight = crossing connections.
-        let by_out: HashMap<NetId, usize> =
-            design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
         let mut pw: Vec<Vec<(usize, u32)>> = vec![Vec::new(); p];
-        for (i, lut) in design.luts.iter().enumerate() {
-            for inp in &lut.inputs {
-                if let Some(&j) = by_out.get(inp) {
-                    let (a, b) = (parts.part_of[i] as usize, parts.part_of[j] as usize);
-                    if a != b {
-                        bump_edge(&mut pw[a], b);
-                        bump_edge(&mut pw[b], a);
-                    }
+        for i in 0..graph.len() {
+            for &j in graph.fanin(i) {
+                let (a, b) = (parts.part_of[i] as usize, parts.part_of[j] as usize);
+                if a != b {
+                    bump_edge(&mut pw[a], b);
+                    bump_edge(&mut pw[b], a);
                 }
             }
         }
@@ -362,107 +361,84 @@ impl RegionLayout {
     }
 
     /// Tile origin of partition `k`'s region.
-    fn origin(&self, k: usize) -> (usize, usize) {
+    fn origin(&self, k: usize) -> Tile {
         self.origins[k]
     }
 }
 
 /// Everything about a partitioning that candidates share, computed once
-/// per search: the region layout, each partition's base BFS ordering
-/// (as LUT output nets) and the search's [`HierStats`].
+/// per search: the region layout, each partition's base BFS ordering of
+/// LUT indices and the search's [`HierStats`].
 struct HierContext {
     layout: RegionLayout,
-    orders: Vec<Vec<u32>>,
+    orders: Vec<Vec<usize>>,
     stats: HierStats,
 }
 
-fn prepare(design: &MappedDesign, partitions: usize, seed: u64) -> HierContext {
-    let parts = partition(design, partitions, seed);
-    let layout = RegionLayout::new(design, &parts);
-    let by_out: HashMap<NetId, usize> =
-        design.luts.iter().enumerate().map(|(i, l)| (l.output, i)).collect();
+fn prepare(graph: &LutGraph, partitions: usize, seed: u64) -> HierContext {
+    let parts = partition_graph(graph, partitions, seed);
+    let layout = RegionLayout::new(graph, &parts);
 
     // A LUT exports when its output leaves the partition (feeds another
     // region or is a design output) — those seed the local BFS ordering.
-    let mut exports = vec![false; design.luts.len()];
-    for &o in &design.outputs {
-        if let Some(&i) = by_out.get(&o) {
-            exports[i] = true;
-        }
+    let mut exports = vec![false; graph.len()];
+    for &i in &graph.outputs {
+        exports[i] = true;
     }
-    let mut boundary_nets = 0;
-    for (i, lut) in design.luts.iter().enumerate() {
-        for inp in &lut.inputs {
-            if let Some(&j) = by_out.get(inp) {
-                if parts.part_of[i] != parts.part_of[j] {
-                    exports[j] = true;
-                    boundary_nets += 1;
-                }
+    for i in 0..graph.len() {
+        for &j in graph.fanin(i) {
+            if parts.part_of[i] != parts.part_of[j] {
+                exports[j] = true;
             }
         }
     }
 
+    // Each partition's ordering is a BFS that follows only the
+    // partition's own connections, from its exports in index order, then
+    // its unreached members in index order. Partitions are disjoint, so
+    // they share one `seen` plane.
+    let mut seen = vec![false; graph.len()];
     let orders = parts
         .members
         .iter()
-        .map(|m| {
-            let sub = sub_design(design, m, &exports);
-            bfs_order(&sub).into_iter().map(|i| sub.luts[i].output.0).collect()
+        .enumerate()
+        .map(|(k, m)| {
+            let inside = |j: usize| parts.part_of[j] as usize == k;
+            let roots = m.iter().copied().filter(|&i| exports[i]);
+            graph.bfs(roots, m.iter().copied(), inside, &mut seen)
         })
         .collect();
-    let stats = HierStats { partitions: parts.partitions(), boundary_nets };
+    let stats = HierStats { partitions: parts.partitions(), boundary_nets: parts.cut(graph) };
     HierContext { layout, orders, stats }
 }
 
-/// The extracted sub-design of one partition: member LUTs (in ascending
-/// index order) with the partition's exports as local outputs. Inputs
-/// driven by other partitions are left dangling on purpose, so its BFS
-/// ordering follows only the partition's own connections.
-fn sub_design(design: &MappedDesign, members: &[usize], exports: &[bool]) -> MappedDesign {
-    let luts: Vec<Lut> = members.iter().map(|&i| design.luts[i].clone()).collect();
-    let outputs: Vec<NetId> =
-        members.iter().filter(|&&i| exports[i]).map(|&i| design.luts[i].output).collect();
-    MappedDesign { luts, outputs, ..MappedDesign::default() }
-}
-
-/// One hierarchical candidate's placement: slot `s` of partition `k`'s
-/// ordering lands at `(s % side, s / side)` of `k`'s region. Candidate
-/// `0` uses each partition's BFS ordering; candidate `c > 0` shuffles
-/// partition `k`'s with `mix_seed(mix_seed(seed, k), c)` — keyed by
-/// partition index and candidate only (contract rule 1). Records the
-/// assembly as the `fpga.pnr.stitch` span.
-fn hier_candidate(ctx: &HierContext, seed: u64, candidate: usize) -> PnrResult {
-    let stitch_t = pmorph_obs::enabled().then(std::time::Instant::now);
-    let rs = ctx.layout.region_side;
-    let mut placement = HashMap::new();
-    for (k, base) in ctx.orders.iter().enumerate() {
-        let mut order = base.clone();
-        if candidate > 0 {
-            let mut rng =
-                StdRng::seed_from_u64(mix_seed(mix_seed(seed, k as u64), candidate as u64));
-            rng.shuffle(&mut order);
-        }
-        let (ox, oy) = ctx.layout.origin(k);
-        for (slot, net) in order.into_iter().enumerate() {
-            placement.insert(net, (ox + slot % rs, oy + slot / rs));
+impl HierContext {
+    /// One hierarchical candidate's placement: slot `s` of partition
+    /// `k`'s ordering lands at `(s % side, s / side)` of `k`'s region.
+    /// Candidate `0` uses each partition's BFS ordering; candidate `c > 0`
+    /// shuffles partition `k`'s with `mix_seed(mix_seed(seed, k), c)` —
+    /// keyed by partition index and candidate only (contract rule 1).
+    fn place(&self, seed: u64, candidate: usize, pos: &mut [Option<Tile>], order: &mut Vec<usize>) {
+        for (k, base) in self.orders.iter().enumerate() {
+            order.clear();
+            order.extend_from_slice(base);
+            if candidate > 0 {
+                let mut rng =
+                    StdRng::seed_from_u64(mix_seed(mix_seed(seed, k as u64), candidate as u64));
+                rng.shuffle(order);
+            }
+            scan_place(order, self.layout.region_side, self.layout.origin(k), pos);
         }
     }
-    pmorph_obs::counter!("fpga.pnr.partitions").add(ctx.stats.partitions as u64);
-    pmorph_obs::counter!("fpga.pnr.boundary_nets").add(ctx.stats.boundary_nets as u64);
-    if let Some(t0) = stitch_t {
-        let ns = t0.elapsed().as_nanos() as u64;
-        pmorph_obs::span!("fpga.pnr.stitch").record_ns(ns);
-        pmorph_obs::trace::complete("fpga.pnr.stitch", "fpga", t0, ns);
-    }
-    PnrResult { grid: ctx.layout.grid, placement, ..PnrResult::default() }
 }
 
-/// Seeded placement-candidate search on the hierarchical flow: the
-/// partitioning and region layout are computed once, candidate `c`
-/// varies each partition's ordering, and the parent module's search
+/// Seeded placement-candidate search on the hierarchical flow: the LUT
+/// graph, partitioning and region layout are computed once, candidate
+/// `c` varies each partition's ordering, and the parent module's search
 /// routes, times and folds the candidates, sharded across `cfg`'s
-/// workers like the flat search's. Candidate 0 alone is the plain
-/// hierarchical place-and-route.
+/// workers like the flat search's, recording each candidate's region
+/// assembly as the `fpga.pnr.stitch` span. Candidate 0 alone is the
+/// plain hierarchical place-and-route.
 pub fn best_seeded_placement_hier(
     design: &MappedDesign,
     candidates: usize,
@@ -471,9 +447,15 @@ pub fn best_seeded_placement_hier(
     partitions: usize,
     cfg: &SweepConfig,
 ) -> (PnrResult, f64, usize, HierStats) {
-    let ctx = prepare(design, partitions, seed);
+    let graph = LutGraph::new(design);
+    let ctx = prepare(&graph, partitions, seed);
+    let problem = Problem { design, graph: &graph, grid: ctx.layout.grid, timing };
     let (pnr, cp, winner) =
-        super::search(design, candidates, timing, cfg, |c| hier_candidate(&ctx, seed, c));
+        search(&problem, candidates, cfg, true, |c, pos, order| ctx.place(seed, c, pos, order));
+    // summed over the candidates, each of which assembled every region
+    let assembled = candidates.max(1) as u64;
+    pmorph_obs::counter!("fpga.pnr.partitions").add(ctx.stats.partitions as u64 * assembled);
+    pmorph_obs::counter!("fpga.pnr.boundary_nets").add(ctx.stats.boundary_nets as u64 * assembled);
     (pnr, cp, winner, ctx.stats)
 }
 

@@ -1,9 +1,10 @@
 //! The sweep structure of the PnR candidate search, pinned through its
 //! metrics (the sweep engine's run and item counters, the candidate
 //! counter and the region-assembly span): each candidate is one sweep
-//! item, and one sweep routes at most 64 candidates. Its own process:
-//! the metrics gate and registry are process-global, so no other search
-//! may record between the snapshots.
+//! item, a search is one sweep whatever its size, and building the
+//! winner's result assembles no region again. Its own process: the
+//! metrics gate and registry are process-global, so no other search may
+//! record between the snapshots.
 
 use pmorph_exec::SweepConfig;
 use pmorph_fpga::circuits::ripple_adder_gates;
@@ -41,21 +42,22 @@ fn search_adds(
 }
 
 #[test]
-fn each_candidate_is_one_sweep_item_in_sweeps_of_at_most_64() {
+fn each_candidate_is_one_sweep_item_in_one_sweep() {
     pmorph_obs::force(true);
     let adder = |bits| {
         let c = ripple_adder_gates(bits);
         tech_map(&c.netlist, &c.outputs, 4).unwrap()
     };
 
-    // 48 hierarchical candidates fit one sweep, and each assembles its
-    // regions once.
+    // 48 hierarchical candidates run as one sweep, and each assembles
+    // its regions once: placing the winner again to build its result
+    // records no assembly.
     let (added, partitions) = search_adds(&adder(64), 48, 4);
     assert_eq!(partitions, Some(4));
     assert_eq!(added, [1, 48, 48, 48], "{NAMES:?} of a 48-candidate hierarchical search");
 
-    // 200 flat candidates run as ceil(200 / 64) = 4 sweeps.
+    // 200 flat candidates run as one sweep too.
     let (added, partitions) = search_adds(&adder(8), 200, 1);
     assert_eq!(partitions, None);
-    assert_eq!(added, [4, 200, 200, 0], "{NAMES:?} of a 200-candidate flat search");
+    assert_eq!(added, [1, 200, 200, 0], "{NAMES:?} of a 200-candidate flat search");
 }

@@ -629,16 +629,10 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
         }
         JobSpec::FaultCampaign { width, height, rate, trials, seed } => {
             let seeds: Vec<u64> = (0..*trials).map(|t| mix_seed(*seed, t as u64)).collect();
-            // each map is cut to its counts inside its sweep item, so at
-            // most one map per worker is alive
-            let counts = DefectMap::sample_sweep_with(
-                *width,
-                *height,
-                *rate,
-                &seeds,
-                &SweepConfig::new(),
-                |map| (map.len(), map.bad_blocks().len()),
-            );
+            // each trial counts its defects as they are drawn: no map is
+            // built
+            let counts =
+                DefectMap::count_sweep(*width, *height, *rate, &seeds, &SweepConfig::new());
             check_cancel(cancel)?;
             payload.set(
                 "fabric",

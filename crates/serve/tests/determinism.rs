@@ -224,13 +224,17 @@ const SEQ_PINS: [(&str, usize, Option<usize>, u64); 9] = [
 /// design), a hierarchical search won past candidate 0, and a split
 /// clamped to the LUT count: two LUTs asked for four regions answer
 /// `"path":"hier","partitions":1`. The two 150-candidate rows, flat and
-/// hierarchical, span three 64-candidate search blocks, the last one
-/// partial. The digests were recorded before the flat and hierarchical
-/// searches shared one candidate fold; the 150-candidate ones before a
-/// search routed in blocks and before a hierarchical candidate was
-/// routed in one pass instead of region by region and then stitched.
+/// hierarchical, and the 200-candidate flat row each once ran as several
+/// 64-candidate search blocks. The `ripple_adder` 64 (64 candidates, 4
+/// partitions) and 40 (48 candidates, 2 partitions) rows are
+/// `heavy_cold`'s hierarchical shapes. The digests were recorded before
+/// the flat and hierarchical searches shared one candidate fold; the
+/// 150-candidate ones before a search routed in blocks and before a
+/// hierarchical candidate was routed in one pass instead of region by
+/// region and then stitched; the last three before a candidate was
+/// placed, routed and timed on LUT-indexed arrays.
 type PnrFields = Option<(usize, u64, Option<usize>)>;
-const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 12] = [
+const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 15] = [
     ("parity_tree", 16, Some((24, 7, None)), 0xe86c_b62d_af25_c2a8),
     ("ripple_adder", 8, Some((24, 7, None)), 0xad83_6e5e_cd0b_96f0),
     ("registered_pipeline", 10, Some((6, 5, None)), 0x9c64_9744_8247_15cd),
@@ -241,6 +245,9 @@ const PAYLOAD_PINS: [(&str, usize, PnrFields, u64); 12] = [
     ("parity_tree", 2, Some((2, 1, Some(4))), 0xb350_f13c_95d1_70dd),
     ("ripple_adder", 16, Some((150, 5, Some(1))), 0x3e1e_77a4_8a02_ffe3),
     ("ripple_adder", 48, Some((150, 5, Some(3))), 0x1754_ac11_6b8d_2653),
+    ("ripple_adder", 64, Some((64, 41, Some(4))), 0x3d8e_b5a1_1352_4189),
+    ("ripple_adder", 40, Some((48, 17, Some(2))), 0xcb15_8c07_554a_02cf),
+    ("parity_tree", 16, Some((200, 23, Some(1))), 0xee11_8303_4427_d229),
     ("ripple_adder", 9, None, 0x5ae5_cdde_924d_ca92),
     ("parity_tree", 20, None, 0x569b_adff_167a_a431),
 ];
@@ -287,15 +294,25 @@ fn seq_sweep_payloads_match_their_pinned_digests() {
     assert_eq!(got, SEQ_PINS, "seq_sweep payload digests moved");
 }
 
-/// `(fault_campaign spec, fnv1a_64 of the payload)`: `SPECS[2]` and a
-/// spec at `heavy_cold`'s largest fabric and trial count. The digests
-/// were recorded while the job still kept every sampled map until it
-/// built the payload.
-const FAULT_PINS: [(&str, u64); 2] = [
+/// `(fault_campaign spec, fnv1a_64 of the payload)`: `SPECS[2]`, a spec
+/// at `heavy_cold`'s largest fabric and trial count, and specs at rate
+/// 1.0 (every resource fails) and 0.001 (most blocks clean). The first
+/// two digests were recorded while the job still kept every sampled map
+/// until it built the payload; the last two while each trial still
+/// built its defect set and bad-block set to count them.
+const FAULT_PINS: [(&str, u64); 4] = [
     (SPECS[2], 0x7216_d6b6_1eb6_8fb6),
     (
         r#"{"type":"fault_campaign","width":48,"height":48,"rate":0.05,"trials":9,"seed":3}"#,
         0x2812_3f24_224d_d2b2,
+    ),
+    (
+        r#"{"type":"fault_campaign","width":16,"height":12,"rate":1.0,"trials":5,"seed":19}"#,
+        0x46c8_3f76_4ffe_fe48,
+    ),
+    (
+        r#"{"type":"fault_campaign","width":48,"height":48,"rate":0.001,"trials":8,"seed":29}"#,
+        0x4375_32d7_400c_830d,
     ),
 ];
 

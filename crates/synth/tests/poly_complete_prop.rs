@@ -24,24 +24,34 @@ fn oracle_compose(k: usize, g: u32, u: u32, v: u32) -> u32 {
     out
 }
 
-/// Naive fixpoint: keep passing over *all* reached pairs under all gates
-/// until nothing new appears. No worklist, no early exit, no basis
-/// theorem — deliberately dumb.
+/// Naive fixpoint: keep passing over *all* pairs reached before the
+/// pass under all gates until nothing new appears. No worklist, no early
+/// exit, no basis theorem — deliberately dumb. The reached vectors are
+/// kept as a list beside a dense membership table of all `16^k`.
 fn oracle_closure(k: usize, gates: &[u32]) -> BTreeSet<u32> {
-    let mut reached: BTreeSet<u32> =
-        [invariant(tables::PROJ_A, k), invariant(tables::PROJ_B, k)].into();
+    let mut member = vec![false; 1 << (4 * k)];
+    let mut reached = Vec::new();
+    for v in [invariant(tables::PROJ_A, k), invariant(tables::PROJ_B, k)] {
+        if !member[v as usize] {
+            member[v as usize] = true;
+            reached.push(v);
+        }
+    }
     loop {
-        let snapshot: Vec<u32> = reached.iter().copied().collect();
         let before = reached.len();
         for &g in gates {
-            for &u in &snapshot {
-                for &v in &snapshot {
-                    reached.insert(oracle_compose(k, g, u, v));
+            for a in 0..before {
+                for b in 0..before {
+                    let w = oracle_compose(k, g, reached[a], reached[b]);
+                    if !member[w as usize] {
+                        member[w as usize] = true;
+                        reached.push(w);
+                    }
                 }
             }
         }
         if reached.len() == before {
-            return reached;
+            return reached.into_iter().collect();
         }
     }
 }

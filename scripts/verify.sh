@@ -34,8 +34,11 @@ echo "== release-mode sim semantics, bench timer and bit-for-bit oracles =="
 # timer's tests run here too: only an optimised build times routines
 # faster than a nanosecond per iteration. The device and synth suites
 # hold the solvers and the completeness closure to their oracles bit for
-# bit, so they run on the optimised build that `repro` ships as well.
-cargo test --release -q -p pmorph-sim -p pmorph-util -p pmorph-device -p pmorph-synth
+# bit, and the core and fpga suites hold the defect sampler's integer
+# draw test and the LUT-indexed router and timer to theirs, so they run
+# on the optimised build that `repro` and the server ship as well.
+cargo test --release -q -p pmorph-sim -p pmorph-util -p pmorph-device -p pmorph-synth \
+    -p pmorph-core -p pmorph-fpga
 
 echo "== observability differential suite =="
 # Repro stdout must be byte-identical with PMORPH_OBS unset vs =1 at 1
