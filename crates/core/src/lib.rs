@@ -22,7 +22,9 @@
 //!   interconnect (driver in buffer/pass mode), which is exactly the
 //!   "logic cells as wire" polymorphism of the title;
 //! * [`elaborate`] turns a configured fabric into a flat gate netlist whose
-//!   behaviour and timing run on the event-driven kernel;
+//!   behaviour and timing run on the event-driven kernel — the one
+//!   behavioural view of a block (the zero-delay Fig. 7 model it is held
+//!   to lives in the root crate's tests);
 //! * [`area`] and [`delay`] carry the analytic models behind the paper's
 //!   area (≈400 λ²/LUT-pair), configuration (128 bits/block), density and
 //!   O(λ^½)-scaling claims.
@@ -41,7 +43,6 @@
 
 pub mod area;
 pub mod array;
-pub mod block;
 pub mod config;
 pub mod delay;
 pub mod elaborate;

@@ -8,10 +8,12 @@
 //! and a straw man:
 //!
 //! * [`arch`] — CLB + segmented-routing architecture and the
-//!   bits-proportional area model (DeHon [1]),
+//!   bits-proportional area model (DeHon [1]); the CLB's configuration
+//!   bits (E11) are counted here,
 //! * [`mapper`] — greedy cone-growing K-LUT technology mapper with
 //!   random-vector equivalence checking, plus CLB packing statistics for
-//!   the §2.2 utilisation study,
+//!   the §2.2 utilisation study (E15); a CLB is modelled by these two
+//!   views, not by a separate cell-level simulation,
 //! * [`pnr`] — deterministic placement, L-path global routing over the
 //!   channel grid with per-segment occupancy counts, and longest-path
 //!   timing with the §2.1 O(λ^½) interconnect scaling law,
@@ -19,7 +21,6 @@
 
 pub mod arch;
 pub mod circuits;
-pub mod clb;
 pub mod mapper;
 pub mod pnr;
 #[doc(hidden)]
@@ -27,7 +28,6 @@ pub mod testgen;
 
 pub use arch::FpgaArch;
 pub use circuits::{parity_tree, registered_pipeline, ripple_adder_gates, shift_register, Circuit};
-pub use clb::{Clb, ClbConfig, ClbInputs};
 pub use mapper::{pack, tech_map, verify_mapping, FpgaMapError, Lut, MappedDesign, PackStats};
 pub use pnr::hier::HierStats;
 pub use pnr::{

@@ -3,14 +3,16 @@
 //! A greedy cone-growing mapper (FlowMap's little sibling): each mapped
 //! net gets a cut of ≤ K leaves grown backwards from its driving gate; the
 //! LUT truth table is extracted by exhaustive evaluation of the covered
-//! cone. Flip-flops map to CLB registers and pack with the LUT feeding
-//! them when possible. The output feeds the placement/routing model and
+//! cone, gate by gate through the simulator's `Component::evaluate_into`.
+//! Flip-flops map to CLB registers and pack with the LUT feeding them
+//! when possible. The output feeds the placement/routing model and
 //! the §2.2 utilisation study (how much of each CLB a real mapping leaves
 //! idle).
 
+use pmorph_sim::netlist::MAX_OUTPUTS;
 use pmorph_sim::table::WideMask;
 use pmorph_sim::{Component, Logic, NetId, Netlist};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A mapped K-LUT.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,49 +108,40 @@ struct Mapper<'a> {
     mapped: HashMap<NetId, ()>,
     design: MappedDesign,
     visiting: Vec<bool>,
+    /// Net values while a cut's truth table is extracted, indexed by net.
+    values: Vec<Logic>,
 }
 
 impl<'a> Mapper<'a> {
-    fn gate_inputs(&self, comp: usize) -> Vec<NetId> {
-        self.netlist.comps[comp].inputs().collect()
-    }
-
-    fn eval_gate(&self, comp: usize, values: &HashMap<NetId, bool>) -> bool {
-        let read = |n: NetId| Logic::from_bool(values[&n]);
-        // clone the component for stateless evaluation (combinational only)
-        let mut c = self.netlist.comps[comp].clone();
-        c.evaluate(read)[0].1.to_bool().expect("combinational gate")
-    }
-
-    /// Evaluate the cone rooted at `net` with the cut leaves bound.
-    fn eval_cone(&self, net: NetId, leaves: &HashMap<NetId, bool>) -> bool {
-        if let Some(v) = leaves.get(&net) {
-            return *v;
-        }
-        let comp = self.driver[&net];
-        let mut values = leaves.clone();
-        // recursive evaluation with memo into `values`
-        fn rec(m: &Mapper, net: NetId, values: &mut HashMap<NetId, bool>) -> bool {
-            if let Some(v) = values.get(&net) {
-                return *v;
+    /// The gates of the cone rooted at `net` and bounded by `cut`, each
+    /// cloned once with the net it drives, drivers before readers: a
+    /// post-order walk back from `net` that stops at the leaves. Empty
+    /// when `net` is itself a leaf.
+    fn cone(&self, net: NetId, cut: &[NetId]) -> Vec<(NetId, Component)> {
+        fn visit(
+            m: &Mapper,
+            net: NetId,
+            seen: &mut HashSet<NetId>,
+            order: &mut Vec<(NetId, Component)>,
+        ) {
+            if !seen.insert(net) {
+                return;
             }
-            let comp = m.driver[&net];
-            for i in m.gate_inputs(comp) {
-                rec(m, i, values);
+            let comp = &m.netlist.comps[m.driver[&net]];
+            for i in comp.inputs() {
+                visit(m, i, seen, order);
             }
-            let v = m.eval_gate(comp, values);
-            values.insert(net, v);
-            v
+            order.push((net, comp.clone()));
         }
-        for i in self.gate_inputs(comp) {
-            rec(self, i, &mut values);
-        }
-        self.eval_gate(comp, &values)
+        let mut seen: HashSet<NetId> = cut.iter().copied().collect();
+        let mut order = Vec::new();
+        visit(self, net, &mut seen, &mut order);
+        order
     }
 
     /// Grow a cut of ≤ k leaves for `net`.
     fn grow_cut(&self, net: NetId) -> Vec<NetId> {
-        let mut cut: Vec<NetId> = self.gate_inputs(self.driver[&net]);
+        let mut cut: Vec<NetId> = self.netlist.comps[self.driver[&net]].inputs().collect();
         cut.sort_unstable();
         cut.dedup();
         loop {
@@ -157,7 +150,7 @@ impl<'a> Mapper<'a> {
                 let Some(&g) = self.driver.get(leaf) else { continue };
                 let mut candidate = cut.clone();
                 candidate.remove(i);
-                candidate.extend(self.gate_inputs(g));
+                candidate.extend(self.netlist.comps[g].inputs());
                 candidate.sort_unstable();
                 candidate.dedup();
                 if candidate.len() <= self.k {
@@ -207,11 +200,20 @@ impl<'a> Mapper<'a> {
             cut.len(),
             WideMask::MAX_VARS
         );
+        // Every cone net is written before it is read, so values left in
+        // `self.values` by earlier cones are never seen.
+        let mut cone = self.cone(net, &cut);
         let mut truth = WideMask::zero(cut.len());
+        let mut out = [Logic::X; MAX_OUTPUTS];
         for m in 0..(1u64 << cut.len()) {
-            let leaves: HashMap<NetId, bool> =
-                cut.iter().enumerate().map(|(i, &n)| (n, m >> i & 1 == 1)).collect();
-            if self.eval_cone(net, &leaves) {
+            for (i, &leaf) in cut.iter().enumerate() {
+                self.values[leaf.0 as usize] = Logic::from_bool(m >> i & 1 == 1);
+            }
+            for (driven, gate) in &mut cone {
+                gate.evaluate_into(&self.values, &mut out);
+                self.values[driven.0 as usize] = out[0];
+            }
+            if self.values[net.0 as usize].to_bool().expect("combinational cone") {
                 truth.set(m, true);
             }
         }
@@ -261,6 +263,7 @@ pub fn tech_map(
         mapped: HashMap::new(),
         design: MappedDesign { outputs: outputs.to_vec(), ..MappedDesign::default() },
         visiting: vec![false; netlist.net_count()],
+        values: vec![Logic::X; netlist.net_count()],
     };
     for &o in outputs {
         m.map_net(o)?;

@@ -23,7 +23,7 @@ fn main() {
                 None => die("--addr needs a HOST:PORT value"),
             },
             "--workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => cfg.workers = n.min(256),
+                Some(n) if n >= 1 => cfg.workers = n,
                 _ => die("--workers needs a positive integer"),
             },
             "--help" | "-h" => {
@@ -39,7 +39,7 @@ fn main() {
         Ok(server) => server,
         Err(e) => die(&format!("cannot bind {}: {e}", cfg.addr)),
     };
-    println!("pmorph-serve listening on {} ({} workers)", server.addr(), cfg.workers);
+    println!("pmorph-serve listening on {} ({} workers)", server.addr(), server.workers());
     server.join();
     println!("pmorph-serve drained and stopped");
 }

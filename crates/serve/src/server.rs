@@ -71,6 +71,10 @@ pub const SUBMIT_HOLD: Duration = Duration::from_millis(50);
 /// Most connection handler threads kept parked between connections.
 const MAX_PARKED_HANDLERS: usize = 8;
 
+/// Most worker threads a server runs, whatever [`ServeConfig::workers`]
+/// asks for.
+const MAX_WORKERS: usize = 256;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -79,7 +83,8 @@ pub struct ServeConfig {
     /// [`ServerHandle::addr`] / the binary's `listening on` line).
     pub addr: String,
     /// Worker-pool size (`PMORPH_SERVE_WORKERS`, default
-    /// [`pmorph_util::pool::worker_count`]).
+    /// [`pmorph_util::pool::worker_count`]); [`serve`] runs between 1 and
+    /// 256 workers, whatever this asks for.
     pub workers: usize,
 }
 
@@ -102,9 +107,15 @@ impl ServeConfig {
         if let Some(n) =
             std::env::var("PMORPH_SERVE_WORKERS").ok().and_then(|v| v.parse::<usize>().ok())
         {
-            cfg.workers = n.clamp(1, 256);
+            cfg.workers = n;
         }
         cfg
+    }
+
+    /// The worker count [`serve`] starts: [`ServeConfig::workers`]
+    /// clamped to `1..=MAX_WORKERS`.
+    fn pool_size(&self) -> usize {
+        self.workers.clamp(1, MAX_WORKERS)
     }
 }
 
@@ -114,6 +125,7 @@ pub struct ServerHandle {
     registry: Arc<Registry>,
     accept: Option<std::thread::JoinHandle<()>>,
     pool: Option<WorkerPool>,
+    workers: usize,
     stopping: Arc<AtomicBool>,
 }
 
@@ -122,7 +134,8 @@ pub fn serve(cfg: &ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::new());
-    let pool = WorkerPool::spawn(Arc::clone(&registry), cfg.workers);
+    let workers = cfg.pool_size();
+    let pool = WorkerPool::spawn(Arc::clone(&registry), workers);
     let stopping = Arc::new(AtomicBool::new(false));
 
     let (to_parked, from_accept) = mpsc::channel();
@@ -161,7 +174,7 @@ pub fn serve(cfg: &ServeConfig) -> io::Result<ServerHandle> {
         })
         .expect("spawn accept thread");
 
-    Ok(ServerHandle { addr, registry, accept: Some(accept), pool: Some(pool), stopping })
+    Ok(ServerHandle { addr, registry, accept: Some(accept), pool: Some(pool), workers, stopping })
 }
 
 /// What every connection handler thread shares.
@@ -220,6 +233,11 @@ impl ServerHandle {
     /// The bound address (resolves the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Worker threads in the pool.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The registry behind this server (in-process tests and the bench
@@ -478,6 +496,19 @@ mod tests {
 
     fn sleep_spec() -> JobSpec {
         JobSpec::parse(&json::parse(r#"{"type":"sleep","steps":0,"step_ms":0}"#).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn pool_size_is_bounded_whatever_sets_the_count() {
+        // Builds configs only: no pool is spawned with these counts.
+        let mut env = pmorph_util::env::EnvGuard::new();
+        env.set("PMORPH_THREADS", "100000").unset("PMORPH_SERVE_WORKERS");
+        assert_eq!(ServeConfig::from_env().pool_size(), 256);
+        env.set("PMORPH_SERVE_WORKERS", "100000");
+        assert_eq!(ServeConfig::from_env().pool_size(), 256);
+        env.set("PMORPH_SERVE_WORKERS", "0");
+        assert_eq!(ServeConfig::from_env().pool_size(), 1);
+        assert_eq!(ServeConfig { addr: String::new(), workers: 3 }.pool_size(), 3);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   usual resolution semantics for multi-driver (tri-state) nets,
 //! * [`Netlist`] / [`NetlistBuilder`] — a flat component/net graph with NAND,
 //!   NOR, inverters, tri-state drivers, Muller C-elements, behavioural
-//!   flip-flops/latches, clock and stimulus generators,
+//!   flip-flops/latches, clock and stimulus generators; a component is
+//!   evaluated value by value through the one [`Component::evaluate_into`],
 //! * [`Simulator`] — a deterministic event-driven kernel with per-driver
 //!   inertial delay, oscillation detection and waveform probes,
-//! * [`vcd`] — Value-Change-Dump export for external waveform viewers,
+//! * [`vcd`] — Value-Change-Dump export for external waveform viewers, the
+//!   one exporter of the kernel's watched-net change logs,
 //! * [`vectors`] — exhaustive/functional test-vector helpers used by the
 //!   mapping flows to prove fabric configurations equivalent to their
 //!   specification truth tables.
@@ -23,7 +25,6 @@
 
 pub mod bitsim;
 pub mod builder;
-pub mod chrometrace;
 pub mod engine;
 pub mod levelized;
 pub mod logic;

@@ -229,131 +229,14 @@ impl Component {
         matches!(self, Component::Clock { .. } | Component::Stimulus { .. })
     }
 
-    /// Evaluate the component against current net values, returning
-    /// `(port, value)` pairs for each output. `read` maps a net to its
-    /// resolved value. Stateful components update their state here.
-    pub fn evaluate<F: Fn(NetId) -> Logic>(&mut self, read: F) -> Vec<(u8, Logic)> {
-        match self {
-            Component::Nand { inputs, .. } => {
-                vec![(0, Logic::nand_all(inputs.iter().map(|&n| read(n))))]
-            }
-            Component::Nor { inputs, .. } => {
-                let mut acc = Logic::L0;
-                for &n in inputs.iter() {
-                    acc = acc.or(read(n));
-                }
-                vec![(0, acc.not())]
-            }
-            Component::And { inputs, .. } => {
-                let mut acc = Logic::L1;
-                for &n in inputs.iter() {
-                    acc = acc.and(read(n));
-                }
-                vec![(0, acc)]
-            }
-            Component::Or { inputs, .. } => {
-                let mut acc = Logic::L0;
-                for &n in inputs.iter() {
-                    acc = acc.or(read(n));
-                }
-                vec![(0, acc)]
-            }
-            Component::Xor { inputs, .. } => {
-                let mut acc = Logic::L0;
-                for &n in inputs.iter() {
-                    acc = acc.xor(read(n));
-                }
-                vec![(0, acc)]
-            }
-            Component::Inv { input, .. } => vec![(0, read(*input).not())],
-            Component::Buf { input, .. } => vec![(0, read(*input).input())],
-            Component::TriBuf { input, enable, mode, .. } => {
-                let v = match read(*enable).input() {
-                    Logic::L1 => {
-                        let i = read(*input).input();
-                        match mode {
-                            DriveMode::NonInverting => i,
-                            DriveMode::Inverting => i.not(),
-                        }
-                    }
-                    Logic::L0 => Logic::Z,
-                    _ => Logic::X,
-                };
-                vec![(0, v)]
-            }
-            Component::Const { value, .. } => vec![(0, *value)],
-            Component::CElement { a, b, state, .. } => {
-                let (va, vb) = (read(*a).input(), read(*b).input());
-                // Switch only on a definite consensus; anything else —
-                // mixed inputs *or* unknowns — holds the present state.
-                // (Real C-elements power up into a defined state via their
-                // keeper; modelling X-propagation here would deadlock every
-                // cold-started handshake ring.)
-                let next = match (va, vb) {
-                    (Logic::L1, Logic::L1) => Logic::L1,
-                    (Logic::L0, Logic::L0) => Logic::L0,
-                    _ => *state,
-                };
-                *state = next;
-                vec![(0, next)]
-            }
-            Component::Dff { d, clk, reset_n, last_clk, state, .. } => {
-                let c = read(*clk).input();
-                let rising = *last_clk == Logic::L0 && c == Logic::L1;
-                *last_clk = c;
-                if let Some(r) = reset_n {
-                    if read(*r).input() == Logic::L0 {
-                        *state = Logic::L0;
-                        return vec![(0, *state)];
-                    }
-                }
-                if rising {
-                    *state = read(*d).input();
-                }
-                vec![(0, *state)]
-            }
-            Component::Latch { d, en, state, .. } => {
-                match read(*en).input() {
-                    Logic::L1 => *state = read(*d).input(),
-                    Logic::L0 => {}
-                    _ => *state = Logic::X,
-                }
-                vec![(0, *state)]
-            }
-            Component::Clock { value, .. } => vec![(0, *value)],
-            Component::Stimulus { events, next, .. } => {
-                // Value most recently played; before the first event the
-                // output is X (undriven stimulus is unknown, not Z, to make
-                // forgotten initialisation loudly visible).
-                let v = if *next == 0 { Logic::X } else { events[*next - 1].1 };
-                vec![(0, v)]
-            }
-            Component::Mutex { r1, r2, g1: _, g2: _, owner } => {
-                let (a, b) = (read(*r1).input(), read(*r2).input());
-                match *owner {
-                    1 if a != Logic::L1 => *owner = 0,
-                    2 if b != Logic::L1 => *owner = 0,
-                    _ => {}
-                }
-                if *owner == 0 {
-                    if a == Logic::L1 {
-                        *owner = 1;
-                    } else if b == Logic::L1 {
-                        *owner = 2;
-                    }
-                }
-                vec![(0, Logic::from_bool(*owner == 1)), (1, Logic::from_bool(*owner == 2))]
-            }
-        }
-    }
-
-    /// In-place evaluation: like [`Component::evaluate`] but reads resolved
-    /// net values straight from a slice and writes outputs into a fixed
-    /// scratch buffer (port `p`'s value lands in `out[p]`), returning the
-    /// number of output ports. This is the simulation kernel's hot path —
-    /// no closure dispatch, no `Vec` per evaluation. The closure-based
-    /// `evaluate` stays as the reference implementation; the differential
-    /// kernel test pins the two together.
+    /// Evaluate the component against the resolved net values in
+    /// `values` (indexed by [`NetId`]), writing port `p`'s value into
+    /// `out[p]` and returning the number of output ports. Stateful
+    /// components update their state here. This is the one scalar
+    /// component evaluator in production: the event kernel, the levelizer
+    /// and the technology mapper all call it, with no closure dispatch
+    /// and no `Vec` per evaluation. The simulator's differential suite
+    /// holds it to an independently written evaluator in its test code.
     pub fn evaluate_into(&mut self, values: &[Logic], out: &mut [Logic; MAX_OUTPUTS]) -> usize {
         #[inline]
         fn read(values: &[Logic], n: NetId) -> Logic {
@@ -664,22 +547,21 @@ mod tests {
         assert_eq!(nl.nets[a.0 as usize].fanout.len(), 1);
     }
 
+    /// The output ports `evaluate_into` writes for `values`.
+    fn eval(c: &mut Component, values: &[Logic]) -> Vec<Logic> {
+        let mut out = [Logic::Z; MAX_OUTPUTS];
+        let n = c.evaluate_into(values, &mut out);
+        out[..n].to_vec()
+    }
+
     #[test]
     fn celement_holds_state() {
         let mut c =
             Component::CElement { a: NetId(0), b: NetId(1), output: NetId(2), state: Logic::L0 };
-        let vals = [Logic::L1, Logic::L0];
-        let out = c.evaluate(|n| vals[n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L0)], "mixed inputs hold");
-        let vals = [Logic::L1, Logic::L1];
-        let out = c.evaluate(|n| vals[n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L1)], "both high sets");
-        let vals = [Logic::L0, Logic::L1];
-        let out = c.evaluate(|n| vals[n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L1)], "mixed holds high");
-        let vals = [Logic::L0, Logic::L0];
-        let out = c.evaluate(|n| vals[n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L0)], "both low clears");
+        assert_eq!(eval(&mut c, &[Logic::L1, Logic::L0]), [Logic::L0], "mixed inputs hold");
+        assert_eq!(eval(&mut c, &[Logic::L1, Logic::L1]), [Logic::L1], "both high sets");
+        assert_eq!(eval(&mut c, &[Logic::L0, Logic::L1]), [Logic::L1], "mixed holds high");
+        assert_eq!(eval(&mut c, &[Logic::L0, Logic::L0]), [Logic::L0], "both low clears");
     }
 
     #[test]
@@ -693,23 +575,22 @@ mod tests {
             state: Logic::L0,
         };
         // clk low, d high: no capture
-        let out = ff.evaluate(|n| [Logic::L1, Logic::L0][n.0 as usize]);
-        assert_eq!(out[0].1, Logic::L0);
+        assert_eq!(eval(&mut ff, &[Logic::L1, Logic::L0]), [Logic::L0]);
         // rising edge captures d
-        let out = ff.evaluate(|n| [Logic::L1, Logic::L1][n.0 as usize]);
-        assert_eq!(out[0].1, Logic::L1);
+        assert_eq!(eval(&mut ff, &[Logic::L1, Logic::L1]), [Logic::L1]);
         // d falls while clk high: hold
-        let out = ff.evaluate(|n| [Logic::L0, Logic::L1][n.0 as usize]);
-        assert_eq!(out[0].1, Logic::L1);
+        assert_eq!(eval(&mut ff, &[Logic::L0, Logic::L1]), [Logic::L1]);
     }
 
     #[test]
     fn mutex_first_wins_and_releases() {
         let mut m =
             Component::Mutex { r1: NetId(0), r2: NetId(1), g1: NetId(2), g2: NetId(3), owner: 0 };
-        let out = m.evaluate(|n| [Logic::L1, Logic::L1][n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L1), (1, Logic::L0)], "tie goes to r1");
-        let out = m.evaluate(|n| [Logic::L0, Logic::L1][n.0 as usize]);
-        assert_eq!(out, vec![(0, Logic::L0), (1, Logic::L1)], "release then grant r2");
+        assert_eq!(eval(&mut m, &[Logic::L1, Logic::L1]), [Logic::L1, Logic::L0], "tie goes to r1");
+        assert_eq!(
+            eval(&mut m, &[Logic::L0, Logic::L1]),
+            [Logic::L0, Logic::L1],
+            "release then grant r2"
+        );
     }
 }

@@ -6,9 +6,9 @@
 //! The kernel's contract is *word-for-word identical masks* on every
 //! combinational netlist, at every worker count and shard geometry —
 //! including partial final words (`n < 6`), `X`-poisoned outputs, and
-//! multi-word tables out to 10 inputs. Runs in the CI thread-matrix job
-//! (`PMORPH_THREADS ∈ {1, 8}`) so the sharded merge is exercised both
-//! serially and work-stolen.
+//! multi-word tables out to 10 inputs. `scripts/thread_matrix.sh` runs
+//! it at `PMORPH_THREADS` 1 and 8 (called from `scripts/verify.sh`), so
+//! the sharded merge is exercised both serially and work-stolen.
 
 mod support;
 

@@ -1,6 +1,8 @@
-//! Differential property test: the CSR + timing-wheel kernel
+//! Differential property tests: the CSR + timing-wheel kernel
 //! ([`Simulator`]) against the retained heap-based engine
-//! ([`ReferenceSimulator`], test code in `support/reference.rs`).
+//! ([`ReferenceSimulator`], test code in `support/reference.rs`), and the
+//! production component evaluator (`Component::evaluate_into`) against
+//! the reference engine's own ([`reference::evaluate`]).
 //!
 //! The optimized kernel's contract is *bit-identical traces*: same event
 //! counts, same settle times, same waveform on every watched net, for any
@@ -8,16 +10,18 @@
 //! enough to spill the timing wheel into its overflow heap, and runs that
 //! exhaust their event budget mid-oscillation. Each case builds one random
 //! netlist, runs both engines through an identical stimulus schedule, and
-//! compares everything observable.
+//! compares everything observable. The random netlists never build some
+//! component kinds (NOR, BUF, constants, C-elements, stimulus players,
+//! mutexes), so the evaluators are also compared kind by kind.
 
 mod support;
 
 use pmorph_sim::logic::Logic;
-use pmorph_sim::netlist::NetId;
+use pmorph_sim::netlist::{Component, DriveMode, NetId, MAX_OUTPUTS};
 use pmorph_sim::Simulator;
-use pmorph_util::prop;
+use pmorph_util::prop::{self, Gen};
 use pmorph_util::{prop_assert, prop_assert_eq};
-use support::reference::ReferenceSimulator;
+use support::reference::{self, ReferenceSimulator};
 use support::testgen::{random_netlist, random_schedule};
 
 #[test]
@@ -129,6 +133,108 @@ fn snapshot_restore_matches_reference_fresh_instance() {
                 fast.stats().resolve_fast_hits <= fast.stats().events,
                 "fast-path counter stays within applied events"
             );
+        }
+        Ok(())
+    });
+}
+
+/// Nets a component of [`random_component`] reads from.
+const NETS: u32 = 6;
+
+/// Every `Component` kind, by `kind_name`, in declaration order.
+const KINDS: [&str; 15] = [
+    "nand", "nor", "and", "or", "xor", "inv", "buf", "tribuf", "const", "celement", "dff", "latch",
+    "clock", "stimulus", "mutex",
+];
+
+fn any_logic(g: &mut Gen) -> Logic {
+    Logic::ALL[g.in_range(0usize..4)]
+}
+
+fn any_net(g: &mut Gen) -> NetId {
+    NetId(g.in_range(0..NETS))
+}
+
+/// A component of kind `KINDS[kind]` over nets `0..NETS`, in a random
+/// state. N-input gates read 1 to 4 nets, repeats allowed.
+fn random_component(g: &mut Gen, kind: usize) -> Component {
+    let width = g.in_range(1usize..=4);
+    let inputs: Vec<NetId> = (0..width).map(|_| any_net(g)).collect();
+    let (input, output) = (any_net(g), any_net(g));
+    match KINDS[kind] {
+        "nand" => Component::Nand { inputs, output },
+        "nor" => Component::Nor { inputs, output },
+        "and" => Component::And { inputs, output },
+        "or" => Component::Or { inputs, output },
+        "xor" => Component::Xor { inputs, output },
+        "inv" => Component::Inv { input, output },
+        "buf" => Component::Buf { input, output },
+        "tribuf" => {
+            let mode = if g.bool() { DriveMode::Inverting } else { DriveMode::NonInverting };
+            Component::TriBuf { input, enable: any_net(g), output, mode }
+        }
+        "const" => Component::Const { value: any_logic(g), output },
+        "celement" => Component::CElement { a: input, b: any_net(g), output, state: any_logic(g) },
+        "dff" => Component::Dff {
+            d: input,
+            clk: any_net(g),
+            reset_n: if g.bool() { Some(any_net(g)) } else { None },
+            q: output,
+            last_clk: any_logic(g),
+            state: any_logic(g),
+        },
+        "latch" => Component::Latch { d: input, en: any_net(g), q: output, state: any_logic(g) },
+        "clock" => Component::Clock {
+            output,
+            half_period: g.in_range(1u64..=10),
+            phase: g.in_range(0u64..=5),
+            value: any_logic(g),
+        },
+        "stimulus" => {
+            let mut t = 0;
+            let events: Vec<(u64, Logic)> = (0..g.in_range(0usize..=4))
+                .map(|_| {
+                    t += g.in_range(1u64..=10);
+                    (t, any_logic(g))
+                })
+                .collect();
+            let next = g.in_range(0..=events.len());
+            Component::Stimulus { output, events, next }
+        }
+        "mutex" => Component::Mutex {
+            r1: input,
+            r2: any_net(g),
+            g1: output,
+            g2: any_net(g),
+            owner: g.in_range(0u8..=2),
+        },
+        other => unreachable!("no generator for {other}"),
+    }
+}
+
+#[test]
+fn every_component_kind_matches_the_reference_evaluator() {
+    // One component of each kind per case, driven through a run of
+    // four-valued input vectors (X and Z included) that carries its
+    // state from step to step; generators also advance between steps.
+    prop::check("component_kinds_vs_reference_evaluator", 64, |g| {
+        for (kind, &name) in KINDS.iter().enumerate() {
+            let mut prod = random_component(g, kind);
+            prop_assert_eq!(prod.kind_name(), name, "generated kind");
+            let mut refr = prod.clone();
+            for (step, now) in (0..8u64).map(|s| (s, 10 * s)) {
+                if g.bool() {
+                    prop_assert_eq!(prod.next_generated(now), refr.next_generated(now));
+                }
+                let values: Vec<Logic> = (0..NETS).map(|_| any_logic(g)).collect();
+                let mut out = [Logic::Z; MAX_OUTPUTS];
+                let ports = prod.evaluate_into(&values, &mut out);
+                let got: Vec<(u8, Logic)> =
+                    out[..ports].iter().enumerate().map(|(p, &v)| (p as u8, v)).collect();
+                let want = reference::evaluate(&mut refr, |n| values[n.0 as usize]);
+                prop_assert_eq!(&got, &want, "{name} outputs at step {step} on {values:?}");
+                prop_assert_eq!(prod.save_state(), refr.save_state(), "{name} state, step {step}");
+            }
         }
         Ok(())
     });

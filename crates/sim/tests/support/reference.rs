@@ -1,19 +1,140 @@
-//! The pre-CSR heap-scheduled simulation kernel, kept in test code as a
-//! frozen *reference semantics* implementation.
+//! The simulator's reference semantics, kept in test code and frozen:
+//! the closure-based component evaluator [`evaluate`] and the pre-CSR
+//! heap-scheduled event kernel [`ReferenceSimulator`] built on it.
 //!
-//! This is the original `engine.rs` event loop: closure-based
-//! `Component::evaluate`, per-net driver scans, and a global
-//! `BinaryHeap<Reverse<Event>>` with lazy version-cancellation, built on
-//! the public netlist API only. The production `pmorph_sim::Simulator`
-//! must stay bit-identical to it — the differential property test
-//! (`differential.rs`) runs random netlists on both and asserts equal
-//! traces, values and event counts. It carries none of the fast-path
-//! statistics.
+//! [`evaluate`] is the component semantics written case by case, apart
+//! from the production `Component::evaluate_into`; the differential
+//! suite (`differential.rs`) compares the two on every component kind,
+//! with four-valued inputs and carried state. [`ReferenceSimulator`] is
+//! the original `engine.rs` event loop: per-net driver scans and a
+//! global `BinaryHeap<Reverse<Event>>` with lazy version-cancellation,
+//! built on the public netlist API only. The production
+//! `pmorph_sim::Simulator` must stay bit-identical to it — the same
+//! suite runs random netlists on both and asserts equal traces, values
+//! and event counts. It carries none of the fast-path statistics.
 
-use pmorph_sim::netlist::{CompId, NetId, Netlist};
+use pmorph_sim::netlist::{CompId, Component, DriveMode, NetId, Netlist};
 use pmorph_sim::{Logic, SimError, SimStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Evaluate `comp` against current net values, returning `(port, value)`
+/// pairs for each output. `read` maps a net to its resolved value.
+/// Stateful components update their state here.
+pub fn evaluate<F: Fn(NetId) -> Logic>(comp: &mut Component, read: F) -> Vec<(u8, Logic)> {
+    match comp {
+        Component::Nand { inputs, .. } => {
+            vec![(0, Logic::nand_all(inputs.iter().map(|&n| read(n))))]
+        }
+        Component::Nor { inputs, .. } => {
+            let mut acc = Logic::L0;
+            for &n in inputs.iter() {
+                acc = acc.or(read(n));
+            }
+            vec![(0, acc.not())]
+        }
+        Component::And { inputs, .. } => {
+            let mut acc = Logic::L1;
+            for &n in inputs.iter() {
+                acc = acc.and(read(n));
+            }
+            vec![(0, acc)]
+        }
+        Component::Or { inputs, .. } => {
+            let mut acc = Logic::L0;
+            for &n in inputs.iter() {
+                acc = acc.or(read(n));
+            }
+            vec![(0, acc)]
+        }
+        Component::Xor { inputs, .. } => {
+            let mut acc = Logic::L0;
+            for &n in inputs.iter() {
+                acc = acc.xor(read(n));
+            }
+            vec![(0, acc)]
+        }
+        Component::Inv { input, .. } => vec![(0, read(*input).not())],
+        Component::Buf { input, .. } => vec![(0, read(*input).input())],
+        Component::TriBuf { input, enable, mode, .. } => {
+            let v = match read(*enable).input() {
+                Logic::L1 => {
+                    let i = read(*input).input();
+                    match mode {
+                        DriveMode::NonInverting => i,
+                        DriveMode::Inverting => i.not(),
+                    }
+                }
+                Logic::L0 => Logic::Z,
+                _ => Logic::X,
+            };
+            vec![(0, v)]
+        }
+        Component::Const { value, .. } => vec![(0, *value)],
+        Component::CElement { a, b, state, .. } => {
+            let (va, vb) = (read(*a).input(), read(*b).input());
+            // Switch only on a definite consensus; anything else —
+            // mixed inputs *or* unknowns — holds the present state.
+            // (Real C-elements power up into a defined state via their
+            // keeper; modelling X-propagation here would deadlock every
+            // cold-started handshake ring.)
+            let next = match (va, vb) {
+                (Logic::L1, Logic::L1) => Logic::L1,
+                (Logic::L0, Logic::L0) => Logic::L0,
+                _ => *state,
+            };
+            *state = next;
+            vec![(0, next)]
+        }
+        Component::Dff { d, clk, reset_n, last_clk, state, .. } => {
+            let c = read(*clk).input();
+            let rising = *last_clk == Logic::L0 && c == Logic::L1;
+            *last_clk = c;
+            if let Some(r) = reset_n {
+                if read(*r).input() == Logic::L0 {
+                    *state = Logic::L0;
+                    return vec![(0, *state)];
+                }
+            }
+            if rising {
+                *state = read(*d).input();
+            }
+            vec![(0, *state)]
+        }
+        Component::Latch { d, en, state, .. } => {
+            match read(*en).input() {
+                Logic::L1 => *state = read(*d).input(),
+                Logic::L0 => {}
+                _ => *state = Logic::X,
+            }
+            vec![(0, *state)]
+        }
+        Component::Clock { value, .. } => vec![(0, *value)],
+        Component::Stimulus { events, next, .. } => {
+            // Value most recently played; before the first event the
+            // output is X (undriven stimulus is unknown, not Z, to make
+            // forgotten initialisation loudly visible).
+            let v = if *next == 0 { Logic::X } else { events[*next - 1].1 };
+            vec![(0, v)]
+        }
+        Component::Mutex { r1, r2, g1: _, g2: _, owner } => {
+            let (a, b) = (read(*r1).input(), read(*r2).input());
+            match *owner {
+                1 if a != Logic::L1 => *owner = 0,
+                2 if b != Logic::L1 => *owner = 0,
+                _ => {}
+            }
+            if *owner == 0 {
+                if a == Logic::L1 {
+                    *owner = 1;
+                } else if b == Logic::L1 {
+                    *owner = 2;
+                }
+            }
+            vec![(0, Logic::from_bool(*owner == 1)), (1, Logic::from_bool(*owner == 2))]
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
@@ -118,7 +239,7 @@ impl ReferenceSimulator {
         for c in 0..n_comps {
             if sim.netlist.comps[c].is_generator() {
                 let values = &sim.values;
-                let outs = sim.netlist.comps[c].evaluate(|n| values[n.0 as usize]);
+                let outs = evaluate(&mut sim.netlist.comps[c], |n| values[n.0 as usize]);
                 for (port, value) in outs {
                     let slot = sim.comp_slot_base[c] + port as u32;
                     sim.slots[slot as usize].value = value;
@@ -297,7 +418,7 @@ impl ReferenceSimulator {
             }
             self.stats.evals += 1;
             let values = &self.values;
-            let outputs = self.netlist.comps[*c as usize].evaluate(|n| values[n.0 as usize]);
+            let outputs = evaluate(&mut self.netlist.comps[*c as usize], |n| values[n.0 as usize]);
             let delay = self.netlist.delays[*c as usize].max(1);
             for (port, value) in outputs {
                 let slot = self.comp_slot_base[*c as usize] + port as u32;

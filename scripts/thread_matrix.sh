@@ -6,8 +6,8 @@
 #   ./scripts/thread_matrix.sh 1
 #   ./scripts/thread_matrix.sh 8
 #
-# CI's thread-matrix job and scripts/verify.sh both call it at 1 and 8,
-# so this file is the one list of these suites.
+# scripts/verify.sh, which is CI's verify job, calls it at 1 and 8, so
+# this file is the one list of these suites.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -5,6 +5,8 @@
 //! exactly on every machine — paste the reported seed into
 //! `prop::replay` to debug one case in isolation.
 
+mod support;
+
 use pmorph_util::prop::{self, Gen};
 use pmorph_util::{prop_assert, prop_assert_eq};
 use polymorphic_hw::pmorph_core::elaborate::elaborate;
@@ -138,9 +140,9 @@ fn config_bitstream_round_trip() {
     });
 }
 
-/// The digital block model and the elaborated gate netlist agree on
-/// every input vector, for arbitrary feed-forward configurations —
-/// the central correctness property of the fabric.
+/// The behavioural block model (`support::block`) and the elaborated
+/// gate netlist agree on every input vector, for arbitrary feed-forward
+/// configurations — the central correctness property of the fabric.
 #[test]
 fn block_eval_matches_elaborated_simulation() {
     prop::check("block_eval_matches_elaborated_simulation", 48, |g| {
@@ -156,7 +158,7 @@ fn block_eval_matches_elaborated_simulation() {
             sim.drive(elab.edge_lane(0, 0, cfg.input_edge, c), Logic::from_bool(v));
         }
         sim.settle(1_000_000).expect("feed-forward block settles");
-        let model = cfg.eval(&edge_in, &[Logic::Z, Logic::Z]);
+        let model = support::block::eval(&cfg, &edge_in, &[Logic::Z, Logic::Z]);
         for t in 0..LANES {
             if cfg.dests[t] == OutputDest::EdgeLane && cfg.drivers[t] != OutMode::Off {
                 let lane = elab.edge_lane(0, 0, cfg.output_edge, t);
