@@ -7,13 +7,20 @@
 //! cargo run --release -p pmorph-bench --bin repro -- --fast  # regression scale
 //! ```
 //!
+//! The selected experiments are built concurrently, as one sweep with one
+//! experiment per shard, and printed in registry order from the sweep's
+//! index-ordered result, so stdout does not depend on the worker count.
+//!
 //! With `PMORPH_OBS_JSON=<path>` set, a per-experiment metrics block (the
 //! observability registry's delta over that experiment) is appended to the
-//! run report. Metrics go only to that file and a stderr summary — stdout
-//! stays byte-identical with the layer on or off, which the
+//! run report. The registry is process-wide, so that sweep then runs on
+//! one worker, one experiment at a time, and each delta holds only its
+//! experiment's work. Metrics go only to that file and a stderr summary —
+//! stdout stays byte-identical with the layer on or off, which the
 //! `obs_differential` test pins.
 
 use pmorph_bench::experiments::{self, Scale};
+use pmorph_exec::{sweep, SweepConfig};
 use pmorph_obs::RunReport;
 use pmorph_util::json::ToJson;
 
@@ -42,18 +49,29 @@ fn main() {
     );
 
     // Filter the registry before any experiment runs (so a subset
-    // invocation only pays for what it prints) and bracket each experiment
-    // with an observability snapshot: the delta is that experiment's
-    // metrics block in the run report.
+    // invocation only pays for what it prints) and build the matches as
+    // one sweep. With a run report, the sweep runs one experiment at a
+    // time and brackets each with an observability snapshot: the delta
+    // is that experiment's metrics block.
     let mut report = RunReport::from_env();
-    let mut baseline = report.is_active().then(pmorph_obs::snapshot);
+    let per_experiment_obs = report.is_active();
+    let matched = experiments::matching(&filters);
+    let cfg = SweepConfig::new().with_shard_size(1);
+    let cfg = if per_experiment_obs { cfg.with_workers(1) } else { cfg };
+    let built = sweep(
+        matched.len(),
+        &cfg,
+        || (),
+        |_, i| {
+            let base = per_experiment_obs.then(pmorph_obs::snapshot);
+            let e = (matched[i].1)(scale);
+            (e, base.map(|base| pmorph_obs::snapshot().delta_since(&base)))
+        },
+    );
     let mut selected = Vec::new();
-    for (id, build) in experiments::matching(&filters) {
-        let e = build(scale);
-        if let Some(base) = &baseline {
-            let now = pmorph_obs::snapshot();
-            report.record(id, &now.delta_since(base));
-            baseline = Some(now);
+    for ((id, _), (e, metrics)) in matched.iter().zip(built) {
+        if let Some(metrics) = metrics {
+            report.record(id, &metrics);
         }
         selected.push(e);
     }

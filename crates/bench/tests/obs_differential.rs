@@ -2,8 +2,10 @@
 //! repro suite's stdout must be byte-identical with `PMORPH_OBS` unset
 //! and `=1`, at one worker and at eight — metrics are write-only side
 //! channels, so result bits may not move. With `PMORPH_OBS_JSON` set,
-//! every experiment must additionally emit a parseable metrics block.
+//! every experiment must additionally emit a parseable metrics block,
+//! in registry order, holding only that experiment's work.
 
+use pmorph_bench::experiments::registry;
 use pmorph_util::json;
 use std::process::{Command, Output};
 
@@ -62,13 +64,23 @@ fn repro_stdout_is_byte_identical_with_obs_on_or_off_at_1_and_8_threads() {
     let runs = doc.get("runs").and_then(json::Value::as_array).expect("`runs` array");
     assert_eq!(runs.len(), 26, "one metrics block per experiment");
     let mut saw_sim_events = 0usize;
-    for r in runs {
+    for (r, (id, _)) in runs.iter().zip(registry()) {
         let label = r.get("label").and_then(json::Value::as_str).expect("labelled block");
-        assert!(label.starts_with('E'), "experiment id label, got {label:?}");
-        let metrics = r.get("metrics").expect("metrics object");
-        if metrics.get("sim.events").and_then(json::Value::as_f64).is_some_and(|v| v > 0.0) {
+        assert_eq!(label, id, "blocks come in registry order");
+        let Some(json::Value::Object(metrics)) = r.get("metrics") else {
+            panic!("{id}: metrics object");
+        };
+        if metrics.iter().any(|(k, v)| k == "sim.events" && v.as_f64().is_some_and(|v| v > 0.0)) {
             saw_sim_events += 1;
         }
+        // Only E18 runs the variation study: its sample counter or study
+        // span in any other block would mean experiments' deltas
+        // overlapped. (Its samples-per-second gauge is an instantaneous
+        // reading, which a delta keeps, so later blocks repeat it.)
+        let variation = metrics
+            .iter()
+            .any(|(k, _)| k == "device.variation.samples" || k == "device.variation.study");
+        assert_eq!(variation, id.starts_with("E18/"), "device.variation work in {id}'s block");
     }
     assert!(
         saw_sim_events > 5,

@@ -1,7 +1,9 @@
 //! Full-scale `repro` stdout is pinned: its FNV-1a 64 digest must equal
 //! the `repro_stdout` digest the end-to-end benchmark records in
-//! `perfbench/expected.json`, at one worker and at eight. A solver edit
-//! that moves one printed digit fails here, not only in a benchmark run.
+//! `perfbench/expected.json`, at one worker, at two (the benchmark's
+//! setting, where experiments and their own sweeps overlap) and at
+//! eight. A solver edit that moves one printed digit fails here, not
+//! only in a benchmark run.
 
 use pmorph_util::hash::fnv1a_64;
 use pmorph_util::json;
@@ -17,9 +19,9 @@ fn recorded_digest() -> u64 {
 }
 
 #[test]
-fn full_scale_repro_stdout_matches_the_recorded_digest_at_1_and_8_threads() {
+fn full_scale_repro_stdout_matches_the_recorded_digest_at_1_2_and_8_threads() {
     let want = recorded_digest();
-    for threads in ["1", "8"] {
+    for threads in ["1", "2", "8"] {
         let mut cmd = Command::new(REPRO);
         for (key, _) in std::env::vars_os() {
             if key.to_string_lossy().starts_with("PMORPH_") {

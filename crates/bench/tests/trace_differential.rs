@@ -4,8 +4,10 @@
 //! channel, so result bits may not move. The written file must be a
 //! valid Chrome trace (parseable by `util::json`, metadata-first,
 //! sorted timestamps) with span coverage from every instrumented
-//! subsystem and at least two counter tracks. With the variable unset,
-//! no file may appear.
+//! subsystem and at least two counter tracks, and the complete events
+//! of each track must nest: each event runs on its own thread's track,
+//! so two events on one track are either nested or disjoint. With the
+//! variable unset, no file may appear.
 
 use pmorph_util::json::{self, Value};
 use std::process::{Command, Output};
@@ -71,6 +73,8 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
     let mut last_ts = f64::MIN;
     let mut span_names: Vec<&str> = Vec::new();
     let mut counter_names: Vec<&str> = Vec::new();
+    // (tid, start, end) in µs of every complete event
+    let mut spans: Vec<(f64, f64, f64)> = Vec::new();
     for ev in events {
         let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
         let name = ev.get("name").and_then(Value::as_str).expect("name");
@@ -82,8 +86,10 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
                 assert!(ts >= last_ts, "timestamps must be sorted ({name} at {ts} < {last_ts})");
                 last_ts = ts;
                 if ph == "X" {
-                    assert!(f64_of(ev, "dur") >= 0.0);
+                    let dur = f64_of(ev, "dur");
+                    assert!(dur >= 0.0);
                     span_names.push(name);
+                    spans.push((f64_of(ev, "tid"), ts, ts + dur));
                 } else {
                     f64_of(ev.get("args").expect("counter args"), "value");
                     if !counter_names.contains(&name) {
@@ -104,4 +110,21 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
         );
     }
     assert!(counter_names.len() >= 2, "expected >=2 counter tracks, got {counter_names:?}");
+
+    // Per track, by start time (outer first on ties): an event that
+    // starts inside an earlier one must also end inside it. Timestamps
+    // are nanoseconds printed as µs, so allow one nanosecond of rounding.
+    const EPS_US: f64 = 1e-3;
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)).then(b.2.total_cmp(&a.2)));
+    let mut open: Vec<(f64, f64, f64)> = Vec::new();
+    for &(tid, start, end) in &spans {
+        open.retain(|&(t, _, e)| t == tid && e > start + EPS_US);
+        if let Some(&(_, outer_start, outer_end)) = open.last() {
+            assert!(
+                end <= outer_end + EPS_US,
+                "track {tid}: [{start}, {end}] overlaps [{outer_start}, {outer_end}] without nesting"
+            );
+        }
+        open.push((tid, start, end));
+    }
 }

@@ -9,11 +9,11 @@
 //! ## The shard determinism contract
 //!
 //! [`sweep`] splits an indexed workload `0..n` into fixed-size shards,
-//! runs the shards on scoped worker threads with work-stealing over a
-//! shared atomic shard cursor, and returns results **in index order** —
-//! the reduction is order-independent under any scheduling, but the
-//! output is deterministic. The calling thread is worker 0, so a sweep
-//! spawns only `workers − 1` helper threads (none with one worker or one
+//! runs the shards on worker threads with work-stealing over a shared
+//! atomic shard cursor, and returns results **in index order** — the
+//! reduction is order-independent under any scheduling, but the output
+//! is deterministic. The calling thread is worker 0, so a sweep asks for
+//! only `workers − 1` helper threads (none with one worker or one
 //! shard). Two rules make the whole stack bit-reproducible:
 //!
 //! 1. **Results may depend only on the item index** (and the caller's
@@ -31,6 +31,21 @@
 //!    sample. The engine's contract with the context is *restore ≡
 //!    fresh*: running an item in a reused context must be bit-identical
 //!    to running it in a brand-new one.
+//!
+//! ## Helper threads
+//!
+//! Helpers are reused across sweeps. A sweep takes each one from a
+//! process-wide park of idle helper threads and spawns a thread only
+//! when none is parked, so nested and concurrent sweeps never wait for
+//! a helper and cannot deadlock. A helper parks again before it signals
+//! that its sweep is done, so a back-to-back sweep finds it parked (the
+//! `exec.helpers_spawned` counter shows the spawns); at most a fixed
+//! number stay parked, and the rest exit. Once the caller has drained
+//! the shard cursor it revokes the helpers that have not started yet
+//! and waits only for the ones that did. Every worker runs under
+//! `catch_unwind`: the caller waits for every started helper, then
+//! resumes the first panic payload, and the park stays usable. None of
+//! this reaches results, which still depend only on the item index.
 //!
 //! ## Adding a sweep
 //!
@@ -56,6 +71,7 @@
 
 #![warn(missing_docs)]
 
+mod park;
 mod sweep;
 
 pub use sweep::{sweep, SweepConfig};

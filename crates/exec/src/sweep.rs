@@ -1,5 +1,6 @@
 //! The sharded sweep engine proper.
 
+use crate::park;
 use pmorph_util::pool;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,33 +38,34 @@ impl SweepConfig {
         self
     }
 
-    /// The worker count this configuration resolves to for `n` items.
-    fn resolved_workers(&self, n: usize) -> usize {
-        self.workers.unwrap_or_else(pool::worker_count).clamp(1, n.max(1))
-    }
-
-    /// The shard size this configuration resolves to for `n` items:
-    /// explicit if non-zero, else `ceil(n / (4 · workers))` so each
-    /// worker sees a handful of shards to steal.
-    fn resolved_shard_size(&self, n: usize) -> usize {
-        if self.shard_size > 0 {
-            return self.shard_size;
-        }
-        let workers = self.resolved_workers(n);
-        n.div_ceil(4 * workers).max(1)
+    /// The `(workers, shard size)` this configuration resolves to for
+    /// `n` items. The worker count is read once (it may come from the
+    /// environment); the shard size is explicit if non-zero, else
+    /// `ceil(n / (4 · workers))` so each worker sees a handful of shards
+    /// to steal.
+    fn resolve(&self, n: usize) -> (usize, usize) {
+        let workers = self.workers.unwrap_or_else(pool::worker_count).clamp(1, n.max(1));
+        let shard_size =
+            if self.shard_size > 0 { self.shard_size } else { n.div_ceil(4 * workers).max(1) };
+        (workers, shard_size)
     }
 }
 
-/// Run `f` over items `0..n` in fixed-size shards on scoped worker
-/// threads, returning one result per item in index order.
+/// Run `f` over items `0..n` in fixed-size shards on worker threads,
+/// returning one result per item in index order.
 ///
 /// Workers claim shards from a shared atomic cursor (work-stealing:
 /// whoever is free takes the next shard), build one `W` each via
 /// `make_ctx` on their first shard, and reuse it across the shards they
-/// claim. The calling thread is worker 0; only `workers − 1` scoped
-/// helpers are spawned (fewer when there are fewer shards), so a
-/// one-worker or one-shard sweep runs inline with no spawn at all — same
-/// bits either way.
+/// claim. The calling thread is worker 0; the other `workers − 1` (fewer
+/// when there are fewer shards) are helper threads taken from a
+/// process-wide park of idle helpers, spawned only when none is parked,
+/// so a one-worker or one-shard sweep runs inline with no helper at all
+/// — same bits either way. Once the caller has drained the cursor it
+/// revokes the helpers that have not started yet and waits only for the
+/// ones that did, which then park again for the next sweep. A panic in
+/// any worker is resumed on the caller after every started helper has
+/// finished, and leaves the park usable.
 pub fn sweep<W, U, M, F>(n: usize, cfg: &SweepConfig, make_ctx: M, f: F) -> Vec<U>
 where
     U: Send,
@@ -75,8 +77,7 @@ where
     // but the worker loop should not even branch per shard on it.
     let obs_on = pmorph_obs::enabled();
     let trace_on = pmorph_obs::trace::enabled();
-    let workers = cfg.resolved_workers(n);
-    let shard_size = cfg.resolved_shard_size(n);
+    let (workers, shard_size) = cfg.resolve(n);
     let shards = n.div_ceil(shard_size);
 
     // Lock-free result slots: each index is written by exactly one worker
@@ -85,8 +86,9 @@ where
     struct Slots<U>(Vec<UnsafeCell<Option<U>>>);
     // SAFETY: shared across worker threads, but each cell is written at
     // most once, by the single thread that claimed the covering shard via
-    // `fetch_add`; reads happen only after `thread::scope` joins (worker
-    // 0 runs on the caller's thread inside the same scope).
+    // `fetch_add`; reads happen only after `park::run` returns, which is
+    // after every helper that started has finished (worker 0 runs on the
+    // caller's thread inside the same call).
     unsafe impl<U: Send> Sync for Slots<U> {}
 
     let slots: Slots<U> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
@@ -96,7 +98,7 @@ where
     let loads = Mutex::new(Vec::new());
 
     let cursor = AtomicUsize::new(0);
-    let run_worker = |w: usize| {
+    let run_worker = || {
         let mut ctx: Option<W> = None;
         let (mut busy_ns, mut items) = (0u64, 0usize);
         loop {
@@ -118,8 +120,8 @@ where
             for i in start..end {
                 let out = f(ctx, i);
                 // SAFETY: shard `s` (hence index `i`) was claimed
-                // exclusively above; the scope join orders this write
-                // before the caller's reads.
+                // exclusively above; `park::run`'s wait for finished
+                // helpers orders this write before the caller's reads.
                 unsafe { *slots_ref.0[i].get() = Some(out) };
             }
             let shard_ns = st.elapsed().as_nanos() as u64;
@@ -130,12 +132,9 @@ where
                     .observe(shard_ns);
             }
             if trace_on {
-                // One stable track per logical worker (keyed by worker
-                // index, not OS thread: helper threads are fresh every
-                // sweep).
-                let tid = pmorph_obs::trace::TID_EXEC_BASE + w as u64;
-                pmorph_obs::trace::thread_name(tid, &format!("exec worker {w}"));
-                pmorph_obs::trace::complete_tid("exec.shard", "exec", tid, st, shard_ns);
+                // On the running thread's own track: helper threads are
+                // reused across sweeps, so each keeps one named track.
+                pmorph_obs::trace::complete("exec.shard", "exec", st, shard_ns);
                 let claimed = cursor.load(Ordering::Relaxed).min(shards);
                 pmorph_obs::trace::counter("exec.shards_remaining", (shards - claimed) as f64);
             }
@@ -144,15 +143,9 @@ where
             loads.lock().expect("no worker panics holding the lock").push((busy_ns, items));
         }
     };
-    // The caller is worker 0; spawn helpers only for the rest, and none
-    // past the shard count (a helper with no shard to claim is pure cost).
-    std::thread::scope(|scope| {
-        for w in 1..workers.min(shards) {
-            let run_worker = &run_worker;
-            scope.spawn(move || run_worker(w));
-        }
-        run_worker(0);
-    });
+    // The caller is worker 0; helpers only for the rest, and none past
+    // the shard count (a helper with no shard to claim is pure cost).
+    let spawned = park::run(workers.min(shards), &run_worker);
 
     let merge_t = obs_on.then(Instant::now);
     let results = slots
@@ -171,7 +164,7 @@ where
         let mut loads = loads.into_inner().expect("no worker panics holding the lock");
         // Workers never spawned (more workers than shards) count as idle.
         loads.resize(workers, (0, 0));
-        obs_flush_sweep(n, shards, elapsed_ns, &loads);
+        obs_flush_sweep(n, shards, elapsed_ns, &loads, spawned);
     }
     results
 }
@@ -179,8 +172,15 @@ where
 /// Export one completed sweep's diagnostics to the observability layer.
 /// Write-only side channel: results are already fixed by the time this
 /// runs, so the sweep's bits are identical with the layer on or off.
-fn obs_flush_sweep(items: usize, shards: usize, elapsed_ns: u64, loads: &[(u64, usize)]) {
+fn obs_flush_sweep(
+    items: usize,
+    shards: usize,
+    elapsed_ns: u64,
+    loads: &[(u64, usize)],
+    helpers_spawned: usize,
+) {
     pmorph_obs::counter!("exec.sweep.runs").inc();
+    pmorph_obs::counter!("exec.helpers_spawned").add(helpers_spawned as u64);
     pmorph_obs::counter!("exec.sweep.items").add(items as u64);
     pmorph_obs::counter!("exec.sweep.shards").add(shards as u64);
     pmorph_obs::span!("exec.sweep").record_ns(elapsed_ns);
@@ -308,8 +308,36 @@ mod tests {
     #[test]
     fn auto_shard_size_gives_stealable_granularity() {
         let cfg = SweepConfig::new().with_workers(4);
-        assert_eq!(cfg.resolved_shard_size(1600), 100);
-        assert!(cfg.resolved_shard_size(3) >= 1);
+        assert_eq!(cfg.resolve(1600).1, 100);
+        assert!(cfg.resolve(3).1 >= 1);
+    }
+
+    #[test]
+    fn nested_sweeps_match_the_serial_double_loop() {
+        let inner = SweepConfig::new().with_workers(8).with_shard_size(1);
+        let reference: Vec<Vec<u64>> =
+            (0..12).map(|i| (0..16).map(|j| seeded_item(i, j)).collect()).collect();
+        for workers in [1usize, 2, 8] {
+            let outer = SweepConfig::new().with_workers(workers).with_shard_size(1);
+            let out = sweep(
+                12,
+                &outer,
+                || (),
+                |_, i| sweep(16, &inner, || (), |_, j| seeded_item(i as u64, j)),
+            );
+            assert_eq!(out, reference, "outer workers={workers} diverged");
+        }
+    }
+
+    #[test]
+    fn sweeps_run_every_item_after_a_panicking_sweep() {
+        let cfg = SweepConfig::new().with_workers(4).with_shard_size(1);
+        let caught = std::panic::catch_unwind(|| {
+            sweep(16, &cfg, || (), |_, i| if i % 5 == 3 { panic!("boom at {i}") } else { i })
+        });
+        assert!(caught.is_err(), "the panic reached the caller");
+        let out = sweep(64, &cfg, || (), |_, i| i * 3);
+        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

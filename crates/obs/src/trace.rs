@@ -1,11 +1,11 @@
 //! Chrome JSON trace sink (`PMORPH_OBS_TRACE=<path>`).
 //!
 //! Emits the [Trace Event Format] consumed by `chrome://tracing` and
-//! Perfetto: complete events (`ph:"X"`) for spans — `sim.run`, per-worker
-//! `exec.shard` tracks, `fpga.pnr.search`/`fpga.pnr.stitch`, per-job
-//! `serve.job.run` — plus counter events (`ph:"C"`) for queue depth,
-//! lane utilization and cache hits, and `thread_name` metadata records
-//! that label the synthetic tracks.
+//! Perfetto: complete events (`ph:"X"`) for spans — `sim.run`,
+//! `exec.sweep`/`exec.shard`, `fpga.pnr.search`/`fpga.pnr.stitch`,
+//! per-job `serve.job.run` — plus counter events (`ph:"C"`) for queue
+//! depth, lane utilization and cache hits, and `thread_name` metadata
+//! records that label tracks.
 //!
 //! ## Gating and overhead
 //!
@@ -29,9 +29,12 @@
 //! ## Track model
 //!
 //! All events share `pid` = the OS process id. Threads get small stable
-//! `tid`s on first emission; subsystems that want one track per logical
-//! worker (the sweep engine's shard executor) pass explicit `tid`s in a
-//! reserved range instead, via [`complete_tid`] / [`thread_name`].
+//! `tid`s on first emission ([`thread_tid`]), so each event lands on the
+//! track of the thread that ran it; the sweep engine's helper threads
+//! are reused across sweeps and name their tracks once, when they start.
+//! A subsystem that funnels work from many threads onto one track (the
+//! job server's HTTP handlers) passes an explicit reserved `tid` instead,
+//! via [`complete_tid`] / [`thread_name`].
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 use pmorph_util::json::Value;
@@ -61,11 +64,8 @@ static NAMED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 /// dropped; [`flush`] reports how many.
 pub const MAX_EVENTS: usize = 250_000;
 
-/// Reserved `tid` base for the sweep engine's per-worker tracks
+/// Reserved `tid` for the job server's single HTTP-request track
 /// ([`complete_tid`]); automatic per-thread ids stay far below it.
-pub const TID_EXEC_BASE: u64 = 1_000_000;
-
-/// Reserved `tid` for the job server's single HTTP-request track.
 pub const TID_HTTP: u64 = 2_000_000;
 
 /// The shared time origin. Resolved together with the gate, so every
@@ -174,8 +174,8 @@ pub fn complete(name: &str, cat: &'static str, start: Instant, dur_ns: u64) {
     }
 }
 
-/// [`complete`] on an explicit track — one track per sweep worker, keyed
-/// by worker index from [`TID_EXEC_BASE`], not by OS thread identity.
+/// [`complete`] on an explicit track, such as [`TID_HTTP`], rather than
+/// the calling thread's own.
 pub fn complete_tid(name: &str, cat: &'static str, tid: u64, start: Instant, dur_ns: u64) {
     if !enabled() {
         return;
@@ -211,8 +211,8 @@ pub fn counter(name: &str, value: f64) {
     });
 }
 
-/// Name a track (`ph:"M"`, `thread_name`) — labels the per-worker tracks
-/// in the viewer. Idempotent per tid: the first label wins.
+/// Name a track (`ph:"M"`, `thread_name`) in the viewer. Idempotent per
+/// tid: the first label wins.
 pub fn thread_name(tid: u64, label: &str) {
     if !enabled() {
         return;

@@ -32,11 +32,11 @@ fn sink_lifecycle_shape_and_ordering() {
     assert!(trace::enabled());
 
     let t0 = Instant::now();
-    trace::thread_name(trace::TID_EXEC_BASE, "exec worker 0");
+    trace::thread_name(trace::TID_HTTP, "serve http");
     trace::complete("sim.run", "sim", t0, 1_500);
     std::thread::sleep(Duration::from_millis(2));
     trace::counter("sim.queue_depth", 7.0);
-    trace::complete_tid("exec.shard", "exec", trace::TID_EXEC_BASE, t0, 2_000);
+    trace::complete_tid("serve.http", "serve", trace::TID_HTTP, t0, 2_000);
     {
         let _g = trace::scope("serve.http", "serve");
         std::hint::black_box(());
@@ -77,8 +77,8 @@ fn sink_lifecycle_shape_and_ordering() {
         }
     }
     let explicit: Vec<&Value> =
-        events.iter().filter(|e| field_f64(e, "tid") == trace::TID_EXEC_BASE as f64).collect();
-    assert_eq!(explicit.len(), 2, "thread_name metadata + the explicit-tid shard event");
+        events.iter().filter(|e| field_f64(e, "tid") == trace::TID_HTTP as f64).collect();
+    assert_eq!(explicit.len(), 2, "thread_name metadata + the explicit-tid http event");
 
     // A second flush rewrites a superset atomically (no temp file left).
     trace::counter("sim.queue_depth", 3.0);

@@ -40,7 +40,9 @@
 use crate::cache::ArtifactCache;
 use crate::job::{self, JobError, JobSpec};
 use pmorph_util::json::Value;
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -605,11 +607,35 @@ pub fn parse_job_id(s: &str) -> Option<u64> {
 /// Run one claimed job and record the outcome, capturing a per-job obs
 /// metric delta when the obs layer is enabled. This is the worker loop
 /// body; it's public so the bench harness can drive jobs without a
-/// server.
+/// server. A job that panics is recorded as `failed` with the panic's
+/// message.
 pub fn run_one(registry: &Registry, id: u64, spec: &JobSpec, cancel: &AtomicBool) {
+    record_run(registry, id, spec, || run_job(registry, spec, cancel));
+}
+
+/// How a worker runs a claimed job (a parameter so tests can inject a
+/// failing one).
+type JobFn = fn(&Registry, &JobSpec, &AtomicBool) -> Result<Value, JobError>;
+
+fn run_job(registry: &Registry, spec: &JobSpec, cancel: &AtomicBool) -> Result<Value, JobError> {
+    job::run(spec, registry.cache(), cancel)
+}
+
+/// [`run_one`]'s body, with the job as a closure. The job runs under
+/// `catch_unwind`, so a panic ends it `failed` instead of unwinding the
+/// worker: the job still reaches a terminal state, the running count
+/// falls, and the worker keeps looping.
+fn record_run(
+    registry: &Registry,
+    id: u64,
+    spec: &JobSpec,
+    job: impl FnOnce() -> Result<Value, JobError>,
+) {
     let obs_base = pmorph_obs::enabled().then(pmorph_obs::snapshot);
     let t0 = Instant::now();
-    let outcome = job::run(spec, registry.cache(), cancel);
+    let outcome = panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        Err(JobError::Failed(format!("job panicked: {}", panic_message(payload.as_ref()))))
+    });
     let run_ns = t0.elapsed().as_nanos() as u64;
     // One span per job on the worker thread's own track, labelled by
     // job type — reuses the `t0` the metrics delta already took.
@@ -618,6 +644,15 @@ pub fn run_one(registry: &Registry, id: u64, spec: &JobSpec, cancel: &AtomicBool
     }
     let metrics = obs_base.map(|base| pmorph_obs::snapshot().delta_since(&base).to_json());
     registry.complete(id, outcome, metrics, run_ns);
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s,
+        _ => "non-string panic payload",
+    }
 }
 
 /// The persistent worker pool: `n` threads looping claim → run → record
@@ -629,6 +664,11 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawn `n` workers (at least one) against `registry`.
     pub fn spawn(registry: Arc<Registry>, n: usize) -> WorkerPool {
+        Self::spawn_running(registry, n, run_job)
+    }
+
+    /// [`WorkerPool::spawn`] with the job runner as a parameter.
+    fn spawn_running(registry: Arc<Registry>, n: usize, run: JobFn) -> WorkerPool {
         let handles = (0..n.max(1))
             .map(|i| {
                 let registry = Arc::clone(&registry);
@@ -636,7 +676,7 @@ impl WorkerPool {
                     .name(format!("pmorph-serve-worker-{i}"))
                     .spawn(move || {
                         while let Some((id, spec, cancel)) = registry.claim() {
-                            run_one(&registry, id, &spec, &cancel);
+                            record_run(&registry, id, &spec, || run(&registry, &spec, &cancel));
                         }
                     })
                     .expect("spawn worker thread")
@@ -817,6 +857,41 @@ mod tests {
         reg.shutdown(false);
         assert_eq!(reg.state(a), Ok(JobState::Cancelled));
         assert_eq!(reg.state(b), Ok(JobState::Cancelled));
+    }
+
+    #[test]
+    fn panicking_job_fails_and_frees_its_worker() {
+        // The injected runner panics on any 13-step sleep and runs every
+        // other job normally.
+        fn panics_on_13_steps(
+            reg: &Registry,
+            spec: &JobSpec,
+            cancel: &AtomicBool,
+        ) -> Result<Value, JobError> {
+            if matches!(spec, JobSpec::Sleep { steps: 13, .. }) {
+                panic!("injected job panic");
+            }
+            run_job(reg, spec, cancel)
+        }
+        let reg = Arc::new(Registry::new());
+        let pool = WorkerPool::spawn_running(Arc::clone(&reg), 1, panics_on_13_steps);
+        let bad = reg.submit(sleep_spec(13, 0)).unwrap().id;
+        assert!(
+            reg.wait_terminal(bad, Duration::from_secs(30)),
+            "the job reached a terminal state"
+        );
+        assert_eq!(reg.state(bad), Ok(JobState::Failed));
+        let status = reg.status_json(bad).unwrap();
+        let error = status.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(error.contains("injected job panic"), "error records the message: {error:?}");
+        assert_eq!(count(&reg, "running"), Some(0.0));
+        assert_eq!(count(&reg, "failed"), Some(1.0));
+        // The one worker survived: it runs the next job.
+        let next = reg.submit(sleep_spec(0, 0)).unwrap().id;
+        assert!(reg.wait_terminal(next, Duration::from_secs(30)));
+        assert_eq!(reg.state(next), Ok(JobState::Done));
+        reg.shutdown(true);
+        pool.join();
     }
 
     #[test]
