@@ -22,10 +22,10 @@
 //! against the hand-built tiles.
 
 use pmorph_core::{BlockConfig, Edge, Fabric, InputSource, OutMode, OutputDest};
+use pmorph_sim::table::WideMask;
 use pmorph_synth::hazard::hazard_free_cover;
 use pmorph_synth::qm::Sop;
 use pmorph_synth::tile::{ft, ft_inv, MapError, PortLoc};
-use pmorph_synth::TruthTable;
 
 /// Why a specification cannot be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +75,7 @@ impl AsmSpec {
     /// Analyse a next-state function `Y` over variables
     /// `(x_0, …, x_{k-1}, y)` — the state variable **must be the last
     /// (highest) variable**.
-    pub fn from_next_state(next: &TruthTable) -> Result<Self, AsmError> {
+    pub fn from_next_state(next: &WideMask) -> Result<Self, AsmError> {
         assert!(next.vars() >= 1, "need at least the state variable");
         let k = next.vars() - 1;
         assert!(k <= 3, "at most 3 inputs");
@@ -85,7 +85,7 @@ impl AsmSpec {
         let r = y1.not();
         // stability: set and reset must never fire together
         for m in 0..(1u64 << k) {
-            if s.eval(m) && r.eval(m) {
+            if s.get(m) && r.get(m) {
                 return Err(AsmError::Unstable { input_minterm: m });
             }
         }
@@ -210,8 +210,8 @@ mod tests {
 
     /// Next-state truth table of a Muller C-element:
     /// `Y = a·b + a·y + b·y` with vars (a, b, y).
-    fn c_element_spec() -> TruthTable {
-        TruthTable::from_fn(3, |m| {
+    fn c_element_spec() -> WideMask {
+        WideMask::from_fn(3, |m| {
             let (a, b, y) = (m & 1 == 1, m >> 1 & 1 == 1, m >> 2 & 1 == 1);
             // the canonical majority form — keep the three consensus terms
             // spelled out as in the paper's C-element equation
@@ -223,8 +223,8 @@ mod tests {
     }
 
     /// Transparent-high D latch: `Y = en·d + ēn·y` with vars (d, en, y).
-    fn d_latch_spec() -> TruthTable {
-        TruthTable::from_fn(3, |m| {
+    fn d_latch_spec() -> WideMask {
+        WideMask::from_fn(3, |m| {
             let (d, en, y) = (m & 1 == 1, m >> 1 & 1 == 1, m >> 2 & 1 == 1);
             if en {
                 d
@@ -236,7 +236,7 @@ mod tests {
 
     /// Drive a compiled machine through an input sequence and compare with
     /// the spec's fixed-point semantics.
-    fn check_machine(next: &TruthTable, sequence: &[u64]) {
+    fn check_machine(next: &WideMask, sequence: &[u64]) {
         let spec = AsmSpec::from_next_state(next).expect("stable spec");
         let mut fabric = Fabric::new(4, 1);
         let ports = synth_asm(&mut fabric, 0, 0, &spec).expect("compiles");
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn sr_latch_via_compiler() {
         // Y = s + r̄·y over (s, r, y)
-        let next = TruthTable::from_fn(3, |m| {
+        let next = WideMask::from_fn(3, |m| {
             let (s, r, y) = (m & 1 == 1, m >> 1 & 1 == 1, m >> 2 & 1 == 1);
             s || (!r && y)
         });
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn oscillating_spec_rejected() {
         // Y = ȳ (an inverter fed back): oscillates for every input.
-        let next = TruthTable::from_fn(1, |m| m & 1 == 0);
+        let next = WideMask::from_fn(1, |m| m & 1 == 0);
         assert!(matches!(
             AsmSpec::from_next_state(&next),
             Err(AsmError::Unstable { input_minterm: 0 })
@@ -324,7 +324,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xA5A5);
         let mut tested = 0;
         while tested < 6 {
-            let next = TruthTable::from_bits(3, rng.random::<u64>());
+            let next = WideMask::from_u64(3, rng.random::<u64>());
             let Ok(spec) = AsmSpec::from_next_state(&next) else { continue };
             if spec.set_cover.cubes.len() + spec.reset_cover.cubes.len() > 6 {
                 continue;
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn three_input_machine_compiles() {
         // 3-input majority-vote C-element: Y = maj(a,b,c) set / all-low reset
-        let next = TruthTable::from_fn(4, |m| {
+        let next = WideMask::from_fn(4, |m| {
             let ones = (m & 0b111).count_ones();
             let y = m >> 3 & 1 == 1;
             match ones {

@@ -12,7 +12,7 @@
 //! * [`micropipeline`] — Sutherland's two-phase FIFO (Fig. 11): C-element
 //!   control spine, matched delays, event-controlled data latches, plus a
 //!   free-running ring for cycle-time measurement,
-//! * [`ecse`] — the Fig. 12 event-controlled storage element mapped onto
+//! * [`ecse`](mod@ecse) — the Fig. 12 event-controlled storage element mapped onto
 //!   six fabric blocks,
 //! * [`handshake`] — four-phase Muller pipelines and protocol checkers
 //!   that audit simulated traces,

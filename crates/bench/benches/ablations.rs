@@ -9,8 +9,8 @@
 use pmorph_core::{Edge, Fabric, OutMode};
 use pmorph_device::ConfigurableInverter;
 use pmorph_exec::{sweep, SweepConfig};
-use pmorph_sim::{Logic, Simulator};
-use pmorph_synth::{lut3, minimize, Router, TruthTable};
+use pmorph_sim::{Logic, Simulator, WideMask};
+use pmorph_synth::{lut3, minimize, Router};
 use pmorph_util::microbench::{BenchmarkId, Criterion};
 use pmorph_util::{criterion_group, criterion_main};
 use std::hint::black_box;
@@ -19,7 +19,7 @@ use std::hint::black_box;
 /// of single-NAND blocks (one gate per block, the naive style the paper
 /// says would be "interconnect dominated" in conventional technology).
 fn ablate_mapping(c: &mut Criterion) {
-    let tt = TruthTable::parity(3);
+    let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
     let mut group = c.benchmark_group("ablate/mapping_style");
     group.bench_function("two_level_sop_pair", |b| {
         b.iter(|| {

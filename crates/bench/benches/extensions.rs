@@ -3,7 +3,8 @@
 //! and the general Shannon-tree mapper.
 
 use pmorph_core::{DefectMap, Fabric, FabricTiming};
-use pmorph_synth::{mapk, shift_register, Counter, TruthTable};
+use pmorph_sim::WideMask;
+use pmorph_synth::{mapk, shift_register, Counter};
 use pmorph_util::microbench::{BenchmarkId, Criterion};
 use pmorph_util::{criterion_group, criterion_main};
 use std::hint::black_box;
@@ -46,7 +47,7 @@ fn general_mapper(c: &mut Criterion) {
     let mut group = c.benchmark_group("ext/map_function");
     for n in [4usize, 5, 6] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let tt = TruthTable::from_fn(n, |m| m.count_ones() % 2 == 1);
+            let tt = WideMask::from_fn(n, |m| m.count_ones() % 2 == 1);
             b.iter(|| {
                 let (w, h) = mapk::fabric_size_for(n);
                 let mut fabric = Fabric::new(w, h);

@@ -5,8 +5,8 @@
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{Fabric, FabricTiming};
 use pmorph_device::{ConfigurableInverter, ConfigurableNand, Rtd, RtdRamCell, RtdStack, Trit};
-use pmorph_sim::{Logic, Simulator};
-use pmorph_synth::{dff, lut3, ripple_adder, TruthTable};
+use pmorph_sim::{Logic, Simulator, WideMask};
+use pmorph_synth::{dff, lut3, ripple_adder};
 use pmorph_util::microbench::{BenchmarkId, Criterion};
 use pmorph_util::{criterion_group, criterion_main};
 use std::hint::black_box;
@@ -83,7 +83,7 @@ fn fig9_lut_dff(c: &mut Criterion) {
         b.iter(|| {
             for bits in (0..256u64).step_by(16) {
                 let mut fabric = Fabric::new(4, 1);
-                black_box(lut3(&mut fabric, 0, 0, &TruthTable::from_bits(3, bits)).unwrap());
+                black_box(lut3(&mut fabric, 0, 0, &WideMask::from_u64(3, bits)).unwrap());
             }
         })
     });

@@ -6,7 +6,7 @@ use pmorph_core::elaborate::elaborate;
 use pmorph_core::{DefectMap, Fabric, FabricTiming, PowerModel};
 use pmorph_exec::{sweep, SweepConfig};
 use pmorph_sim::{BitSim, LevelizeError, Logic, NetId, Netlist, Simulator, WideMask};
-use pmorph_synth::{lut3, map_function, mapk, MappedFunction, TruthTable};
+use pmorph_synth::{lut3, map_function, mapk, MappedFunction};
 use pmorph_util::rng::Rng;
 use pmorph_util::rng::StdRng;
 
@@ -38,39 +38,28 @@ fn truth_word_matches(
 
 /// Is a LUT mapping functionally correct on a (possibly faulty) fabric?
 /// Every minterm is checked in one bit-parallel word
-/// ([`truth_word_matches`]); `expected` holds `tt`'s truth bits in the
-/// low `2^n` lanes. A netlist that won't levelize does not work, the
-/// same rule as E21's [`mapping_correct`].
-fn lut_works(
-    fabric: &Fabric,
-    ports: &pmorph_synth::LutPorts,
-    tt: &TruthTable,
-    expected: u64,
-) -> bool {
+/// ([`truth_word_matches`]). A netlist that won't levelize does not
+/// work, the same rule as E21's [`mapping_correct`].
+fn lut_works(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &WideMask) -> bool {
     let elab = elaborate(fabric, &FabricTiming::default());
     let inputs: Vec<(NetId, usize)> =
         ports.inputs.iter().enumerate().map(|(v, p)| (p.net(&elab), v)).collect();
     let out = ports.output.net(&elab);
-    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), expected).unwrap_or(false)
+    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), tt.as_u64()).unwrap_or(false)
 }
 
-/// Per-worker scratch state for the sharded E19 sweep: the LUT tile
-/// pre-mapped at each of the six candidate rows (each on its own fabric,
-/// patched and unpatched per trial — no `Fabric` clone per trial), plus
-/// the target truth bits packed into word lanes.
+/// Per-worker scratch state for the sharded E19 sweep: the target
+/// function and the LUT tile pre-mapped at each of the six candidate rows
+/// (each on its own fabric, patched and unpatched per trial — no `Fabric`
+/// clone per trial).
 struct TrialCtx {
-    tt: TruthTable,
-    expected: u64,
+    tt: WideMask,
     rows: Vec<(Fabric, pmorph_synth::LutPorts)>,
 }
 
 impl TrialCtx {
     fn new() -> Self {
-        let tt = TruthTable::parity(3);
-        let mut expected = 0u64;
-        for m in 0..(1u64 << tt.vars()) {
-            expected |= (tt.eval(m) as u64) << m;
-        }
+        let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
         let rows = (0..6)
             .map(|y| {
                 let mut fabric = Fabric::new(4, 6);
@@ -78,7 +67,7 @@ impl TrialCtx {
                 (fabric, ports)
             })
             .collect();
-        TrialCtx { tt, expected, rows }
+        TrialCtx { tt, rows }
     }
 
     /// One trial against a prebuilt row: patch the defects in, check the
@@ -86,7 +75,7 @@ impl TrialCtx {
     fn row_works(&mut self, y: usize, map: &DefectMap) -> bool {
         let (fabric, ports) = &mut self.rows[y];
         let patch = map.apply_to(fabric);
-        let ok = lut_works(fabric, ports, &self.tt, self.expected);
+        let ok = lut_works(fabric, ports, &self.tt);
         patch.undo(fabric);
         ok
     }
@@ -324,16 +313,16 @@ pub fn study_thermal() -> Experiment {
 
 /// The random functions E21 maps: `(n, count functions of width n)` for
 /// n ∈ {4, 5, 6}, drawn in that order from one seeded stream.
-fn general_mapper_functions(count: usize) -> Vec<(usize, Vec<TruthTable>)> {
+fn general_mapper_functions(count: usize) -> Vec<(usize, Vec<WideMask>)> {
     let mut rng = StdRng::seed_from_u64(0x21);
     [4usize, 5, 6]
         .into_iter()
-        .map(|n| (n, (0..count).map(|_| TruthTable::from_bits(n, rng.random::<u64>())).collect()))
+        .map(|n| (n, (0..count).map(|_| WideMask::from_u64(n, rng.random::<u64>())).collect()))
         .collect()
 }
 
 /// Map `tt` onto a fresh fabric sized for its width.
-fn map_general(tt: &TruthTable) -> (Fabric, MappedFunction) {
+fn map_general(tt: &WideMask) -> (Fabric, MappedFunction) {
     let (w, h) = mapk::fabric_size_for(tt.vars());
     let mut fabric = Fabric::new(w, h);
     let mapped = map_function(&mut fabric, 0, tt).expect("maps");
@@ -342,14 +331,14 @@ fn map_general(tt: &TruthTable) -> (Fabric, MappedFunction) {
 
 /// Does the elaborated mapping compute `tt`? Every minterm is checked in
 /// one bit-parallel word; a netlist that won't levelize is not correct.
-fn mapping_correct(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) -> bool {
+fn mapping_correct(fabric: &Fabric, mapped: &MappedFunction, tt: &WideMask) -> bool {
     let elab = mapped.elaborate(fabric, &FabricTiming::default());
     let mut inputs = Vec::new();
     for (v, ports) in mapped.var_ports.iter().enumerate() {
         inputs.extend(ports.iter().map(|p| (p.net(&elab), v)));
     }
     let out = mapped.output.net(&elab);
-    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), tt.bits()).unwrap_or(false)
+    truth_word_matches(elab.netlist, &inputs, out, tt.vars(), tt.as_u64()).unwrap_or(false)
 }
 
 /// E21: generality — arbitrary 4–6-variable functions via Shannon trees
@@ -390,7 +379,7 @@ mod tests {
 
     /// Event-driven oracle for [`lut_works`]: one fresh simulation per
     /// input vector, sharing no code with the bit-parallel check.
-    fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &TruthTable) -> bool {
+    fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &WideMask) -> bool {
         let elab = elaborate(fabric, &FabricTiming::default());
         for m in 0..(1u64 << tt.vars()) {
             let mut sim = Simulator::new(elab.netlist.clone());
@@ -400,7 +389,7 @@ mod tests {
             if sim.settle(500_000).is_err() {
                 return false;
             }
-            if sim.value(ports.output.net(&elab)) != Logic::from_bool(tt.eval(m)) {
+            if sim.value(ports.output.net(&elab)) != Logic::from_bool(tt.get(m)) {
                 return false;
             }
         }
@@ -411,7 +400,7 @@ mod tests {
     /// `Fabric` clone in `DefectMap::apply` and the event-driven vector
     /// loop, so it shares no scratch state with the production trial.
     fn defect_trial_event(rate: f64, t: usize) -> (bool, bool) {
-        let tt = TruthTable::parity(3);
+        let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
         let seed = t as u64 * 7919 + (rate * 1e4) as u64;
         let map = DefectMap::sample(4, 6, rate, seed);
         let naive = {
@@ -447,7 +436,7 @@ mod tests {
 
     /// Event-driven oracle for [`mapping_correct`]: one fresh simulation
     /// per minterm.
-    fn mapping_correct_event(fabric: &Fabric, mapped: &MappedFunction, tt: &TruthTable) -> bool {
+    fn mapping_correct_event(fabric: &Fabric, mapped: &MappedFunction, tt: &WideMask) -> bool {
         let elab = mapped.elaborate(fabric, &FabricTiming::default());
         (0..1u64 << tt.vars()).all(|m| {
             let mut sim = Simulator::new(elab.netlist.clone());
@@ -457,7 +446,7 @@ mod tests {
                 }
             }
             sim.settle(2_000_000).unwrap();
-            sim.value(mapped.output.net(&elab)) == Logic::from_bool(tt.eval(m))
+            sim.value(mapped.output.net(&elab)) == Logic::from_bool(tt.get(m))
         })
     }
 
@@ -471,7 +460,7 @@ mod tests {
             assert!(verdict, "{tt:?} maps correctly");
             // one wrong expected bit, at either end of the lanes, must fail
             for m in [0, (1u64 << tt.vars()) - 1] {
-                let flipped = TruthTable::from_bits(tt.vars(), tt.bits() ^ 1 << m);
+                let flipped = WideMask::from_u64(tt.vars(), tt.as_u64() ^ 1 << m);
                 assert!(!mapping_correct(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
                 assert!(!mapping_correct_event(&fabric, &mapped, &flipped), "{tt:?} minterm {m}");
             }
@@ -493,11 +482,11 @@ mod tests {
         assert_eq!(outcomes, [true, true], "the trials must both work and fail");
         // one wrong expected bit, at any minterm, must fail both checks
         for (fabric, ports) in &ctx.rows {
-            assert!(lut_works(fabric, ports, &ctx.tt, ctx.expected));
+            assert!(lut_works(fabric, ports, &ctx.tt));
             assert!(lut_works_event(fabric, ports, &ctx.tt));
             for m in 0..1u64 << ctx.tt.vars() {
-                let flipped = TruthTable::from_bits(ctx.tt.vars(), ctx.tt.bits() ^ 1 << m);
-                assert!(!lut_works(fabric, ports, &ctx.tt, ctx.expected ^ 1 << m), "minterm {m}");
+                let flipped = WideMask::from_u64(ctx.tt.vars(), ctx.tt.as_u64() ^ 1 << m);
+                assert!(!lut_works(fabric, ports, &flipped), "minterm {m}");
                 assert!(!lut_works_event(fabric, ports, &flipped), "minterm {m}");
             }
         }

@@ -4,8 +4,8 @@ use super::Experiment;
 use pmorph_core::elaborate::elaborate;
 use pmorph_core::{BlockConfig, Edge, Fabric, FabricTiming, OutMode, LANES};
 use pmorph_exec::{sweep, SweepConfig};
-use pmorph_sim::{BitSim, Logic, NetId, Simulator};
-use pmorph_synth::{dff, lut3, ripple_adder, TruthTable};
+use pmorph_sim::{BitSim, Logic, NetId, Simulator, WideMask};
+use pmorph_synth::{dff, lut3, ripple_adder};
 use pmorph_util::rng::Rng;
 use pmorph_util::rng::StdRng;
 
@@ -100,7 +100,7 @@ pub fn fig8_array() -> Experiment {
     // full 2-cell tile, polarity rails provided externally)
     let mut ok = 0;
     for bits in (0..256u64).step_by(17) {
-        let tt = TruthTable::from_bits(3, bits);
+        let tt = WideMask::from_u64(3, bits);
         let mut f = Fabric::new(4, 1);
         if lut3(&mut f, 0, 0, &tt).is_ok() {
             ok += 1;
@@ -121,7 +121,7 @@ pub fn fig8_array() -> Experiment {
 pub fn fig9_lut_dff() -> Experiment {
     let mut rows = Vec::new();
     let mut pass = true;
-    let tt = TruthTable::from_fn(3, |m| m != 0); // x + y + z
+    let tt = WideMask::from_fn(3, |m| m != 0); // x + y + z
     let mut fabric = Fabric::new(10, 1);
     let lut = lut3(&mut fabric, 0, 0, &tt).unwrap();
     let ff = dff(&mut fabric, 4, 0).unwrap();

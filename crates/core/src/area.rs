@@ -5,7 +5,7 @@
 //! > of LUT cells could occupy less than 400λ², for example. This can be
 //! > contrasted with estimates in which the area of a 'typical' 4-input
 //! > LUT could be as high as 600Kλ² if the programmable interconnect and
-//! > configuration memory are included [1]."
+//! > configuration memory are included \[1\]."
 //!
 //! The model is deliberately the same λ²-rule arithmetic the paper uses
 //! (the vertical RTD/DG stack hides the configuration plane under the
@@ -26,7 +26,7 @@ pub struct AreaModel {
     /// (36 crosspoints + 12 driver/feedback slots) per block → 200λ²
     /// per block at ~4.2λ² each.
     pub leaf_lambda2: f64,
-    /// DeHon's estimate for a routed, configured 4-LUT tile (λ²) [1].
+    /// DeHon's estimate for a routed, configured 4-LUT tile (λ²) \[1\].
     pub fpga_lut_tile_lambda2: f64,
 }
 

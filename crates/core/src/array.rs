@@ -132,7 +132,7 @@ impl Fabric {
 
     /// Partial-reconfiguration delta: the row-major indices and images of
     /// blocks that differ from `base`. Dynamic reconfiguration (§4.1's
-    /// "especially in dynamically reconfigurable systems" [46]) rewrites
+    /// "especially in dynamically reconfigurable systems" \[46\]) rewrites
     /// only these, not the whole array.
     pub fn diff_bitstream(&self, base: &Fabric) -> Vec<(u32, [u8; CONFIG_BYTES_PER_BLOCK])> {
         assert_eq!(

@@ -3,7 +3,7 @@
 //! The fabric's timing story is structural: every wire is one block long,
 //! so path delay is (blocks traversed) × (NAND + driver delay), and the
 //! whole array is amenable to deep pipelining. The FPGA counter-model
-//! (De Dinechin [18], quoted in §2.1) says that with conventional
+//! (De Dinechin \[18\], quoted in §2.1) says that with conventional
 //! organisations the operating frequency improves only as **O(λ^½)** with
 //! feature-size scaling, because segmented global interconnect RC stops
 //! tracking gate delay. We encode both laws so the `claim_scaling` bench

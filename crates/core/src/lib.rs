@@ -38,7 +38,7 @@
 //! select). The paper's checkerboard rotation is then simply the default
 //! configuration pattern, while feed-throughs, turns and fan-out arise
 //! from other local configurations — matching the text's remark that the
-//! I/O direction of each cell "depend[s] on whether a particular
+//! I/O direction of each cell "depend\[s\] on whether a particular
 //! connection is configured or not".
 
 pub mod area;

@@ -13,7 +13,7 @@
 //! being clean (rail-to-rail, no ambiguous levels).
 //!
 //! Both NAND bisections stop as soon as their bracket has closed to
-//! adjacent floats, the closed-bracket rule of [`crate::bisect`]. From
+//! adjacent floats, the closed-bracket rule of `crate::bisect`. From
 //! then on every remaining step would recompute the same midpoint, so
 //! the early return is the exact f64 the full step count gives. The
 //! pull-ups and the stack's lower device keep their gate, source and

@@ -1,6 +1,6 @@
 //! EKV-style compact model of a fully-depleted double-gate SOI MOSFET.
 //!
-//! The paper's device (its Fig. 2, after Ren et al. [30]) is a 10 nm
+//! The paper's device (its Fig. 2, after Ren et al. \[30\]) is a 10 nm
 //! gate-length thin-body FDSOI transistor with independent front and back
 //! gates. The property the whole platform rests on is that **back-gate bias
 //! shifts the threshold voltage** seen by the front gate: with the

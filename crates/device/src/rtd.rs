@@ -1,13 +1,13 @@
 //! Resonant-tunnelling-diode models and the multi-valued RTD-RAM cell.
 //!
 //! The paper's configuration mechanism (its Fig. 6, after van der Wagt's
-//! tunnelling SRAM [34]) stores a multi-valued state on the node between
+//! tunnelling SRAM \[34\]) stores a multi-valued state on the node between
 //! two series RTDs: every crossing of the upper diode's load line with the
 //! lower diode's characteristic on mutually-restoring slopes is a stable
 //! memory state. The negative-differential-resistance (NDR) regions between
 //! resonance peaks create one extra stable state per peak — three states
 //! from a double-peak stack (our bias trit), nine from Seabaugh's
-//! multi-peak memory [36].
+//! multi-peak memory \[36\].
 //!
 //! The resonance is modelled as a Breit–Wigner (Lorentzian) transmission
 //! peak with a `tanh` turn-on plus an exponential excess-current term:
@@ -59,7 +59,7 @@ impl Rtd {
         }
     }
 
-    /// Multi-peak RTD in the style of Seabaugh's nine-state memory [36]:
+    /// Multi-peak RTD in the style of Seabaugh's nine-state memory \[36\]:
     /// `n` evenly spaced resonances.
     pub fn multi_peak(n: usize) -> Self {
         Rtd {
@@ -258,7 +258,7 @@ impl RtdRamCell {
         Self::with_stack(RtdStack::new(Rtd::double_peak(), 0.9), 3)
     }
 
-    /// A nine-state cell after Seabaugh [36] (eight-peak RTDs).
+    /// A nine-state cell after Seabaugh \[36\] (eight-peak RTDs).
     pub fn nine_state() -> Self {
         Self::with_stack(RtdStack::new(Rtd::multi_peak(8), 2.7), 9)
     }

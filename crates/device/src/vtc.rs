@@ -12,7 +12,7 @@
 //! step.
 //!
 //! Both bisections stop early under the two exit rules of
-//! [`crate::bisect`], and neither rule moves a bit of any result. A
+//! `crate::bisect`, and neither rule moves a bit of any result. A
 //! bracket that has closed to adjacent floats would keep yielding the
 //! same midpoint, so the solve returns it at once. The switching
 //! threshold only asks on which side of `VDD/2` an output lies: its two

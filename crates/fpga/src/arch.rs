@@ -5,7 +5,7 @@
 //! multiplexers) embedded in segmented routing whose configuration bits
 //! dominate area ("as a first order approximation, FPGA area is
 //! proportional to the number of configuration bits required to control
-//! the routing switches" [1], [24]). This module implements exactly that
+//! the routing switches" \[1\], \[24\]). This module implements exactly that
 //! accounting so the comparison benches work from the same arithmetic.
 
 /// Architecture parameters of the baseline island-style FPGA.
@@ -21,7 +21,7 @@ pub struct FpgaArch {
     pub fc_out: f64,
     /// Programmable switches per track in a switch box (disjoint = 6).
     pub sb_switches_per_track: usize,
-    /// λ² of silicon per configuration bit (DeHon's area model [1]).
+    /// λ² of silicon per configuration bit (DeHon's area model \[1\]).
     pub lambda2_per_config_bit: f64,
 }
 

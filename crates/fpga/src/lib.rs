@@ -8,7 +8,7 @@
 //! and a straw man:
 //!
 //! * [`arch`] — CLB + segmented-routing architecture and the
-//!   bits-proportional area model (DeHon [1]); the CLB's configuration
+//!   bits-proportional area model (DeHon \[1\]); the CLB's configuration
 //!   bits (E11) are counted here,
 //! * [`mapper`] — greedy cone-growing K-LUT technology mapper with
 //!   random-vector equivalence checking, plus CLB packing statistics for

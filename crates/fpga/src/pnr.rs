@@ -82,7 +82,7 @@ impl Default for FpgaTiming {
 
 impl FpgaTiming {
     /// Scale to a relative feature size: gates track λ, segmented global
-    /// interconnect only improves as √λ (De Dinechin [18], §2.1).
+    /// interconnect only improves as √λ (De Dinechin \[18\], §2.1).
     pub fn scaled(&self, lambda_rel: f64) -> FpgaTiming {
         FpgaTiming {
             lut_ps: self.lut_ps * lambda_rel,

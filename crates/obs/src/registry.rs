@@ -386,14 +386,15 @@ impl Snapshot {
     }
 
     /// The change from `base` to `self`: counters, spans and histogram
-    /// buckets subtract (saturating); gauges keep the later reading.
-    /// Metrics absent from `base` (registered in between) pass through
-    /// whole. Entries with zero activity are dropped.
+    /// buckets subtract (saturating), and entries with zero activity are
+    /// dropped. A gauge enters with its later reading only if `base`
+    /// lacks it or read it differently. Other metrics absent from `base`
+    /// (registered in between) pass through whole.
     pub fn delta_since(&self, base: &Snapshot) -> Snapshot {
         let entries = self
             .entries
             .iter()
-            .map(|(name, now)| {
+            .filter_map(|(name, now)| {
                 let d = match (now, base.get(name)) {
                     (MetricValue::Counter(n), Some(MetricValue::Counter(b))) => {
                         MetricValue::Counter(n.saturating_sub(*b))
@@ -423,12 +424,13 @@ impl Snapshot {
                             })
                             .collect(),
                     },
-                    // Gauges are instantaneous; keep the later reading.
+                    (MetricValue::Gauge(_), b) => {
+                        return (b != Some(now)).then(|| (name.clone(), now.clone()));
+                    }
                     (v, _) => v.clone(),
                 };
-                (name.clone(), d)
+                (!d.is_zero()).then(|| (name.clone(), d))
             })
-            .filter(|(_, v)| !v.is_zero())
             .collect();
         Snapshot { entries }
     }
@@ -538,6 +540,24 @@ mod tests {
             v => panic!("wrong kind: {v:?}"),
         }
         assert!(delta.get("test.reg.idle_counter").is_none(), "idle metrics are dropped");
+    }
+
+    #[test]
+    fn snapshot_delta_keeps_only_gauges_that_moved() {
+        crate::force(true);
+        let still = gauge("test.reg.delta_gauge_still");
+        let moved = gauge("test.reg.delta_gauge_moved");
+        let cleared = gauge("test.reg.delta_gauge_cleared");
+        still.set(2.5);
+        moved.set(2.5);
+        cleared.set(2.5);
+        let base = snapshot();
+        moved.set(4.0);
+        cleared.set(0.0);
+        let delta = snapshot().delta_since(&base);
+        assert!(delta.get("test.reg.delta_gauge_still").is_none(), "unchanged gauge repeated");
+        assert_eq!(delta.get("test.reg.delta_gauge_moved"), Some(&MetricValue::Gauge(4.0)));
+        assert_eq!(delta.get("test.reg.delta_gauge_cleared"), Some(&MetricValue::Gauge(0.0)));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! pmorph-serve [--addr HOST:PORT] [--workers N]
 //! ```
 //!
-//! Flags override the `PMORPH_SERVE_ADDR` / `PMORPH_SERVE_WORKERS`
-//! environment. The first stdout line is always
+//! Without flags it binds an ephemeral port on `127.0.0.1` and runs the
+//! `PMORPH_THREADS` worker count. The first stdout line is always
 //! `pmorph-serve listening on <addr> (<n> workers)` — scripts (and the
 //! e2e suite's subprocess test) parse the actual address from it, which
 //! is what makes `--addr 127.0.0.1:0` (ephemeral port) usable.
@@ -14,7 +14,7 @@
 use pmorph_serve::ServeConfig;
 
 fn main() {
-    let mut cfg = ServeConfig::from_env();
+    let mut cfg = ServeConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -28,7 +28,8 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!("usage: pmorph-serve [--addr HOST:PORT] [--workers N]");
-                println!("env:   PMORPH_SERVE_ADDR, PMORPH_SERVE_WORKERS");
+                println!("  --addr     bind address (default 127.0.0.1:0, an ephemeral port)");
+                println!("  --workers  1 to 256 (default: PMORPH_THREADS or the core count)");
                 return;
             }
             other => die(&format!("unknown flag `{other}` (try --help)")),

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Terminal states have no exits. Every transition goes through one
-//! choke point ([`Inner::set_state`]) that asserts validity and appends
+//! choke point (`Inner::set_state`) that asserts validity and appends
 //! to the job's `history` — the property suite replays concurrent
 //! client schedules and checks every recorded history against
 //! [`JobState::can_transition`].

@@ -78,11 +78,11 @@ const MAX_WORKERS: usize = 256;
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Bind address (`PMORPH_SERVE_ADDR`, default `127.0.0.1:0`: an
+    /// Bind address (the binary's `--addr`, default `127.0.0.1:0`: an
     /// ephemeral port — read the actual one from
     /// [`ServerHandle::addr`] / the binary's `listening on` line).
     pub addr: String,
-    /// Worker-pool size (`PMORPH_SERVE_WORKERS`, default
+    /// Worker-pool size (the binary's `--workers`, default
     /// [`pmorph_util::pool::worker_count`]); [`serve`] runs between 1 and
     /// 256 workers, whatever this asks for.
     pub workers: usize,
@@ -95,23 +95,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Read `PMORPH_SERVE_ADDR` / `PMORPH_SERVE_WORKERS`, falling back to
-    /// the defaults above on unset or unparsable values.
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        if let Ok(addr) = std::env::var("PMORPH_SERVE_ADDR") {
-            if !addr.is_empty() {
-                cfg.addr = addr;
-            }
-        }
-        if let Some(n) =
-            std::env::var("PMORPH_SERVE_WORKERS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.workers = n;
-        }
-        cfg
-    }
-
     /// The worker count [`serve`] starts: [`ServeConfig::workers`]
     /// clamped to `1..=MAX_WORKERS`.
     fn pool_size(&self) -> usize {
@@ -502,13 +485,11 @@ mod tests {
     fn pool_size_is_bounded_whatever_sets_the_count() {
         // Builds configs only: no pool is spawned with these counts.
         let mut env = pmorph_util::env::EnvGuard::new();
-        env.set("PMORPH_THREADS", "100000").unset("PMORPH_SERVE_WORKERS");
-        assert_eq!(ServeConfig::from_env().pool_size(), 256);
-        env.set("PMORPH_SERVE_WORKERS", "100000");
-        assert_eq!(ServeConfig::from_env().pool_size(), 256);
-        env.set("PMORPH_SERVE_WORKERS", "0");
-        assert_eq!(ServeConfig::from_env().pool_size(), 1);
-        assert_eq!(ServeConfig { addr: String::new(), workers: 3 }.pool_size(), 3);
+        env.set("PMORPH_THREADS", "100000");
+        assert_eq!(ServeConfig::default().pool_size(), 256);
+        for (workers, pool) in [(100_000, 256), (0, 1), (3, 3)] {
+            assert_eq!(ServeConfig { addr: String::new(), workers }.pool_size(), pool);
+        }
     }
 
     #[test]

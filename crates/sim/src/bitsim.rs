@@ -4,7 +4,7 @@
 //! assignment at a time; exhaustive characterization of an `n`-input
 //! circuit pays `2^n` full passes. This module is the batched-SIMD shape
 //! of the same computation: 64 assignments are packed into one machine
-//! word, four-valued [`Logic`] is encoded as **two bit planes** per net —
+//! word, four-valued [`Logic`](crate::Logic) is encoded as **two bit planes** per net —
 //!
 //! * `val`   — bit `l` is the lane-`l` value (meaningful only when known),
 //! * `known` — bit `l` set iff lane `l` is a definite `0`/`1`

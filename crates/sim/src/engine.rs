@@ -21,7 +21,7 @@
 //! [`crate::netlist::Component::evaluate_into`] writing into a fixed
 //! `[Logic; MAX_OUTPUTS]` scratch, net resolution takes a two-read fast path
 //! for the dominant single-driver case, and scheduling runs on the calendar
-//! queue in [`crate::queue`]. After warm-up the loop performs no heap
+//! queue in `crate::queue`. After warm-up the loop performs no heap
 //! allocation (asserted by the `kernel` benchmark's counting allocator).
 //! The pre-CSR heap-scheduled kernel survives in test code as the
 //! `ReferenceSimulator` of the sim crate's integration-test support, and

@@ -196,6 +196,21 @@ impl WideMask {
         }
     }
 
+    /// Shannon cofactor with variable `v` fixed to `value`, returned as a
+    /// function of the remaining `n−1` variables (higher variables shift
+    /// down by one). [`WideMask::restrict`] is the fixed-arity form that
+    /// keeps `x_v`.
+    pub fn cofactor(&self, v: usize, value: bool) -> Self {
+        assert!(v < self.vars());
+        let n = self.vars() - 1;
+        WideMask::from_fn(n, |m| {
+            let low = m & ((1 << v) - 1);
+            let high = (m >> v) << (v + 1);
+            let full = low | high | ((value as u64) << v);
+            self.get(full)
+        })
+    }
+
     /// In place, fix every variable in the set `vars` (bit `v` = `x_v`)
     /// to `val`: the fixed-arity cofactor over all of them. Minterm `m`
     /// takes the value of `m` with those bits forced to `val`; variables
@@ -418,6 +433,76 @@ mod tests {
                             "n {n} restrict {vars:#b} to {val}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    fn parity(n: usize) -> WideMask {
+        WideMask::from_fn(n, |m| m.count_ones() % 2 == 1)
+    }
+
+    #[test]
+    fn six_var_boundary_fills_the_word_exactly() {
+        // the 6-variable boundary is where the old mask computation
+        // (1 << (1 << n)) - 1 would have shifted by 64
+        let t = WideMask::ones(6);
+        assert_eq!(t.as_u64(), u64::MAX);
+        assert_eq!(t.count_ones(), 64);
+        assert_eq!(WideMask::from_u64(6, u64::MAX).count_ones(), 64);
+    }
+
+    #[test]
+    fn seven_var_tables_span_two_words() {
+        // one word past the u64 boundary: parity of 7 variables has
+        // exactly 64 minterms spread over both words
+        let t = parity(7);
+        assert_eq!(t.vars(), 7);
+        assert_eq!(t.count_ones(), 64);
+        assert_eq!(t.words().len(), 2);
+        assert!(t.words().iter().all(|&w| w != 0));
+        assert!(t.get(127) && !t.get(126), "high-word minterms readable");
+        // cofactoring a 7-var table lands back on a single word
+        let c = t.cofactor(6, true);
+        assert_eq!(c, parity(6).not());
+        // wide tables refuse the single-word accessor
+        assert!(std::panic::catch_unwind(|| t.as_u64()).is_err());
+    }
+
+    #[test]
+    fn cofactor_is_the_reindexed_restrict_and_recombines() {
+        use pmorph_util::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(0xC0FA_C709);
+        // n ≥ 7 puts variables on both sides of the word boundary
+        for n in 1..=9usize {
+            for _ in 0..3 {
+                let f = WideMask::from_words(
+                    n,
+                    (0..WideMask::word_count(n)).map(|_| rng.next_u64()).collect(),
+                );
+                for v in 0..n {
+                    // minterm `m` with x_v's index bit taken out
+                    let drop_v = |m: u64| m & ((1 << v) - 1) | (m >> (v + 1)) << v;
+                    let f0 = f.cofactor(v, false);
+                    let f1 = f.cofactor(v, true);
+                    for (val, c) in [(false, &f0), (true, &f1)] {
+                        assert_eq!(c.vars(), n - 1);
+                        // re-expanded with x_v as a don't-care
+                        assert_eq!(
+                            WideMask::from_fn(n, |m| c.get(drop_v(m))),
+                            in_place(&f, |m| m.restrict(1 << v, val)),
+                            "n {n} v {v} cofactor to {val}"
+                        );
+                    }
+                    // Shannon expansion: f = x̄v·f0 ∨ xv·f1
+                    let rebuilt = WideMask::from_fn(n, |m| {
+                        if m >> v & 1 == 1 {
+                            f1.get(drop_v(m))
+                        } else {
+                            f0.get(drop_v(m))
+                        }
+                    });
+                    assert_eq!(rebuilt, f, "n {n} v {v} recombination");
                 }
             }
         }

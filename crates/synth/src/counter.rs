@@ -13,9 +13,8 @@
 use crate::lut::{lut3, LutPorts};
 use crate::seq::{dff, DffPorts};
 use crate::tile::{MapError, PortLoc};
-use crate::truth::TruthTable;
 use pmorph_core::{elaborate::elaborate, Elaborated, Fabric, FabricTiming};
-use pmorph_sim::{Logic, NetId, Simulator};
+use pmorph_sim::{Logic, NetId, Simulator, WideMask};
 
 /// A built counter: fabric region plus the stitch list.
 #[derive(Clone, Debug)]
@@ -47,8 +46,8 @@ impl Counter {
     pub fn build(n: usize) -> Result<Self, MapError> {
         assert!((1..=8).contains(&n));
         let mut fabric = Fabric::new(12, n);
-        let xor2 = TruthTable::parity(2);
-        let and2 = TruthTable::var(2, 0).and(&TruthTable::var(2, 1));
+        let xor2 = WideMask::from_fn(2, |m| m.count_ones() % 2 == 1);
+        let and2 = WideMask::var(2, 0).and(&WideMask::var(2, 1));
         let mut xors = Vec::new();
         let mut ands = Vec::new();
         let mut ffs = Vec::new();

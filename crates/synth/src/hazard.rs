@@ -1,7 +1,7 @@
 //! Hazard analysis for asynchronous covers (paper §4.1).
 //!
 //! > "Current programmable systems tend not to support hazard-free logic
-//! > implementations [47]."
+//! > implementations \[47\]."
 //!
 //! The fabric's two-level NAND-NAND structure makes hazard reasoning
 //! tractable: a **static-1 hazard** exists for a single-input-change (SIC)
@@ -13,7 +13,7 @@
 //! a cover and repairs them with prime consensus cubes.
 
 use crate::qm::{prime_implicants, Sop};
-use crate::truth::TruthTable;
+use pmorph_sim::table::WideMask;
 
 /// A single-input-change transition with a static-1 hazard under `cover`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -28,16 +28,16 @@ pub struct Hazard {
 
 /// Find all SIC static-1 hazards of `cover` for function `tt`: ON-ON
 /// transitions where no single cube covers both endpoints.
-pub fn static1_hazards(tt: &TruthTable, cover: &Sop) -> Vec<Hazard> {
+pub fn static1_hazards(tt: &WideMask, cover: &Sop) -> Vec<Hazard> {
     let n = tt.vars();
     let mut out = Vec::new();
     for from in 0..(1u64 << n) {
-        if !tt.eval(from) {
+        if !tt.get(from) {
             continue;
         }
         for var in 0..n {
             let to = from ^ (1 << var);
-            if to < from || !tt.eval(to) {
+            if to < from || !tt.get(to) {
                 continue; // count each unordered pair once
             }
             let covered = cover.cubes.iter().any(|c| c.covers(from) && c.covers(to));
@@ -53,7 +53,7 @@ pub fn static1_hazards(tt: &TruthTable, cover: &Sop) -> Vec<Hazard> {
 /// covering both endpoints (one always exists — the merged pair is an
 /// implicant, hence contained in some prime). Returns the augmented,
 /// hazard-free cover.
-pub fn make_hazard_free(tt: &TruthTable, cover: &Sop) -> Sop {
+pub fn make_hazard_free(tt: &WideMask, cover: &Sop) -> Sop {
     let primes = prime_implicants(tt);
     let mut cubes = cover.cubes.clone();
     for h in static1_hazards(tt, cover) {
@@ -71,7 +71,7 @@ pub fn make_hazard_free(tt: &TruthTable, cover: &Sop) -> Sop {
 
 /// Convenience: a minimal-then-repaired cover of `tt`, ready for mapping
 /// onto a block pair as an asynchronous (hazard-free) function.
-pub fn hazard_free_cover(tt: &TruthTable) -> Sop {
+pub fn hazard_free_cover(tt: &WideMask) -> Sop {
     let base = crate::qm::minimize(tt);
     make_hazard_free(tt, &base)
 }
@@ -79,13 +79,13 @@ pub fn hazard_free_cover(tt: &TruthTable) -> Sop {
 /// Width-checked [`hazard_free_cover`]: wide cones get a typed
 /// [`crate::tile::MapError::TooManyVars`] past [`crate::qm::QM_MAX_VARS`]
 /// rather than a panic or an intractable minimisation.
-pub fn try_hazard_free_cover(tt: &TruthTable) -> Result<Sop, crate::tile::MapError> {
+pub fn try_hazard_free_cover(tt: &WideMask) -> Result<Sop, crate::tile::MapError> {
     let base = crate::qm::try_minimize(tt)?;
     Ok(make_hazard_free(tt, &base))
 }
 
 /// Quick check used by tests and the async tiles.
-pub fn is_hazard_free(tt: &TruthTable, cover: &Sop) -> bool {
+pub fn is_hazard_free(tt: &WideMask, cover: &Sop) -> bool {
     static1_hazards(tt, cover).is_empty()
 }
 
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn latch_cover_hazard_and_consensus_repair() {
         // vars: 0 = d, 1 = en, 2 = q
-        let tt = TruthTable::from_fn(3, |m| {
+        let tt = WideMask::from_fn(3, |m| {
             let d = m & 1 == 1;
             let en = m >> 1 & 1 == 1;
             let q = m >> 2 & 1 == 1;
@@ -129,14 +129,14 @@ mod tests {
     fn xor_cover_is_hazard_free_already() {
         // XOR has no adjacent ON-set pairs at Hamming distance 1, so no
         // SIC static-1 hazards exist by construction.
-        let tt = TruthTable::parity(3);
+        let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
         let cover = minimize(&tt);
         assert!(is_hazard_free(&tt, &cover));
     }
 
     #[test]
     fn single_cube_functions_are_hazard_free() {
-        let tt = TruthTable::from_fn(3, |m| m & 0b11 == 0b11); // d·e
+        let tt = WideMask::from_fn(3, |m| m & 0b11 == 0b11); // d·e
         let cover = minimize(&tt);
         assert!(is_hazard_free(&tt, &cover));
     }
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn repair_never_breaks_equivalence_exhaustive_3vars() {
         for bits in 0..256u64 {
-            let tt = TruthTable::from_bits(3, bits);
+            let tt = WideMask::from_u64(3, bits);
             let cover = hazard_free_cover(&tt);
             assert_eq!(cover.truth(3), tt, "bits {bits:#x}");
             assert!(is_hazard_free(&tt, &cover), "bits {bits:#x}");
@@ -158,7 +158,7 @@ mod tests {
         // function has at most 2^2=4 primes of size ≥2... in fact ≤ 6).
         let mut worst = 0;
         for bits in 0..256u64 {
-            let tt = TruthTable::from_bits(3, bits);
+            let tt = WideMask::from_u64(3, bits);
             worst = worst.max(hazard_free_cover(&tt).cubes.len());
         }
         assert!(worst <= 6, "worst hazard-free 3-var cover: {worst} terms");

@@ -5,8 +5,6 @@
 //! can be mapped, placed and routed onto a [`pmorph_core::Fabric`] and
 //! proven equivalent to its specification by simulation:
 //!
-//! * [`truth`] — truth tables of up to six variables (the block-pair LUT
-//!   bound),
 //! * [`qm`] — Quine–McCluskey two-level minimisation into the ≤6 product
 //!   terms a block offers,
 //! * [`tile`] — port addressing and feed-through helpers shared by the
@@ -40,7 +38,6 @@ pub mod route;
 pub mod seq;
 pub mod serial;
 pub mod tile;
-pub mod truth;
 
 pub use accumulator::{Accumulator, AccumulatorSim};
 pub use adder::{ripple_adder, AdderPorts, TERMS_PER_BIT};
@@ -60,4 +57,3 @@ pub use route::Router;
 pub use seq::{d_latch, dff, DffPorts, LatchPorts};
 pub use serial::{serial_vs_parallel, BitSerialAdder};
 pub use tile::{ft, ft_inv, MapError, PortLoc};
-pub use truth::TruthTable;

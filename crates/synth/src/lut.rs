@@ -11,8 +11,8 @@
 
 use crate::qm::{minimize, Sop};
 use crate::tile::{MapError, PortLoc};
-use crate::truth::TruthTable;
 use pmorph_core::{Edge, Fabric, OutMode, LANES};
+use pmorph_sim::table::WideMask;
 
 /// Ports of a mapped LUT tile.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,12 +84,7 @@ pub fn lut3_core(fabric: &mut Fabric, x: usize, y: usize, sop: &Sop) -> Result<P
 
 /// Map an arbitrary ≤3-variable function as a complete 3-block tile:
 /// polarity + product + sum (the paper's two LUT cells plus the rail cell).
-pub fn lut3(
-    fabric: &mut Fabric,
-    x: usize,
-    y: usize,
-    tt: &TruthTable,
-) -> Result<LutPorts, MapError> {
+pub fn lut3(fabric: &mut Fabric, x: usize, y: usize, tt: &WideMask) -> Result<LutPorts, MapError> {
     if tt.vars() > 3 {
         return Err(MapError::TooManyVars { needed: tt.vars(), available: 3 });
     }
@@ -113,7 +108,7 @@ mod tests {
     use pmorph_sim::{Logic, Simulator};
 
     /// Exhaustively verify a mapped LUT against its truth table.
-    fn check_lut(tt: &TruthTable) {
+    fn check_lut(tt: &WideMask) {
         let mut fabric = Fabric::new(4, 1);
         let ports = lut3(&mut fabric, 0, 0, tt).expect("maps");
         let elab = elaborate(&fabric, &FabricTiming::default());
@@ -125,9 +120,9 @@ mod tests {
             sim.settle(200_000).unwrap();
             assert_eq!(
                 sim.value(ports.output.net(&elab)),
-                Logic::from_bool(tt.eval(m)),
+                Logic::from_bool(tt.get(m)),
                 "tt {:08b} minterm {m}",
-                tt.bits()
+                tt.as_u64()
             );
         }
     }
@@ -135,26 +130,26 @@ mod tests {
     #[test]
     fn fig9_lut_x_or_y_or_z() {
         // The paper's example: 3-LUT computing x + y + z.
-        let tt = TruthTable::var(3, 0).or(&TruthTable::var(3, 1)).or(&TruthTable::var(3, 2));
+        let tt = WideMask::var(3, 0).or(&WideMask::var(3, 1)).or(&WideMask::var(3, 2));
         check_lut(&tt);
     }
 
     #[test]
     fn lut_parity_and_majority() {
-        check_lut(&TruthTable::parity(3));
-        check_lut(&TruthTable::majority3());
+        check_lut(&WideMask::from_fn(3, |m| m.count_ones() % 2 == 1));
+        check_lut(&WideMask::from_fn(3, |m| m.count_ones() >= 2));
     }
 
     #[test]
     fn lut_constants() {
-        check_lut(&TruthTable::zero(3));
-        check_lut(&TruthTable::one(3));
+        check_lut(&WideMask::zero(3));
+        check_lut(&WideMask::ones(3));
     }
 
     #[test]
     fn exhaustive_all_two_var_functions() {
         for bits in 0..16u64 {
-            check_lut(&TruthTable::from_bits(2, bits));
+            check_lut(&WideMask::from_u64(2, bits));
         }
     }
 
@@ -163,14 +158,15 @@ mod tests {
         // A spread of 3-var functions (every 11th code) — full 256 sweep
         // lives in the integration tests.
         for bits in (0..256u64).step_by(11) {
-            check_lut(&TruthTable::from_bits(3, bits));
+            check_lut(&WideMask::from_u64(3, bits));
         }
     }
 
     #[test]
     fn too_small_fabric_rejected() {
         let mut fabric = Fabric::new(2, 1);
-        let err = lut3(&mut fabric, 0, 0, &TruthTable::parity(3)).unwrap_err();
+        let err = lut3(&mut fabric, 0, 0, &WideMask::from_fn(3, |m| m.count_ones() % 2 == 1))
+            .unwrap_err();
         assert_eq!(err, MapError::OutOfRoom);
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::lut::{lut3, LutPorts};
 use crate::tile::{MapError, PortLoc};
-use crate::truth::TruthTable;
 use pmorph_core::{elaborate::elaborate, Elaborated, Fabric, FabricTiming};
+use pmorph_sim::table::WideMask;
 
 /// Result of mapping an arbitrary function.
 #[derive(Clone, Debug)]
@@ -77,7 +77,7 @@ struct MapCtx<'a> {
 }
 
 impl MapCtx<'_> {
-    fn place_lut(&mut self, tt: &TruthTable) -> Result<LutPorts, MapError> {
+    fn place_lut(&mut self, tt: &WideMask) -> Result<LutPorts, MapError> {
         let row = self.next_row;
         self.next_row += ROW_PITCH;
         let ports = lut3(self.fabric, 0, row, tt)?;
@@ -86,7 +86,7 @@ impl MapCtx<'_> {
     }
 
     /// Map `tt` over the (global) variable list `vars`.
-    fn map_rec(&mut self, tt: &TruthTable, vars: &[usize]) -> Result<PortLoc, MapError> {
+    fn map_rec(&mut self, tt: &WideMask, vars: &[usize]) -> Result<PortLoc, MapError> {
         if tt.vars() <= 3 {
             let ports = self.place_lut(tt)?;
             for (local, port) in ports.inputs.iter().enumerate() {
@@ -101,18 +101,8 @@ impl MapCtx<'_> {
             let o0 = self.map_rec(&f0, &vars[..split])?;
             let o1 = self.map_rec(&f1, &vars[..split])?;
             // mux(a, b, s) = s̄·a + s·b over local inputs (0, 1, 2)
-            let mux_tt =
-                TruthTable::from_fn(
-                    3,
-                    |m| {
-                        if m >> 2 & 1 == 1 {
-                            m >> 1 & 1 == 1
-                        } else {
-                            m & 1 == 1
-                        }
-                    },
-                );
-            let ports = self.place_lut(&mux_tt)?;
+            let mux = |m: u64| if m >> 2 & 1 == 1 { m >> 1 & 1 == 1 } else { m & 1 == 1 };
+            let ports = self.place_lut(&WideMask::from_fn(3, mux))?;
             self.stitches.push((o0, ports.inputs[0]));
             self.stitches.push((o1, ports.inputs[1]));
             self.var_ports[global_split].push(ports.inputs[2]);
@@ -124,7 +114,7 @@ impl MapCtx<'_> {
 /// Fabric dimensions adequate for mapping an `n`-variable function: one
 /// tile row per node of the Shannon tree.
 pub fn fabric_size_for(n: usize) -> (usize, usize) {
-    assert!((1..=6).contains(&n));
+    assert!(n <= 6);
     let leaves = 1usize << n.saturating_sub(3);
     let nodes = 2 * leaves - 1;
     (TILE_W + 1, nodes * ROW_PITCH)
@@ -136,7 +126,7 @@ pub fn fabric_size_for(n: usize) -> (usize, usize) {
 pub fn map_function(
     fabric: &mut Fabric,
     row: usize,
-    tt: &TruthTable,
+    tt: &WideMask,
 ) -> Result<MappedFunction, MapError> {
     let n = tt.vars();
     if n > 6 {
@@ -169,8 +159,12 @@ mod tests {
     use super::*;
     use pmorph_sim::{Logic, Simulator};
 
+    fn parity(n: usize) -> WideMask {
+        WideMask::from_fn(n, |m| m.count_ones() % 2 == 1)
+    }
+
     /// Exhaustively check a mapped function against its truth table.
-    fn verify(tt: &TruthTable) {
+    fn verify(tt: &WideMask) {
         let (w, h) = fabric_size_for(tt.vars());
         let mut fabric = Fabric::new(w, h);
         let mapped = map_function(&mut fabric, 0, tt)
@@ -186,10 +180,10 @@ mod tests {
             sim.settle(2_000_000).unwrap();
             assert_eq!(
                 sim.value(mapped.output.net(&elab)),
-                Logic::from_bool(tt.eval(m)),
+                Logic::from_bool(tt.get(m)),
                 "f({:b}) bits={:#x} n={}",
                 m,
-                tt.bits(),
+                tt.as_u64(),
                 tt.vars()
             );
         }
@@ -197,21 +191,21 @@ mod tests {
 
     #[test]
     fn four_variable_functions() {
-        verify(&TruthTable::parity(4));
-        verify(&TruthTable::from_fn(4, |m| m.count_ones() >= 2));
-        verify(&TruthTable::from_bits(4, 0xBEEF));
+        verify(&parity(4));
+        verify(&WideMask::from_fn(4, |m| m.count_ones() >= 2));
+        verify(&WideMask::from_u64(4, 0xBEEF));
     }
 
     #[test]
     fn five_variable_functions() {
-        verify(&TruthTable::parity(5));
-        verify(&TruthTable::from_fn(5, |m| m % 5 == 0));
+        verify(&parity(5));
+        verify(&WideMask::from_fn(5, |m| m % 5 == 0));
     }
 
     #[test]
     fn six_variable_functions() {
-        verify(&TruthTable::parity(6));
-        verify(&TruthTable::from_fn(6, |m| (m * 2654435761) % 7 < 3));
+        verify(&parity(6));
+        verify(&WideMask::from_fn(6, |m| (m * 2654435761) % 7 < 3));
     }
 
     #[test]
@@ -220,7 +214,7 @@ mod tests {
         use pmorph_util::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(0x5A5A);
         for _ in 0..4 {
-            verify(&TruthTable::from_bits(5, rng.random::<u64>()));
+            verify(&WideMask::from_u64(5, rng.random::<u64>()));
         }
     }
 
@@ -228,16 +222,27 @@ mod tests {
     fn small_functions_single_tile_no_stitches() {
         let (w, h) = fabric_size_for(3);
         let mut fabric = Fabric::new(w, h);
-        let mapped = map_function(&mut fabric, 0, &TruthTable::majority3()).unwrap();
+        let mapped =
+            map_function(&mut fabric, 0, &WideMask::from_fn(3, |m| m.count_ones() >= 2)).unwrap();
         assert_eq!(mapped.tiles, 1);
         assert!(mapped.stitches.is_empty());
+    }
+
+    #[test]
+    fn zero_variable_constants_map_onto_one_tile() {
+        for tt in [WideMask::zero(0), WideMask::ones(0)] {
+            verify(&tt);
+            let (w, h) = fabric_size_for(0);
+            let mapped = map_function(&mut Fabric::new(w, h), 0, &tt).unwrap();
+            assert_eq!((mapped.tiles, mapped.stitches.len()), (1, 0));
+        }
     }
 
     #[test]
     fn tile_and_stitch_counts_match_tree_shape() {
         let (w, h) = fabric_size_for(6);
         let mut fabric = Fabric::new(w, h);
-        let mapped = map_function(&mut fabric, 0, &TruthTable::parity(6)).unwrap();
+        let mapped = map_function(&mut fabric, 0, &parity(6)).unwrap();
         // 8 leaves + (4 + 2 + 1) muxes; 2 stitches per mux
         assert_eq!(mapped.tiles, 15);
         assert_eq!(mapped.stitches.len(), 14);
@@ -246,9 +251,6 @@ mod tests {
     #[test]
     fn too_small_fabric_rejected() {
         let mut fabric = Fabric::new(3, 3);
-        assert!(matches!(
-            map_function(&mut fabric, 0, &TruthTable::parity(5)),
-            Err(MapError::OutOfRoom)
-        ));
+        assert!(matches!(map_function(&mut fabric, 0, &parity(5)), Err(MapError::OutOfRoom)));
     }
 }

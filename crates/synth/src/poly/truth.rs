@@ -7,7 +7,7 @@ use pmorph_sim::table::WideMask;
 /// point evaluated under each named back-gate bias state ("mode").
 ///
 /// Invariants, enforced at construction: at least two modes (one mode is
-/// just a [`crate::truth::TruthTable`]), unique mode names, one mask per
+/// just a [`WideMask`]), unique mode names, one mask per
 /// mode, all masks of the same arity ≥ 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PolyTruth {

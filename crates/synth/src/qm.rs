@@ -17,10 +17,8 @@
 //! n ≥ 9 and produced *wrong covers* without any panic; the regression
 //! suite in `tests/wide_qm.rs` pins the repaired behaviour.
 //!
-//! [`WideMask`]: pmorph_sim::table::WideMask
-
 use crate::tile::MapError;
-use crate::truth::TruthTable;
+use pmorph_sim::table::WideMask;
 
 /// Exact Quine–McCluskey stays tractable to about this many variables
 /// (minterm-pair merging is quadratic in the ON-set, which can reach
@@ -98,8 +96,8 @@ impl Sop {
     }
 
     /// Truth table of the cover.
-    pub fn truth(&self, n: usize) -> TruthTable {
-        TruthTable::from_fn(n, |m| self.eval(m))
+    pub fn truth(&self, n: usize) -> WideMask {
+        WideMask::from_fn(n, |m| self.eval(m))
     }
 
     /// Total literal count.
@@ -109,7 +107,7 @@ impl Sop {
 }
 
 /// Reject tables past the exact-QM tractability bound with a typed error.
-fn check_width(tt: &TruthTable) -> Result<(), MapError> {
+fn check_width(tt: &WideMask) -> Result<(), MapError> {
     if tt.vars() > QM_MAX_VARS {
         return Err(MapError::TooManyVars { needed: tt.vars(), available: QM_MAX_VARS });
     }
@@ -118,20 +116,20 @@ fn check_width(tt: &TruthTable) -> Result<(), MapError> {
 
 /// Width-checked [`prime_implicants`]: `Err(MapError::TooManyVars)` past
 /// [`QM_MAX_VARS`] instead of a panic or an intractable run.
-pub fn try_prime_implicants(tt: &TruthTable) -> Result<Vec<Cube>, MapError> {
+pub fn try_prime_implicants(tt: &WideMask) -> Result<Vec<Cube>, MapError> {
     check_width(tt)?;
     Ok(prime_implicants(tt))
 }
 
 /// Width-checked [`minimize`]: `Err(MapError::TooManyVars)` past
 /// [`QM_MAX_VARS`] instead of a panic or an intractable run.
-pub fn try_minimize(tt: &TruthTable) -> Result<Sop, MapError> {
+pub fn try_minimize(tt: &WideMask) -> Result<Sop, MapError> {
     check_width(tt)?;
     Ok(minimize(tt))
 }
 
 /// All prime implicants of `tt` (classic iterated-merging pass).
-pub fn prime_implicants(tt: &TruthTable) -> Vec<Cube> {
+pub fn prime_implicants(tt: &WideMask) -> Vec<Cube> {
     let n = tt.vars();
     let mut current: Vec<Cube> = tt.minterms().map(|m| Cube::minterm(n, m)).collect();
     let mut primes = Vec::new();
@@ -162,7 +160,7 @@ pub fn prime_implicants(tt: &TruthTable) -> Vec<Cube> {
 /// Minimise `tt` into an SOP cover: essential primes first, then a greedy
 /// maximum-coverage completion. The constant-1 function yields one empty
 /// cube; constant-0 yields no cubes.
-pub fn minimize(tt: &TruthTable) -> Sop {
+pub fn minimize(tt: &WideMask) -> Sop {
     if tt.count_ones() == 0 {
         return Sop::default();
     }
@@ -211,22 +209,22 @@ mod tests {
 
     #[test]
     fn minimize_constant_functions() {
-        assert!(minimize(&TruthTable::zero(3)).cubes.is_empty());
-        let one = minimize(&TruthTable::one(3));
+        assert!(minimize(&WideMask::zero(3)).cubes.is_empty());
+        let one = minimize(&WideMask::ones(3));
         assert_eq!(one.cubes.len(), 1);
         assert_eq!(one.cubes[0].literals(), 0, "tautology cube");
     }
 
     #[test]
     fn minimize_single_variable() {
-        let sop = minimize(&TruthTable::var(3, 1));
+        let sop = minimize(&WideMask::var(3, 1));
         assert_eq!(sop.cubes.len(), 1);
         assert_eq!(sop.cubes[0].literal_list(), vec![(1, true)]);
     }
 
     #[test]
     fn minimize_or_is_two_cubes() {
-        let f = TruthTable::var(2, 0).or(&TruthTable::var(2, 1));
+        let f = WideMask::var(2, 0).or(&WideMask::var(2, 1));
         let sop = minimize(&f);
         assert_eq!(sop.cubes.len(), 2);
         assert_eq!(sop.truth(2), f);
@@ -235,7 +233,7 @@ mod tests {
     #[test]
     fn xor_needs_2_pow_n_minus_1_cubes() {
         for n in 2..=4 {
-            let f = TruthTable::parity(n);
+            let f = WideMask::from_fn(n, |m| m.count_ones() % 2 == 1);
             let sop = minimize(&f);
             assert_eq!(sop.cubes.len(), 1 << (n - 1), "XOR{n} minimal cover");
             assert_eq!(sop.truth(n), f);
@@ -244,7 +242,7 @@ mod tests {
 
     #[test]
     fn majority_is_three_cubes_of_two_literals() {
-        let sop = minimize(&TruthTable::majority3());
+        let sop = minimize(&WideMask::from_fn(3, |m| m.count_ones() >= 2));
         assert_eq!(sop.cubes.len(), 3);
         assert!(sop.cubes.iter().all(|c| c.literals() == 2));
     }
@@ -253,7 +251,7 @@ mod tests {
     fn exhaustive_equivalence_3vars() {
         // Every 3-variable function minimises to an equivalent cover.
         for bits in 0..256u64 {
-            let f = TruthTable::from_bits(3, bits);
+            let f = WideMask::from_u64(3, bits);
             let sop = minimize(&f);
             assert_eq!(sop.truth(3), f, "bits {bits:08b}");
         }
@@ -261,14 +259,14 @@ mod tests {
 
     #[test]
     fn primes_cover_all_minterms() {
-        let f = TruthTable::from_bits(4, 0xBEEF);
+        let f = WideMask::from_u64(4, 0xBEEF);
         let primes = prime_implicants(&f);
         for m in f.minterms() {
             assert!(primes.iter().any(|p| p.covers(m)));
         }
         // and no prime covers a zero
         for m in 0..16 {
-            if !f.eval(m) {
+            if !f.get(m) {
                 assert!(!primes.iter().any(|p| p.covers(m)));
             }
         }

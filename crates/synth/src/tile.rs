@@ -1,7 +1,7 @@
 //! Tile plumbing shared by the macro generators.
 //!
 //! A *tile* is a hand-crafted block configuration pattern written into a
-//! region of a [`Fabric`] — the mechanised equivalent of the paper's
+//! region of a [`Fabric`](pmorph_core::Fabric) — the mechanised equivalent of the paper's
 //! hand-drawn layouts (Figs. 9, 10, 12). Tiles expose their connection
 //! points as [`PortLoc`]s: a boundary-lane address that resolves to a
 //! concrete net once the fabric is elaborated.

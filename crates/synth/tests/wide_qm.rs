@@ -12,8 +12,8 @@
 //! one of the widths it covers; past `QM_MAX_VARS` the checked entry
 //! points must return a typed `MapError`, never panic.
 
+use pmorph_sim::table::WideMask;
 use pmorph_synth::tile::MapError;
-use pmorph_synth::truth::TruthTable;
 use pmorph_synth::{
     hazard_free_cover, is_hazard_free, minimize, try_hazard_free_cover, try_minimize,
     try_prime_implicants, QM_MAX_VARS,
@@ -23,12 +23,12 @@ use pmorph_synth::{
 fn n7_boundary_minimise_and_repair_are_equivalent() {
     // The first width past the single-word u64 comfort zone (the width
     // the issue tracker reported).
-    let t = TruthTable::parity(7);
+    let t = WideMask::from_fn(7, |m| m.count_ones() % 2 == 1);
     let sop = minimize(&t);
     assert_eq!(sop.truth(7), t, "n=7 minimised cover must match");
     assert_eq!(sop.cubes.len(), 1 << 6, "XOR7 minimal cover is 2^(n-1) cubes");
 
-    let f = TruthTable::from_fn(7, |m| m % 3 == 0);
+    let f = WideMask::from_fn(7, |m| m % 3 == 0);
     let cover = hazard_free_cover(&f);
     assert_eq!(cover.truth(7), f, "n=7 hazard-free cover must match");
     assert!(is_hazard_free(&f, &cover));
@@ -38,11 +38,11 @@ fn n7_boundary_minimise_and_repair_are_equivalent() {
 fn n9_no_silent_truncation() {
     // Pre-fix: minterms 256..512 aliased onto 0..256 through the u8
     // cube, yielding a cover of the wrong function with no diagnostics.
-    let t = TruthTable::from_fn(9, |m| m % 5 == 0);
+    let t = WideMask::from_fn(9, |m| m % 5 == 0);
     let sop = minimize(&t);
     assert_eq!(sop.truth(9), t, "n=9 cover silently truncated");
     for m in [0u64, 255, 256, 260, 511] {
-        assert_eq!(sop.eval(m), t.eval(m), "minterm {m} must not alias mod 256");
+        assert_eq!(sop.eval(m), t.get(m), "minterm {m} must not alias mod 256");
     }
 }
 
@@ -50,7 +50,7 @@ fn n9_no_silent_truncation() {
 fn n12_equivalence_and_hazard_repair() {
     // Upper edge of the exact-QM bound, sparse ON-set so the merge loop
     // stays fast.
-    let t = TruthTable::from_fn(12, |m| m % 341 == 0);
+    let t = WideMask::from_fn(12, |m| m % 341 == 0);
     let sop = try_minimize(&t).expect("n=12 is within QM_MAX_VARS");
     assert_eq!(sop.truth(12), t);
 
@@ -65,7 +65,7 @@ fn past_the_bound_is_a_typed_error_not_a_panic() {
     // any cover was built. Now every checked entry point reports the
     // width it was given and the bound it enforces.
     for n in [QM_MAX_VARS + 1, 16] {
-        let t = TruthTable::from_fn(n, |m| m == 0);
+        let t = WideMask::from_fn(n, |m| m == 0);
         for err in [
             try_minimize(&t).unwrap_err(),
             try_prime_implicants(&t).map(|_| ()).unwrap_err(),
@@ -79,7 +79,7 @@ fn past_the_bound_is_a_typed_error_not_a_panic() {
 #[test]
 fn checked_and_unchecked_agree_in_range() {
     for n in [3usize, 7, 10] {
-        let t = TruthTable::from_fn(n, |m| (m * 2654435761) % 7 < 3);
+        let t = WideMask::from_fn(n, |m| (m * 2654435761) % 7 < 3);
         assert_eq!(try_minimize(&t).unwrap(), minimize(&t), "n={n}");
     }
 }

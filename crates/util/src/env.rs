@@ -1,9 +1,9 @@
 //! Scoped process-environment overrides for tests and benches.
 //!
 //! The workspace's behaviour knobs are environment variables
-//! (`PMORPH_THREADS`, `PMORPH_OBS`, `PMORPH_OBS_JSON`,
-//! `PMORPH_SERVE_*`), and several of them are re-read on every use
-//! ([`crate::pool::worker_count`] being the hot one). Tests that poke the
+//! (`PMORPH_THREADS`, `PMORPH_OBS`, `PMORPH_OBS_JSON`), and several of
+//! them are re-read on every use ([`crate::pool::worker_count`] being
+//! the hot one). Tests that poke the
 //! environment directly with `std::env::set_var` leak the override into
 //! every test that runs after them in the same binary — the classic
 //! cross-test contamination bug. [`EnvGuard`] fixes the hygiene problem

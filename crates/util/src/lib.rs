@@ -13,7 +13,7 @@
 //! | [`prop`] | `proptest` | seeded property harness, fixed case counts, failing-seed reports |
 //! | [`microbench`] | `criterion` | adaptive-batch wall-clock timer with a criterion-shaped API |
 //! | [`hash`] | `fnv`/`twox-hash` | streaming FNV-1a 64 for content-addressed cache keys |
-//! | [`env`] | `temp-env` | scoped, lock-serialised environment overrides for tests |
+//! | [`env`](mod@env) | `temp-env` | scoped, lock-serialised environment overrides for tests |
 //!
 //! Policy (see README/DESIGN): no crate in this workspace may declare a
 //! non-path dependency; `pmorph-util` is the only allowed shared-infra

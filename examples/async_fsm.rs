@@ -9,7 +9,7 @@
 use polymorphic_hw::asynchronous::asm::{synth_asm, AsmSpec};
 use polymorphic_hw::prelude::*;
 
-fn run_machine(name: &str, next: &TruthTable, sequence: &[(u64, &str)]) {
+fn run_machine(name: &str, next: &WideMask, sequence: &[(u64, &str)]) {
     let spec = AsmSpec::from_next_state(next).expect("stable spec");
     println!(
         "{name}: S = {} cube(s), R = {} cube(s) after hazard-free repair",
@@ -41,7 +41,7 @@ fn main() {
     println!("asynchronous state machines compiled from truth tables\n");
 
     // Muller C-element: Y = ab + ay + by over (a, b, y)
-    let c_el = TruthTable::from_fn(3, |m| {
+    let c_el = WideMask::from_fn(3, |m| {
         let (a, b, y) = (m & 1 == 1, m >> 1 & 1 == 1, m >> 2 & 1 == 1);
         // the canonical majority form, as in the paper's c = ab + ac' + bc'
         #[allow(clippy::nonminimal_bool)]
@@ -61,7 +61,7 @@ fn main() {
     );
 
     // Transparent D latch: Y = en·d + ēn·y over (d, en, y)
-    let latch = TruthTable::from_fn(3, |m| {
+    let latch = WideMask::from_fn(3, |m| {
         let (d, en, y) = (m & 1 == 1, m >> 1 & 1 == 1, m >> 2 & 1 == 1);
         if en {
             d
@@ -81,7 +81,7 @@ fn main() {
     );
 
     // Custom: 3-input join that sets on 2-of-3, resets on none.
-    let join = TruthTable::from_fn(4, |m| {
+    let join = WideMask::from_fn(4, |m| {
         let ones = (m & 0b111).count_ones();
         let y = m >> 3 & 1 == 1;
         match ones {

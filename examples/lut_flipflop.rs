@@ -14,7 +14,7 @@ fn main() {
     // configured as interconnect — "the same components … used
     // interchangeably for logic and interconnection".
     let mut fabric = Fabric::new(10, 2);
-    let tt = TruthTable::from_fn(3, |m| m != 0); // x + y + z
+    let tt = WideMask::from_fn(3, |m| m != 0); // x + y + z
     let lut = lut3(&mut fabric, 0, 0, &tt).expect("lut fits");
     let ff = dff(&mut fabric, 4, 0).expect("dff fits");
 

@@ -16,6 +16,11 @@ echo "== build (release, all targets) =="
 cargo build --release --workspace
 cargo build --workspace --benches --examples
 
+echo "== rustdoc (warnings are errors) =="
+# A dangling intra-doc link, or public docs linking a private item, is
+# only a rustdoc warning; this step makes it fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tests (debug, whole workspace) =="
 cargo test --workspace -q
 

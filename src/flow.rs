@@ -19,10 +19,9 @@
 
 use pmorph_core::{Elaborated, Fabric, FabricTiming};
 use pmorph_fpga::MappedDesign;
-use pmorph_sim::{Logic, NetId};
+use pmorph_sim::{Logic, NetId, WideMask};
 use pmorph_synth::mapk::{elaborate_stitched, fabric_size_for, map_function};
 use pmorph_synth::tile::{MapError, PortLoc};
-use pmorph_synth::TruthTable;
 use std::collections::HashMap;
 
 /// A LUT network mapped onto the fabric.
@@ -59,12 +58,14 @@ pub fn map_design_to_fabric(design: &MappedDesign) -> Result<FabricDesign, MapEr
     for lut in &design.luts {
         assert!(lut.inputs.len() <= 4, "tech map was run with K ≤ 4");
         // degenerate 0-input LUTs keep the historical 1-var padded shape
+        let padded;
         let tt = if lut.inputs.is_empty() {
-            TruthTable::from_fn(1, |m| m == 0 && lut.truth.get(0))
+            padded = WideMask::from_fn(1, |m| m == 0 && lut.truth.get(0));
+            &padded
         } else {
-            TruthTable::from_mask(lut.truth.clone())
+            &lut.truth
         };
-        let mapped = map_function(&mut fabric, row, &tt)?;
+        let mapped = map_function(&mut fabric, row, tt)?;
         row += fabric_size_for(tt.vars()).1;
         blocks_used += TILE_BLOCKS * mapped.tiles;
         stitches.extend(mapped.stitches);

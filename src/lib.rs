@@ -12,9 +12,9 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`device`] | DG-MOSFET + RTD compact models, configurable gates, Monte-Carlo variation |
-//! | [`sim`] | event-driven four-valued logic simulator |
+//! | [`sim`] | event-driven four-valued logic simulator, truth-table masks |
 //! | [`fabric`] | the 6×6 NAND-block fabric, 128-bit block configs, elaboration |
-//! | [`synth`] | truth tables, Quine–McCluskey, LUT/FF/adder/accumulator tiles, routing |
+//! | [`synth`] | Quine–McCluskey, LUT/FF/adder/accumulator tiles, routing |
 //! | [`asynchronous`] | C-elements, micropipelines, ECSEs, arbiters, GALS |
 //! | [`fpga`] | the conventional island-style FPGA baseline |
 //!
@@ -24,7 +24,7 @@
 //! use polymorphic_hw::prelude::*;
 //!
 //! // Map the paper's Fig. 9 3-LUT (x + y + z) onto a small fabric…
-//! let tt = TruthTable::from_fn(3, |m| m != 0);
+//! let tt = WideMask::from_fn(3, |m| m != 0);
 //! let mut fabric = Fabric::new(4, 1);
 //! let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
 //!
@@ -69,10 +69,10 @@ pub mod prelude {
         Trit,
     };
     pub use pmorph_fpga::{tech_map, FpgaArch, FpgaTiming};
-    pub use pmorph_sim::{Logic, NetlistBuilder, Simulator};
+    pub use pmorph_sim::{Logic, NetlistBuilder, Simulator, WideMask};
     pub use pmorph_synth::{
         d_latch, dff, lut3, map_function, minimize, ripple_adder, shift_register, Accumulator,
-        BitSerialAdder, Counter, PortLoc, Router, TruthTable,
+        BitSerialAdder, Counter, PortLoc, Router,
     };
 }
 
@@ -82,7 +82,7 @@ mod tests {
     fn prelude_links_all_crates() {
         use crate::prelude::*;
         let _ = Fabric::new(2, 2);
-        let _ = TruthTable::parity(3);
+        let _ = WideMask::var(3, 0);
         let _ = DgMosfet::nmos();
         let _ = FpgaArch::default();
         let _ = MetastabilityModel::default();

@@ -65,7 +65,7 @@ fn fault_sweep_different_seeds_differ() {
 /// drive seeded random vectors; the observable is the full stimulus +
 /// response trace.
 fn sim_trace(seed: u64) -> Vec<(u64, Logic)> {
-    let tt = TruthTable::parity(3);
+    let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
     let mut fabric = Fabric::new(4, 1);
     let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
     let elab = elaborate(&fabric, &FabricTiming::default());

@@ -7,7 +7,7 @@ use polymorphic_hw::pmorph_core::elaborate::elaborate;
 use polymorphic_hw::prelude::*;
 
 /// Exhaustively verify one mapped 3-LUT.
-fn verify(tt: &TruthTable) {
+fn verify(tt: &WideMask) {
     let mut fabric = Fabric::new(4, 1);
     let ports = lut3(&mut fabric, 0, 0, tt).expect("maps");
     let elab = elaborate(&fabric, &FabricTiming::default());
@@ -19,9 +19,9 @@ fn verify(tt: &TruthTable) {
         sim.settle(200_000).expect("settles");
         assert_eq!(
             sim.value(ports.output.net(&elab)),
-            Logic::from_bool(tt.eval(m)),
+            Logic::from_bool(tt.get(m)),
             "function {:#010b}, minterm {m}",
-            tt.bits()
+            tt.as_u64()
         );
     }
 }
@@ -30,7 +30,7 @@ fn verify(tt: &TruthTable) {
 fn every_three_variable_function_maps_correctly() {
     // The complete space: all 256 functions of 3 variables.
     for bits in 0..256u64 {
-        verify(&TruthTable::from_bits(3, bits));
+        verify(&WideMask::from_u64(3, bits));
     }
 }
 
@@ -81,7 +81,7 @@ fn fabric_lut_agrees_with_fpga_mapping_of_same_function() {
     // through the FPGA tech mapper; simulate both, compare everywhere.
     use polymorphic_hw::fpga;
     for bits in [0x96u64, 0xE8, 0x7F, 0x01, 0xAA] {
-        let tt = TruthTable::from_bits(3, bits);
+        let tt = WideMask::from_u64(3, bits);
         // fabric side
         let mut fabric = Fabric::new(4, 1);
         let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
@@ -141,7 +141,7 @@ fn bitstream_survives_full_design() {
     // Configure a fabric with a real design, serialize, restore, and
     // check the restored fabric simulates identically.
     let mut fabric = Fabric::new(4, 1);
-    let tt = TruthTable::parity(3);
+    let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
     let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
     let restored = Fabric::from_bitstream(&fabric.to_bitstream()).unwrap();
     assert_eq!(restored, fabric);
@@ -160,7 +160,7 @@ fn alu_slice_via_general_mapper() {
     // 4-variable function — the general mapper turns it into a Shannon
     // tree of LUT tiles automatically.
     use polymorphic_hw::synth::mapk;
-    let alu = TruthTable::from_fn(4, |m| {
+    let alu = WideMask::from_fn(4, |m| {
         let a = m & 1 == 1;
         let b = m >> 1 & 1 == 1;
         let op = (m >> 2) & 0b11;
@@ -185,7 +185,7 @@ fn alu_slice_via_general_mapper() {
         sim.settle(2_000_000).unwrap();
         assert_eq!(
             sim.value(mapped.output.net(&elab)),
-            Logic::from_bool(alu.eval(m)),
+            Logic::from_bool(alu.get(m)),
             "ALU minterm {m:04b}"
         );
     }

@@ -19,7 +19,7 @@ fn qm_minimization_is_equivalent() {
     prop::check("qm_minimization_is_equivalent", 64, |g| {
         let bits = g.u64();
         let n = g.in_range(1usize..=4);
-        let tt = TruthTable::from_bits(n, bits);
+        let tt = WideMask::from_u64(n, bits);
         let sop = minimize(&tt);
         prop_assert_eq!(sop.truth(n), tt);
         Ok(())
@@ -32,11 +32,11 @@ fn primes_are_implicants() {
     prop::check("primes_are_implicants", 64, |g| {
         let bits = g.u64();
         let n = g.in_range(1usize..=4);
-        let tt = TruthTable::from_bits(n, bits);
+        let tt = WideMask::from_u64(n, bits);
         for p in qm::prime_implicants(&tt) {
             for m in 0..(1u64 << n) {
                 if p.covers(m) {
-                    prop_assert!(tt.eval(m), "prime covers a zero at minterm {m}");
+                    prop_assert!(tt.get(m), "prime covers a zero at minterm {m}");
                 }
             }
         }
@@ -50,15 +50,15 @@ fn shannon_recombination() {
     prop::check("shannon_recombination", 64, |g| {
         let bits = g.u64();
         let v = g.in_range(0usize..3);
-        let tt = TruthTable::from_bits(3, bits);
+        let tt = WideMask::from_u64(3, bits);
         let f0 = tt.cofactor(v, false);
         let f1 = tt.cofactor(v, true);
         for m in 0..8u64 {
             let low = m & ((1 << v) - 1);
             let high = (m >> (v + 1)) << v;
             let sub = low | high;
-            let want = if m >> v & 1 == 1 { f1.eval(sub) } else { f0.eval(sub) };
-            prop_assert_eq!(tt.eval(m), want);
+            let want = if m >> v & 1 == 1 { f1.get(sub) } else { f0.get(sub) };
+            prop_assert_eq!(tt.get(m), want);
         }
         Ok(())
     });
@@ -193,7 +193,7 @@ fn fabric_bitstream_round_trip() {
 fn hazard_free_covers_equivalent_and_clean() {
     prop::check("hazard_free_covers_equivalent_and_clean", 48, |g| {
         use polymorphic_hw::synth::hazard;
-        let tt = TruthTable::from_bits(4, g.u64());
+        let tt = WideMask::from_u64(4, g.u64());
         let cover = hazard::hazard_free_cover(&tt);
         prop_assert_eq!(cover.truth(4), tt);
         prop_assert!(hazard::is_hazard_free(&tt, &cover));
@@ -247,7 +247,7 @@ fn trit_cellmode_roundtrip() {
 fn general_mapper_arbitrary_4var() {
     prop::check("general_mapper_arbitrary_4var", 6, |g| {
         use polymorphic_hw::synth::mapk;
-        let tt = TruthTable::from_bits(4, g.u64());
+        let tt = WideMask::from_u64(4, g.u64());
         let (w, h) = mapk::fabric_size_for(4);
         let mut fabric = Fabric::new(w, h);
         let mapped = mapk::map_function(&mut fabric, 0, &tt).unwrap();
@@ -260,7 +260,7 @@ fn general_mapper_arbitrary_4var() {
                 }
             }
             sim.settle(2_000_000).unwrap();
-            prop_assert_eq!(sim.value(mapped.output.net(&elab)), Logic::from_bool(tt.eval(m)));
+            prop_assert_eq!(sim.value(mapped.output.net(&elab)), Logic::from_bool(tt.get(m)));
         }
         Ok(())
     });

@@ -20,7 +20,7 @@ fn hot_corner_design_round_trips_and_still_works() {
     assert!(inv.gain_scan(0.0).peak_gain() > 1.0, "hot inverter must still regenerate");
     let timing = FabricTiming::from_devices(&inv, &SwitchingModel::default());
 
-    let tt = TruthTable::parity(3);
+    let tt = WideMask::from_fn(3, |m| m.count_ones() % 2 == 1);
     let mut fabric = Fabric::new(4, 1);
     let ports = lut3(&mut fabric, 0, 0, &tt).unwrap();
     let restored = Fabric::from_bitstream_checked(&fabric.to_bitstream_checked()).unwrap();
@@ -35,7 +35,7 @@ fn hot_corner_design_round_trips_and_still_works() {
         sim.settle(1_000_000).unwrap();
         assert_eq!(
             sim.value(ports.output.net(&elab)),
-            Logic::from_bool(tt.eval(m)),
+            Logic::from_bool(tt.get(m)),
             "minterm {m} at hot-corner timing"
         );
     }
@@ -46,7 +46,7 @@ fn hot_corner_design_round_trips_and_still_works() {
 #[test]
 fn config_upset_caught_not_executed() {
     let mut fabric = Fabric::new(4, 1);
-    lut3(&mut fabric, 0, 0, &TruthTable::majority3()).unwrap();
+    lut3(&mut fabric, 0, 0, &WideMask::from_fn(3, |m| m.count_ones() >= 2)).unwrap();
     let mut stream = fabric.to_bitstream_checked();
     stream[14] ^= 0b0100_0000; // one flipped config bit
     match Fabric::from_bitstream_checked(&stream) {
@@ -59,7 +59,7 @@ fn config_upset_caught_not_executed() {
 /// prove the relocated design still computes on the *faulty* fabric.
 #[test]
 fn defect_aware_relocation_recovers_function() {
-    let tt = TruthTable::from_bits(3, 0xE8); // majority
+    let tt = WideMask::from_u64(3, 0xE8); // majority
     let mut recovered = 0;
     let mut needed_relocation = 0;
     for seed in 0..20u64 {
@@ -87,7 +87,7 @@ fn defect_aware_relocation_recovers_function() {
                 sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
             }
             sim.settle(1_000_000).unwrap();
-            ok &= sim.value(ports.output.net(&elab)) == Logic::from_bool(tt.eval(m));
+            ok &= sim.value(ports.output.net(&elab)) == Logic::from_bool(tt.get(m));
         }
         assert!(ok, "undisturbed placement must compute (seed {seed})");
         recovered += 1;
@@ -115,7 +115,7 @@ fn power_model_separates_static_and_dynamic() {
     let model = PowerModel::default();
     // idle configured fabric: elaborate, settle, no stimulus
     let mut fabric = Fabric::new(4, 1);
-    lut3(&mut fabric, 0, 0, &TruthTable::parity(3)).unwrap();
+    lut3(&mut fabric, 0, 0, &WideMask::from_fn(3, |m| m.count_ones() % 2 == 1)).unwrap();
     let cells = fabric.active_cells();
     let elab = elaborate(&fabric, &FabricTiming::default());
     let mut sim = Simulator::new(elab.netlist.clone());

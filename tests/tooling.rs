@@ -31,7 +31,7 @@ fn vcd_of_a_running_accumulator_is_well_formed() {
 #[test]
 fn render_shows_the_fig9_tile_structure() {
     let mut fabric = Fabric::new(10, 1);
-    let tt = TruthTable::from_fn(3, |m| m != 0);
+    let tt = WideMask::from_fn(3, |m| m != 0);
     let lut = lut3(&mut fabric, 0, 0, &tt).unwrap();
     let ff = dff(&mut fabric, 4, 0).unwrap();
     let mut router = Router::new();
@@ -84,7 +84,7 @@ fn measure_extracts_fabric_ring_oscillator_period() {
 #[test]
 fn sta_on_the_lut_tile_matches_structure() {
     let mut fabric = Fabric::new(4, 1);
-    lut3(&mut fabric, 0, 0, &TruthTable::parity(3)).unwrap();
+    lut3(&mut fabric, 0, 0, &WideMask::from_fn(3, |m| m.count_ones() % 2 == 1)).unwrap();
     let t = FabricTiming::default();
     let elab = elaborate(&fabric, &t);
     let (report, loops) = timing::analyze(&elab.netlist);
