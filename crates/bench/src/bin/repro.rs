@@ -17,12 +17,17 @@
 //! one worker, one experiment at a time, and each delta holds only its
 //! experiment's work. Metrics go only to that file and a stderr summary —
 //! stdout stays byte-identical with the layer on or off, which the
-//! `obs_differential` test pins.
+//! `obs_differential` test pins. With the layer on, each experiment's
+//! build time is recorded as the `repro.experiment` span (so each block
+//! carries its own) and, with `PMORPH_OBS_TRACE` set, as a `repro`
+//! complete event named by the experiment id on the building thread's
+//! track.
 
 use pmorph_bench::experiments::{self, Scale};
 use pmorph_exec::{sweep, SweepConfig};
 use pmorph_obs::RunReport;
 use pmorph_util::json::ToJson;
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,8 +68,15 @@ fn main() {
         &cfg,
         || (),
         |_, i| {
+            let (id, build) = matched[i];
             let base = per_experiment_obs.then(pmorph_obs::snapshot);
-            let e = (matched[i].1)(scale);
+            let t0 = pmorph_obs::enabled().then(Instant::now);
+            let e = build(scale);
+            if let Some(t0) = t0 {
+                let ns = t0.elapsed().as_nanos() as u64;
+                pmorph_obs::span!("repro.experiment").record_ns(ns);
+                pmorph_obs::trace::complete(id, "repro", t0, ns);
+            }
             (e, base.map(|base| pmorph_obs::snapshot().delta_since(&base)))
         },
     );

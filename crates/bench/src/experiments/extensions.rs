@@ -85,32 +85,34 @@ impl TrialCtx {
 /// `t·7919 + rate·10⁴` — the schedule the byte-identical repro output is
 /// pinned to) and score both mapping strategies against it. Returns
 /// `(naive worked, defect-aware worked)`. Independent per trial, so the
-/// curves are bit-identical at any worker count.
+/// curves are bit-identical at any worker count. When the defect-aware
+/// strategy picks row 0, it would check the naive strategy's fabric
+/// against the same map, so it takes the naive verdict instead of
+/// checking again.
 fn defect_trial(ctx: &mut TrialCtx, rate: f64, t: usize) -> (bool, bool) {
     let seed = t as u64 * 7919 + (rate * 1e4) as u64;
     // a 4x6 die: six candidate rows for a 3-block LUT tile
     let map = DefectMap::sample(4, 6, rate, seed);
     // naive: always row 0
     let naive = ctx.row_works(0, &map);
-    // defect-aware: try each row, keep the first whose *used* resources
-    // are undisturbed (a defect in an unused leaf is harmless — the
-    // point of the polymorphic fabric's sparing)
-    let mut aware = false;
-    for y in 0..6 {
-        if !map.disturbs(&ctx.rows[y].0) {
-            aware = ctx.row_works(y, &map);
-            break;
-        }
-    }
+    // defect-aware: the first row whose *used* resources are undisturbed
+    // (a defect in an unused leaf is harmless — the point of the
+    // polymorphic fabric's sparing)
+    let aware = match (0..6).find(|&y| !map.disturbs(&ctx.rows[y].0)) {
+        Some(0) => naive,
+        Some(y) => ctx.row_works(y, &map),
+        None => false,
+    };
     (naive, aware)
 }
 
 /// E19 yield curves on the sharded sweep engine: for each defect rate,
 /// `(rate, naive successes, defect-aware successes)` over `trials`
 /// independent trials. Each worker owns one `TrialCtx` of pre-mapped
-/// scratch fabrics; trials patch → levelize → single-word evaluate →
-/// unpatch, so the per-trial cost is one kernel pass, not `2^n` event
-/// simulations plus a fabric clone.
+/// scratch fabrics; a check patches → levelizes → evaluates one word →
+/// unpatches, so it costs one kernel pass, not `2^n` event simulations
+/// plus a fabric clone. A trial makes one check, or two when the
+/// defect-aware strategy moves off row 0.
 pub fn defect_yield_curves(trials: usize, cfg: &SweepConfig) -> Vec<(f64, usize, usize)> {
     DEFECT_RATES
         .iter()

@@ -73,6 +73,13 @@ fn repro_stdout_is_byte_identical_with_obs_on_or_off_at_1_and_8_threads() {
         if metrics.iter().any(|(k, v)| k == "sim.events" && v.as_f64().is_some_and(|v| v > 0.0)) {
             saw_sim_events += 1;
         }
+        // each block times its own experiment once
+        let timed = metrics.iter().find(|(k, _)| k == "repro.experiment").map(|(_, v)| v);
+        assert_eq!(
+            timed.and_then(|v| v.get("count")).and_then(json::Value::as_f64),
+            Some(1.0),
+            "{id}: repro.experiment must count 1 in its block"
+        );
         // Only E18 runs the variation study: any of its metrics in
         // another block would mean experiments' deltas overlapped.
         let variation = metrics.iter().any(|(k, _)| k.starts_with("device.variation."));

@@ -4,11 +4,13 @@
 //! channel, so result bits may not move. The written file must be a
 //! valid Chrome trace (parseable by `util::json`, metadata-first,
 //! sorted timestamps) with span coverage from every instrumented
-//! subsystem and at least two counter tracks, and the complete events
-//! of each track must nest: each event runs on its own thread's track,
-//! so two events on one track are either nested or disjoint. With the
-//! variable unset, no file may appear.
+//! subsystem, one `repro` event per experiment and at least two counter
+//! tracks, and the complete events of each track must nest: each event
+//! runs on its own thread's track, so two events on one track are
+//! either nested or disjoint. With the variable unset, no file may
+//! appear.
 
+use pmorph_bench::experiments::registry;
 use pmorph_util::json::{self, Value};
 use std::process::{Command, Output};
 
@@ -75,6 +77,7 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
     let mut counter_names: Vec<&str> = Vec::new();
     // (tid, start, end) in µs of every complete event
     let mut spans: Vec<(f64, f64, f64)> = Vec::new();
+    let mut experiments: Vec<&str> = Vec::new();
     for ev in events {
         let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
         let name = ev.get("name").and_then(Value::as_str).expect("name");
@@ -90,6 +93,9 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
                     assert!(dur >= 0.0);
                     span_names.push(name);
                     spans.push((f64_of(ev, "tid"), ts, ts + dur));
+                    if ev.get("cat").and_then(Value::as_str) == Some("repro") {
+                        experiments.push(name);
+                    }
                 } else {
                     f64_of(ev.get("args").expect("counter args"), "value");
                     if !counter_names.contains(&name) {
@@ -110,6 +116,12 @@ fn repro_stdout_is_byte_identical_with_trace_on_or_off_at_1_and_8_threads() {
         );
     }
     assert!(counter_names.len() >= 2, "expected >=2 counter tracks, got {counter_names:?}");
+
+    // One `repro` event per experiment, named by its id.
+    experiments.sort_unstable();
+    let mut ids: Vec<&str> = registry().into_iter().map(|(id, _)| id).collect();
+    ids.sort_unstable();
+    assert_eq!(experiments, ids, "one repro event per experiment");
 
     // Per track, by start time (outer first on ties): an event that
     // starts inside an earlier one must also end inside it. Timestamps

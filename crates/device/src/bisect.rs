@@ -1,7 +1,7 @@
 //! The bisection routine behind every device solver.
 //!
 //! Each solver brackets the root of a monotone function and halves the
-//! bracket a fixed number of times. Two exit rules stop early without
+//! bracket a fixed number of times. Three exit rules stop early without
 //! moving a single bit of the answer:
 //!
 //! * **Closed bracket.** Once `mid = 0.5·(lo + hi)` has the bits of `lo`
@@ -11,6 +11,24 @@
 //! * **Settled.** Every later midpoint, and so the full-count answer,
 //!   lies in the current bracket. A caller that only needs the answer's
 //!   side of some level can stop once the whole bracket lies on one side.
+//! * **First midpoint.** [`FirstMidpoint`] asks the settled question for
+//!   one level, `L = 0.5·(lo + hi)`: does the answer lie above the first
+//!   midpoint? If `root_below(L)` holds, the answer is "not above" after
+//!   one evaluation. Otherwise `lo` becomes `L`, and the upper end walks
+//!   down through `m₁ = 0.5·(L + hi)`, `m_{k+1} = 0.5·(L + m_k)`. Those
+//!   points depend only on `L`, `hi` and the step budget, not on the
+//!   predicate. The walk answers "above" at the first `m_k` where
+//!   `root_below` fails. Otherwise it ends where the bracket closes or the
+//!   budget runs out, on a point that is fixed in advance and lies above
+//!   `L` or not. So the answer is an OR over a fixed list of points. Its
+//!   value does not depend on the order in which they are evaluated, and
+//!   it needs no monotone predicate. The walk from `m₁` costs about
+//!   `log₂((hi − L)/(root − L))` evaluations, most of them when the root
+//!   sits just above `L`. The rule evaluates the point nearest `L` first
+//!   instead, which answers every root above that point in one
+//!   evaluation, and it finds the list once per bracket and budget. A
+//!   first midpoint that is not strictly inside the bracket is never
+//!   exceeded: the bisection settles or closes on it at once.
 
 /// Bisect `[lo, hi]` for at most `steps` halvings. `root_below(mid)` says
 /// the root lies at or below `mid`, which moves the upper end down to
@@ -35,13 +53,10 @@ pub(crate) fn bisect_until(
             break;
         }
         let mid = 0.5 * (lo + hi);
-        // bitwise, so a -0.0 midpoint beside a +0.0 end is not yet closed
-        if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+        if closed(mid, lo, hi) {
             return mid;
         }
-        #[cfg(test)]
-        tests::EVALS.with(|n| n.set(n.get() + 1));
-        if root_below(mid) {
+        if eval(&mut root_below, mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -50,14 +65,104 @@ pub(crate) fn bisect_until(
     0.5 * (lo + hi)
 }
 
+/// The first-midpoint rule for one bracket and step budget: whether
+/// [`bisect_until`] under the settled rule for the first midpoint
+/// `level = 0.5·(lo + hi)` ends above that level, the value of
+/// `bisect_until(lo, hi, steps, root_below, |l, h| h <= level || l > level) > level`.
+/// The walk's points depend only on the bracket and the budget, so
+/// [`Self::new`] finds them once and each [`Self::above`] reuses them.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct FirstMidpoint {
+    hi: f64,
+    level: f64,
+    /// The answer can be "above" at all: the budget allows a step and
+    /// `level` lies strictly inside the bracket. Otherwise the bisection
+    /// settles or closes at once on `level` itself, or `level` is NaN.
+    open: bool,
+    /// Upper ends the walk evaluates before the budget runs out or the
+    /// bracket closes.
+    n: u32,
+    /// The last of them, the nearest `level`.
+    last: f64,
+    /// The point the bisection returns after them lies above `level`.
+    end_above: bool,
+}
+
+impl FirstMidpoint {
+    /// The rule for `[lo, hi]` and at most `steps` halvings.
+    pub(crate) fn new(lo: f64, hi: f64, steps: u32) -> Self {
+        let level = 0.5 * (lo + hi);
+        let open = steps > 0 && lo < level && level < hi;
+        let (mut n, mut last, mut end) = (0, hi, level);
+        // once `root_below(level)` fails, `lo` is `level` and the upper
+        // end walks down towards it while `root_below` holds
+        while open {
+            let m = 0.5 * (level + last);
+            if n + 2 > steps || closed(m, level, last) {
+                end = m;
+                break;
+            }
+            n += 1;
+            last = m;
+        }
+        FirstMidpoint { hi, level, open, n, last, end_above: end > level }
+    }
+
+    /// The rule's answer for `root_below`. It evaluates `root_below` on
+    /// the points the bisection would, except that it may skip some and
+    /// takes the one nearest `level` first (the module doc says why that
+    /// is exact).
+    pub(crate) fn above(&self, mut root_below: impl FnMut(f64) -> bool) -> bool {
+        let FirstMidpoint { hi, level, open, n, last, end_above } = *self;
+        // a root at or below `level` moves `hi` down to it, and every
+        // later midpoint is at most `level`
+        if !open || eval(&mut root_below, level) {
+            return false;
+        }
+        if end_above {
+            return true;
+        }
+        if n == 0 {
+            return false;
+        }
+        // the nearest point first, then the rest from the far end
+        if !eval(&mut root_below, last) {
+            return true;
+        }
+        let mut m = hi;
+        for _ in 1..n {
+            m = 0.5 * (level + m);
+            if !eval(&mut root_below, m) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Whether `mid` has the bits of `lo` or `hi`: bitwise, so a -0.0
+/// midpoint beside a +0.0 end is not yet closed.
+fn closed(mid: f64, lo: f64, hi: f64) -> bool {
+    mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits()
+}
+
+/// One evaluation of the predicate, counted in test builds.
+#[inline]
+fn eval(root_below: &mut impl FnMut(f64) -> bool, mid: f64) -> bool {
+    #[cfg(test)]
+    tests::EVALS.with(|n| n.set(n.get() + 1));
+    root_below(mid)
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use pmorph_util::rng::{Rng, StdRng};
+    use pmorph_util::rng::{mix_seed, Rng, StdRng};
     use std::cell::Cell;
 
     thread_local! {
-        /// Predicate evaluations made by [`bisect_until`] on this thread.
+        /// Predicate evaluations made by [`bisect_until`] and
+        /// [`FirstMidpoint::above`] on this thread.
         pub(crate) static EVALS: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -176,6 +281,69 @@ pub(crate) mod tests {
             let root = 0.5 * (a + b);
             assert_settled_comparisons_match(lo, hi, root, root);
         }
+    }
+
+    /// Oracle for [`FirstMidpoint`]: the settled comparison with the
+    /// first midpoint as its level.
+    fn above_by_settled_bisection(
+        lo: f64,
+        hi: f64,
+        steps: u32,
+        root_below: impl FnMut(f64) -> bool,
+    ) -> bool {
+        let mid = 0.5 * (lo + hi);
+        bisect_until(lo, hi, steps, root_below, |l, h| h <= mid || l > mid) > mid
+    }
+
+    /// Budgets that end the walk before, at and after its bracket closes.
+    const BUDGETS: [u32; 8] = [0, 1, 2, 3, 53, 60, 80, 200];
+
+    #[test]
+    fn first_midpoint_rule_matches_the_settled_comparison() {
+        let mut rng = StdRng::seed_from_u64(0xf1257);
+        let mut brackets: Vec<(f64, f64)> = (0..3000).map(|_| bracket(&mut rng)).collect();
+        // brackets whose first midpoint is not strictly inside: two
+        // adjacent floats, reversed ends, infinite and NaN ends
+        brackets.extend([1.0, -1.0, 0.0, 1e-300].map(|x: f64| (x, x.next_up())));
+        brackets.extend([(1.0, 0.0), (2.0, -2.0), (-0.5, -1.5)]);
+        brackets.extend([(0.0, f64::INFINITY), (f64::NEG_INFINITY, 1.0), (f64::NAN, 1.0)]);
+        for (case, &(lo, hi)) in brackets.iter().enumerate() {
+            let mid = 0.5 * (lo + hi);
+            let ulps = rng.random_range(1u64..5);
+            let (mut up, mut down) = (mid, mid);
+            for _ in 0..ulps {
+                (up, down) = (up.next_up(), down.next_down());
+            }
+            let root = match case % 4 {
+                0 => mid,
+                1 => up,
+                2 => down,
+                _ => lo + (hi - lo) * rng.random_range(0.0..1.0),
+            };
+            let salt = rng.random_range(0u64..u64::MAX);
+            for steps in BUDGETS {
+                let check = |name: &str, root_below: &dyn Fn(f64) -> bool| {
+                    assert_eq!(
+                        FirstMidpoint::new(lo, hi, steps).above(root_below),
+                        above_by_settled_bisection(lo, hi, steps, root_below),
+                        "[{lo}, {hi}] {name} steps {steps}"
+                    );
+                };
+                check(&format!("root {root}"), &|m| m >= root);
+                check("always", &|_| true);
+                check("never", &|_| false);
+                // not monotone: each midpoint's answer is a hash of its bits
+                check("hashed", &|m| mix_seed(salt, m.to_bits()) & 1 == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_root_well_above_the_first_midpoint_costs_two_evaluations() {
+        let rule = FirstMidpoint::new(0.0, 1.0, 80);
+        assert_eq!(evals_of(|| rule.above(|m| m >= 0.9)), 2);
+        assert_eq!(evals_of(|| rule.above(|m| m >= 0.5 + 1e-9)), 2);
+        assert_eq!(evals_of(|| rule.above(|m| m >= 0.2)), 1);
     }
 
     #[test]

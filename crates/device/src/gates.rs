@@ -20,8 +20,16 @@
 //! bias for a whole output solve, so their channels (`DgMosfet::channel`)
 //! are taken once per solve; only the upper stack device, whose source
 //! is the bisected internal node, is evaluated in full at every step.
+//!
+//! [`ConfigurableNand::eval_logic`], and so [`ConfigurableNand::classify`],
+//! only asks which [`ConfigurableNand::quantize`] class the output falls
+//! in. The solved output never leaves its current bracket (the settled
+//! rule of `crate::bisect`), so its outer bisection stops as soon as the
+//! bracket lies inside one class: after about three steps for a rail
+//! output instead of ~53, each of which runs the stack's inner
+//! bisection. [`ConfigurableNand::solve_vout`] stays a full solve.
 
-use crate::bisect::bisect;
+use crate::bisect::{bisect, bisect_until};
 use crate::leaf::Trit;
 use crate::mosfet::{Channel, DgMosfet};
 use crate::vtc::ConfigurableInverter;
@@ -81,6 +89,19 @@ impl ConfigurableNand {
     /// Solve the static output voltage for inputs `(va, vb)` under
     /// per-input back-gate biases `(vga, vgb)`.
     pub fn solve_vout(&self, va: f64, vb: f64, vga: f64, vgb: f64) -> f64 {
+        self.solve_vout_until(va, vb, vga, vgb, |_, _| false)
+    }
+
+    /// [`Self::solve_vout`], stopped early once `settled(lo, hi)` holds
+    /// for the current output bracket.
+    fn solve_vout_until(
+        &self,
+        va: f64,
+        vb: f64,
+        vga: f64,
+        vgb: f64,
+        settled: impl FnMut(f64, f64) -> bool,
+    ) -> f64 {
         // every device but the stack's upper one has its gate, source and
         // bias fixed for the whole solve
         let bottom = self.nmos.channel(vb, 0.0, vgb);
@@ -89,30 +110,46 @@ impl ConfigurableNand {
         let h = |vout: f64| {
             self.series_current(&bottom, va, vga, vout) - up_a.current(vout) - up_b.current(vout)
         };
-        bisect(0.0, self.vdd, 70, |vout| h(vout) > 0.0)
+        bisect_until(0.0, self.vdd, 70, |vout| h(vout) > 0.0, settled)
     }
 
     /// Logic value of a solved node, if unambiguous.
     pub fn quantize(&self, v: f64) -> Option<bool> {
-        if v <= self.vdd * LOGIC_LO_FRAC {
+        let (lo_v, hi_v) = self.logic_levels();
+        if v <= lo_v {
             Some(false)
-        } else if v >= self.vdd * LOGIC_HI_FRAC {
+        } else if v >= hi_v {
             Some(true)
         } else {
             None
         }
     }
 
+    /// The voltages at or below which a node is 0, and at or above which
+    /// it is 1.
+    fn logic_levels(&self) -> (f64, f64) {
+        (self.vdd * LOGIC_LO_FRAC, self.vdd * LOGIC_HI_FRAC)
+    }
+
+    /// `quantize(solve_vout(va, vb, vga, vgb))`, decided as soon as the
+    /// output bracket lies inside one class.
+    fn quantized_vout(&self, va: f64, vb: f64, vga: f64, vgb: f64) -> Option<bool> {
+        let (lo_v, hi_v) = self.logic_levels();
+        let v = self.solve_vout_until(va, vb, vga, vgb, |lo, hi| {
+            hi <= lo_v || lo >= hi_v || (lo > lo_v && hi < hi_v)
+        });
+        self.quantize(v)
+    }
+
     /// Evaluate the gate digitally for boolean inputs under trit biases.
     /// Returns `None` if the solved output is not a clean rail.
     pub fn eval_logic(&self, a: bool, b: bool, cfg_a: Trit, cfg_b: Trit) -> Option<bool> {
-        let v = self.solve_vout(
+        self.quantized_vout(
             if a { self.vdd } else { 0.0 },
             if b { self.vdd } else { 0.0 },
             cfg_a.bias(),
             cfg_b.bias(),
-        );
-        self.quantize(v)
+        )
     }
 
     /// Classify the boolean function realised by a bias configuration by
@@ -272,6 +309,47 @@ impl ConfigurableDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisect::tests::evals_of;
+    use pmorph_util::rng::{Rng, StdRng};
+
+    #[test]
+    fn logic_evaluation_matches_the_quantized_full_solve() {
+        let g = ConfigurableNand::default();
+        for ca in Trit::ALL {
+            for cb in Trit::ALL {
+                for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let (va, vb) = (if a { g.vdd } else { 0.0 }, if b { g.vdd } else { 0.0 });
+                    let full = g.quantize(g.solve_vout(va, vb, ca.bias(), cb.bias()));
+                    assert_eq!(g.eval_logic(a, b, ca, cb), full, "{ca:?} {cb:?} a={a} b={b}");
+                }
+            }
+        }
+        // biases anywhere in [-2, 2] V on devices with shifted thresholds
+        let mut rng = StdRng::seed_from_u64(0x4a4d);
+        let mut classes = [0usize; 3];
+        for _ in 0..300 {
+            let (n, p) = (DgMosfet::nmos(), DgMosfet::pmos());
+            let g = ConfigurableNand {
+                nmos: DgMosfet { vt0: n.vt0 + rng.random_range(-0.1..0.1), ..n },
+                pmos: DgMosfet { vt0: p.vt0 + rng.random_range(-0.1..0.1), ..p },
+                vdd: 1.0,
+            };
+            let (va, vb) = (rng.random_range(0u64..2) as f64, rng.random_range(0u64..2) as f64);
+            let (vga, vgb) = (rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0));
+            let got = g.quantized_vout(va, vb, vga, vgb);
+            let full = g.quantize(g.solve_vout(va, vb, vga, vgb));
+            assert_eq!(got, full, "{g:?} inputs ({va}, {vb}) biases ({vga}, {vgb})");
+            classes[got.map_or(2, usize::from)] += 1;
+        }
+        assert!(classes.iter().all(|&c| c > 0), "0, 1 and ambiguous must all occur: {classes:?}");
+    }
+
+    #[test]
+    fn classification_stops_once_the_class_is_settled() {
+        let g = ConfigurableNand::default();
+        let n = evals_of(|| g.classify(Trit::Zero, Trit::Zero));
+        assert!(n <= 1_000, "{n} predicate evaluations to classify one configuration");
+    }
 
     #[test]
     fn nand_active_mode_truth_table() {

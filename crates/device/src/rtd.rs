@@ -235,6 +235,9 @@ pub struct RtdRamCell {
     pub stack: RtdStack,
     /// Cached stable-state voltages, ascending.
     levels: Vec<f64>,
+    /// Cached unstable-equilibrium voltages, ascending: the boundaries
+    /// between the levels' basins.
+    boundaries: Vec<f64>,
     /// Present storage-node voltage.
     vn: f64,
 }
@@ -242,7 +245,11 @@ pub struct RtdRamCell {
 impl RtdRamCell {
     /// Build a cell and verify it offers at least `min_levels` states.
     pub fn with_stack(stack: RtdStack, min_levels: usize) -> Self {
-        let levels = stack.stable_states();
+        let equilibria = stack.equilibria();
+        let voltages = |stable: bool| -> Vec<f64> {
+            equilibria.iter().filter(|e| e.stable == stable).map(|e| e.vn).collect()
+        };
+        let (levels, boundaries) = (voltages(true), voltages(false));
         assert!(
             levels.len() >= min_levels,
             "stack offers only {} stable states (need {min_levels}): {:?}",
@@ -250,7 +257,7 @@ impl RtdRamCell {
             levels
         );
         let vn = levels[levels.len() / 2];
-        RtdRamCell { stack, levels, vn }
+        RtdRamCell { stack, levels, boundaries, vn }
     }
 
     /// The standard three-state configuration cell (double-peak RTDs).
@@ -318,12 +325,7 @@ impl RtdRamCell {
     /// Noise margin of the present state: distance to the nearest unstable
     /// boundary (V).
     pub fn noise_margin(&self) -> f64 {
-        self.stack
-            .equilibria()
-            .iter()
-            .filter(|e| !e.stable)
-            .map(|e| (e.vn - self.vn).abs())
-            .fold(f64::INFINITY, f64::min)
+        self.boundaries.iter().map(|b| (b - self.vn).abs()).fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -392,6 +394,31 @@ mod tests {
             assert!(margin > 0.02, "level {k} margin {margin}");
             let after = cell.perturb_and_relax(margin * 0.5);
             assert_eq!(after, k, "state {k} must survive half-margin disturb");
+        }
+    }
+
+    /// Oracle for the noise margin: the distance to the nearest unstable
+    /// equilibrium of a fresh scan of the stack.
+    fn noise_margin_rescanned(cell: &RtdRamCell) -> f64 {
+        cell.stack
+            .equilibria()
+            .iter()
+            .filter(|e| !e.stable)
+            .map(|e| (e.vn - cell.vn).abs())
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn noise_margin_matches_a_fresh_scan_of_the_stack() {
+        for mut cell in [RtdRamCell::three_state(), RtdRamCell::nine_state()] {
+            for k in 0..cell.level_count() {
+                cell.write(k);
+                let margin = cell.noise_margin();
+                assert_eq!(margin.to_bits(), noise_margin_rescanned(&cell).to_bits(), "level {k}");
+                cell.perturb_and_relax(margin * 0.5);
+                let after = cell.noise_margin();
+                assert_eq!(after.to_bits(), noise_margin_rescanned(&cell).to_bits(), "level {k}");
+            }
         }
     }
 

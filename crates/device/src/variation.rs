@@ -182,6 +182,7 @@ fn summarize(samples: usize, ok: &[f64], failures: usize) -> VariationStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bisect::tests::evals_of;
     use crate::vtc::tests::fixed_count_threshold;
 
     #[test]
@@ -247,6 +248,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn e18_thresholds_take_at_most_200_evaluations_a_sample() {
+        let nominal = ConfigurableInverter::default();
+        let n = evals_of(|| {
+            for model in [VariationModel::doped_bulk(), VariationModel::undoped_dg()] {
+                for i in 0..32 {
+                    sample_inverter(model.sigma_total(), &nominal, 99, i).switching_threshold(0.0);
+                }
+            }
+        });
+        assert!(n <= 200 * 64, "{n} predicate evaluations for 64 sampled thresholds");
     }
 
     #[test]

@@ -11,22 +11,28 @@
 //! (`DgMosfet::channel`) once and pays only the drain-dependent term per
 //! step.
 //!
-//! Both bisections stop early under the two exit rules of
-//! `crate::bisect`, and neither rule moves a bit of any result. A
-//! bracket that has closed to adjacent floats would keep yielding the
-//! same midpoint, so the solve returns it at once. The switching
-//! threshold only asks on which side of `VDD/2` an output lies: its two
-//! stuck checks (`V_out(0) < VDD/2`, `V_out(VDD) > VDD/2`) and each inner
-//! solve of its bisection on `V_in`. The solved `V_out` never leaves its
-//! current bracket, so each of those solves stops as soon as the bracket
-//! lies wholly on one side of `VDD/2`.
+//! Both bisections stop early under the exit rules of `crate::bisect`,
+//! and no rule moves a bit of any result. A bracket that has closed to
+//! adjacent floats would keep yielding the same midpoint, so the solve
+//! returns it at once. The switching threshold only asks on which side
+//! of `VDD/2` an output lies: in its two stuck checks (`V_out(0) <
+//! VDD/2`, `V_out(VDD) > VDD/2`) and in each inner solve of its bisection
+//! on `V_in`. The solved `V_out` never leaves its current bracket, so the
+//! `<` check stops as soon as the bracket lies wholly on one side of
+//! `VDD/2` (the settled rule). `VDD/2` is the first midpoint of the
+//! output bracket `[0, VDD]`, so every `>` question goes to the
+//! first-midpoint rule instead: one evaluation when the output is at or
+//! below `VDD/2`, and otherwise two unless it lies within a few ulps of
+//! `VDD/2`. The inner solves of the threshold's late steps, whose output
+//! has converged on `VDD/2`, gain most. The rule's walk depends only on
+//! the bracket, so a threshold finds it once for all its questions.
 //!
 //! The noise margins and the peak gain read one [`GainScan`]: the gain
 //! at `GAIN_STEPS + 1` evenly spaced inputs. The peak's grid `vdd·k/200`
 //! is the scan's even samples `vdd·2k/400` to the bit (doubling is exact,
 //! and both quotients round the same rational), so the peak reads those.
 
-use crate::bisect::{bisect, bisect_until};
+use crate::bisect::{bisect, bisect_until, FirstMidpoint};
 use crate::mosfet::DgMosfet;
 
 /// One sample of a voltage transfer curve.
@@ -92,25 +98,32 @@ impl ConfigurableInverter {
         vg_p: f64,
         settled: impl FnMut(f64, f64) -> bool,
     ) -> f64 {
+        bisect_until(0.0, self.vdd, OUTPUT_STEPS, self.root_below(vin, vg_n, vg_p), settled)
+    }
+
+    /// The output solve's question at a candidate `V_out`: does the
+    /// pull-down out-drive the pull-up there? `f(0) ≤ 0` (no NMOS current,
+    /// PMOS sourcing) and `f(VDD) ≥ 0`.
+    fn root_below(&self, vin: f64, vg_n: f64, vg_p: f64) -> impl Fn(f64) -> bool {
         let (pull_down, pull_up) =
             (self.nmos.channel(vin, 0.0, vg_n), self.pmos.channel(vin, self.vdd, vg_p));
-        // f(0) ≤ 0 (no NMOS current, PMOS sourcing), f(VDD) ≥ 0.
-        bisect_until(
-            0.0,
-            self.vdd,
-            80,
-            |vout| pull_down.current(vout) - pull_up.current(vout) > 0.0,
-            settled,
-        )
+        move |vout| pull_down.current(vout) - pull_up.current(vout) > 0.0
     }
 
-    /// Whether `solve_vout(vin, vg2) > level`, decided as soon as the
+    /// `crate::bisect`'s first-midpoint rule over the output bracket
+    /// `[0, VDD]`, whose first midpoint is `VDD/2`.
+    fn above_half(&self) -> FirstMidpoint {
+        FirstMidpoint::new(0.0, self.vdd, OUTPUT_STEPS)
+    }
+
+    /// Whether `solve_vout(vin, vg2) > VDD/2`, decided by `half`, the rule
+    /// from [`Self::above_half`].
+    fn vout_above(&self, half: &FirstMidpoint, vin: f64, vg2: f64) -> bool {
+        half.above(self.root_below(vin, vg2, vg2))
+    }
+
+    /// Whether `solve_vout(vin, vg2) < level`, decided as soon as the
     /// output bracket lies wholly on one side of `level`.
-    fn vout_above(&self, vin: f64, vg2: f64, level: f64) -> bool {
-        self.solve_vout_until(vin, vg2, vg2, |lo, hi| hi <= level || lo > level) > level
-    }
-
-    /// Whether `solve_vout(vin, vg2) < level`, decided the same way.
     fn vout_below(&self, vin: f64, vg2: f64, level: f64) -> bool {
         self.solve_vout_until(vin, vg2, vg2, |lo, hi| hi < level || lo >= level) < level
     }
@@ -129,19 +142,18 @@ impl ConfigurableInverter {
     /// Whether the output never crosses VDD/2: already low at input 0 or
     /// still high at input VDD. V_out(V_in) falls monotonically, so
     /// otherwise it crosses exactly once.
-    fn stuck(&self, vg2: f64) -> bool {
-        let mid = self.vdd / 2.0;
-        self.vout_below(0.0, vg2, mid) || self.vout_above(self.vdd, vg2, mid)
+    fn stuck(&self, half: &FirstMidpoint, vg2: f64) -> bool {
+        self.vout_below(0.0, vg2, self.vdd / 2.0) || self.vout_above(half, self.vdd, vg2)
     }
 
     /// Input voltage at which the output crosses VDD/2, if it does.
     /// (Bisection on the monotonically falling V_out(V_in).)
     pub fn switching_threshold(&self, vg2: f64) -> Option<f64> {
-        if self.stuck(vg2) {
+        let half = self.above_half();
+        if self.stuck(&half, vg2) {
             return None;
         }
-        let mid = self.vdd / 2.0;
-        Some(bisect(0.0, self.vdd, 60, |m| !self.vout_above(m, vg2, mid)))
+        Some(bisect(0.0, self.vdd, 60, |m| !self.vout_above(&half, m, vg2)))
     }
 
     /// Classify the configured behaviour (the trichotomy of Fig. 3):
@@ -149,9 +161,10 @@ impl ConfigurableInverter {
     /// decided by its two stuck checks without bisecting for the
     /// threshold.
     pub fn behaviour(&self, vg2: f64) -> InverterBehaviour {
-        if !self.stuck(vg2) {
+        let half = self.above_half();
+        if !self.stuck(&half, vg2) {
             InverterBehaviour::Active
-        } else if self.vout_above(0.0, vg2, self.vdd / 2.0) {
+        } else if self.vout_above(&half, 0.0, vg2) {
             InverterBehaviour::StuckHigh
         } else {
             InverterBehaviour::StuckLow
@@ -192,6 +205,9 @@ impl ConfigurableInverter {
         GainScan { inv: *self, vg2, gains }
     }
 }
+
+/// Halvings of the output solve's bracket `[0, VDD]`.
+const OUTPUT_STEPS: u32 = 80;
 
 /// Intervals in the [`GainScan`] input grid over `[0, VDD]`. Even, so
 /// that every second sample is the peak gain's grid of `GAIN_STEPS / 2`
