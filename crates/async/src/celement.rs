@@ -228,8 +228,8 @@ mod tests {
         let mut sim = Simulator::new(elab.netlist.clone());
 
         let mut bnl = pmorph_sim::NetlistBuilder::new();
-        let ba = bnl.net("a");
-        let bb = bnl.net("b");
+        let ba = bnl.net();
+        let bb = bnl.net();
         let bc = bnl.celement(ba, bb);
         let bref = bnl.build();
         let mut bsim = Simulator::new(bref);

@@ -69,7 +69,7 @@ fn dims2(b: &mut NetlistBuilder, a: DualRail, bb: DualRail, table: [bool; 4]) ->
     let mk = |b: &mut NetlistBuilder, ins: &[NetId]| -> NetId {
         match ins.len() {
             0 => {
-                let z = b.net(format!("const0_{}", ins.len()));
+                let z = b.net();
                 b.constant(Logic::L0, z);
                 z
             }
@@ -157,13 +157,10 @@ pub struct DualRailRipple {
 /// carry) holds a valid code — no timing assumption anywhere in the word.
 pub fn ripple_adder_di(b: &mut NetlistBuilder, n: usize) -> DualRailRipple {
     assert!(n >= 1);
-    let mk = |b: &mut NetlistBuilder, name: String| DualRail {
-        t: b.net(format!("{name}_t")),
-        f: b.net(format!("{name}_f")),
-    };
-    let a: Vec<DualRail> = (0..n).map(|i| mk(b, format!("a{i}"))).collect();
-    let bb: Vec<DualRail> = (0..n).map(|i| mk(b, format!("b{i}"))).collect();
-    let cin = mk(b, "cin".into());
+    let mk = |b: &mut NetlistBuilder| DualRail { t: b.net(), f: b.net() };
+    let a: Vec<DualRail> = (0..n).map(|_| mk(b)).collect();
+    let bb: Vec<DualRail> = (0..n).map(|_| mk(b)).collect();
+    let cin = mk(b);
     let mut carry = cin;
     let mut sum = Vec::with_capacity(n);
     for i in 0..n {
@@ -181,13 +178,10 @@ pub fn ripple_adder_di(b: &mut NetlistBuilder, n: usize) -> DualRailRipple {
 
 /// Build the DI full adder into a fresh netlist builder.
 pub fn full_adder(b: &mut NetlistBuilder) -> DualRailAdder {
-    let mk = |b: &mut NetlistBuilder, n: &str| DualRail {
-        t: b.net(format!("{n}_t")),
-        f: b.net(format!("{n}_f")),
-    };
-    let a = mk(b, "a");
-    let bb = mk(b, "b");
-    let cin = mk(b, "cin");
+    let mk = |b: &mut NetlistBuilder| DualRail { t: b.net(), f: b.net() };
+    let a = mk(b);
+    let bb = mk(b);
+    let cin = mk(b);
     let axb = dims_xor(b, a, bb);
     let sum = dims_xor(b, axb, cin);
     let ab = dims_and(b, a, bb);
@@ -221,8 +215,8 @@ mod tests {
             ("xor", [false, true, true, false]),
         ] {
             let mut b = NetlistBuilder::new();
-            let x = DualRail { t: b.net("xt"), f: b.net("xf") };
-            let y = DualRail { t: b.net("yt"), f: b.net("yf") };
+            let x = DualRail { t: b.net(), f: b.net() };
+            let y = DualRail { t: b.net(), f: b.net() };
             let z = dims2(&mut b, x, y, table);
             let nl = b.build();
             for (i, vx) in [false, true].into_iter().enumerate() {
@@ -245,9 +239,7 @@ mod tests {
     #[test]
     fn completion_waits_for_slowest_bit() {
         let mut b = NetlistBuilder::new();
-        let bits: Vec<DualRail> = (0..4)
-            .map(|i| DualRail { t: b.net(format!("b{i}t")), f: b.net(format!("b{i}f")) })
-            .collect();
+        let bits: Vec<DualRail> = (0..4).map(|_| DualRail { t: b.net(), f: b.net() }).collect();
         let done = completion_detector(&mut b, &bits);
         let nl = b.build();
         let mut sim = Simulator::new(nl);

@@ -26,9 +26,9 @@ use pmorph_sim::{Component, Logic, NetId, Netlist, NetlistBuilder, Simulator};
 /// high after completing the in-flight half-cycle (no runt pulses).
 pub fn pausible_clock(loop_delay_ps: u64) -> (Netlist, NetId, NetId) {
     let mut b = NetlistBuilder::new();
-    let run = b.net("run");
-    let clk = b.net("clk");
-    let fb = b.net("fb");
+    let run = b.net();
+    let clk = b.net();
+    let fb = b.net();
     b.delay_into(clk, fb, loop_delay_ps);
     b.nand_into(&[run, fb], clk);
     (b.build(), run, clk)
@@ -62,8 +62,8 @@ impl GalsSystem {
         let pipe = micropipeline::build(depth, width, 20, 5);
         let mut nl = pipe.netlist.clone();
         // Domain clocks.
-        let clk_a = nl.add_net("clk_a");
-        let clk_b = nl.add_net("clk_b");
+        let clk_a = nl.add_net();
+        let clk_b = nl.add_net();
         nl.add_comp(
             Component::Clock {
                 output: clk_a,
@@ -83,9 +83,9 @@ impl GalsSystem {
             1,
         );
         // Two-flop synchronizers.
-        let two_flop = |nl: &mut Netlist, d: NetId, clk: NetId, tag: &str| {
-            let m = nl.add_net(format!("sync_{tag}_meta"));
-            let q = nl.add_net(format!("sync_{tag}"));
+        let two_flop = |nl: &mut Netlist, d: NetId, clk: NetId| {
+            let m = nl.add_net();
+            let q = nl.add_net();
             nl.add_comp(
                 Component::Dff {
                     d,
@@ -110,9 +110,8 @@ impl GalsSystem {
             );
             q
         };
-        let ack_synced_a = two_flop(&mut nl, pipe.ack_out, clk_a, "ack_a");
-        let req_synced_b = two_flop(&mut nl, pipe.req_out, clk_b, "req_b");
-        nl.finalize();
+        let ack_synced_a = two_flop(&mut nl, pipe.ack_out, clk_a);
+        let req_synced_b = two_flop(&mut nl, pipe.req_out, clk_b);
         let mut sim = Simulator::new(nl);
         sim.drive(pipe.req_in, Logic::L0);
         sim.drive(pipe.ack_in, Logic::L0);

@@ -29,12 +29,12 @@ pub struct MullerPipeline {
 pub fn muller_pipeline(n: usize, stage_delay_ps: u64) -> MullerPipeline {
     assert!(n >= 1);
     let mut b = NetlistBuilder::new();
-    let req_in = b.net("req_in");
-    let ack_in = b.net("ack_in");
-    let ctrl: Vec<NetId> = (0..n).map(|i| b.net(format!("s{i}"))).collect();
+    let req_in = b.net();
+    let ack_in = b.net();
+    let ctrl: Vec<NetId> = (0..n).map(|_| b.net()).collect();
     for i in 0..n {
         let prev = if i == 0 { req_in } else { ctrl[i - 1] };
-        let delayed = b.net(format!("s{i}_d"));
+        let delayed = b.net();
         b.delay_into(prev, delayed, stage_delay_ps);
         let next = if i + 1 < n { ctrl[i + 1] } else { ack_in };
         let nn = b.inv(next);
@@ -136,7 +136,6 @@ pub fn run_four_phase(n_stages: usize, cycles: usize) -> Result<(usize, usize), 
     let mut nl = p.netlist.clone();
     // eager consumer: ack follows req_out after a delay
     nl.add_comp(Component::Buf { input: p.req_out, output: p.ack_in }, 30);
-    nl.finalize();
     let mut sim = Simulator::new(nl);
     sim.watch(p.req_in);
     sim.watch(p.ack_out);

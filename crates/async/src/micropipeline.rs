@@ -56,16 +56,16 @@ pub fn build(
 ) -> Micropipeline {
     assert!(stages >= 1);
     let mut b = NetlistBuilder::new();
-    let req_in = b.net("req_in");
-    let ack_in = b.net("ack_in");
-    let data_in: Vec<NetId> = (0..width).map(|i| b.net(format!("din{i}"))).collect();
+    let req_in = b.net();
+    let ack_in = b.net();
+    let data_in: Vec<NetId> = (0..width).map(|_| b.net()).collect();
 
     // Control spine.
-    let ctrl: Vec<NetId> = (0..stages).map(|i| b.net(format!("c{}", i + 1))).collect();
+    let ctrl: Vec<NetId> = (0..stages).map(|_| b.net()).collect();
     for i in 0..stages {
         let prev = if i == 0 { req_in } else { ctrl[i - 1] };
         // matched delay on the request path (Fig. 11's DELAY box)
-        let delayed = b.net(format!("c{}_delayed", i + 1));
+        let delayed = b.net();
         b.delay_into(prev, delayed, stage_delay_ps);
         let next_ack = if i + 1 < stages { ctrl[i + 1] } else { ack_in };
         let nack = b.inv(next_ack);
@@ -81,8 +81,8 @@ pub fn build(
         let x = b.xor(&[ctrl[i], next_c]);
         let en = b.inv(x);
         let mut outs = Vec::with_capacity(width);
-        for (bit, &d) in stage_in.iter().enumerate() {
-            let q = b.net(format!("s{}_q{}", i + 1, bit));
+        for &d in &stage_in {
+            let q = b.net();
             b.comp(Component::Latch { d, en, q, state: Logic::L0 }, latch_delay_ps);
             outs.push(q);
         }
@@ -121,7 +121,6 @@ pub fn free_running(
     nl.add_comp(Component::Buf { input: p.req_out, output: p.ack_in }, sink_delay_ps);
     // producer: req = inverted ack_out
     nl.add_comp(Component::Inv { input: p.ack_out, output: p.req_in }, source_delay_ps);
-    nl.finalize();
     (nl, p.ack_out)
 }
 

@@ -111,10 +111,10 @@ fn ablate_inertial(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &pulse, |b, &pulse| {
             b.iter(|| {
                 let mut nl = pmorph_sim::Netlist::new();
-                let a = nl.add_net("a");
+                let a = nl.add_net();
                 let mut prev = a;
-                for i in 0..20 {
-                    let n = nl.add_net(format!("n{i}"));
+                for _ in 0..20 {
+                    let n = nl.add_net();
                     nl.add_comp(pmorph_sim::Component::Buf { input: prev, output: n }, 100);
                     prev = n;
                 }

@@ -53,10 +53,10 @@ fn kernel_event_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/ring_events");
     for stages in [3usize, 31, 301] {
         let mut nl = Netlist::new();
-        let en = nl.add_net("en");
-        let mut nets = vec![nl.add_net("n0")];
-        for i in 1..stages {
-            nets.push(nl.add_net(format!("n{i}")));
+        let en = nl.add_net();
+        let mut nets = vec![nl.add_net()];
+        for _ in 1..stages {
+            nets.push(nl.add_net());
         }
         nl.add_comp(Component::Nand { inputs: vec![en, nets[stages - 1]], output: nets[0] }, 5);
         for i in 1..stages {
@@ -137,7 +137,7 @@ fn kernel_levelized_vs_event(c: &mut Criterion) {
     use pmorph_sim::{Levelized, NetId, NetlistBuilder};
     // a 10-input, ~60-gate parity/majority mix
     let mut b = NetlistBuilder::new();
-    let inputs: Vec<NetId> = (0..10).map(|i| b.net(format!("i{i}"))).collect();
+    let inputs: Vec<NetId> = (0..10).map(|_| b.net()).collect();
     let mut level = inputs.clone();
     while level.len() > 1 {
         let mut next = Vec::new();
@@ -198,7 +198,7 @@ fn kernel_bitsim(c: &mut Criterion) {
     use pmorph_sim::vectors::exhaustive_truth_levelized;
     // the same 10-input, ~60-gate XOR tree as kernel/exhaustive_1024_vectors
     let mut b = NetlistBuilder::new();
-    let inputs: Vec<NetId> = (0..10).map(|i| b.net(format!("i{i}"))).collect();
+    let inputs: Vec<NetId> = (0..10).map(|_| b.net()).collect();
     let mut level = inputs.clone();
     while level.len() > 1 {
         let mut next = Vec::new();
@@ -241,7 +241,7 @@ fn kernel_bitsim(c: &mut Criterion) {
     // partial final word: n = 4 has 16 live lanes in one word — lanes
     // beyond 2^n must come back masked to zero
     let mut b4 = NetlistBuilder::new();
-    let ins4: Vec<NetId> = (0..4).map(|i| b4.net(format!("p{i}"))).collect();
+    let ins4: Vec<NetId> = (0..4).map(|_| b4.net()).collect();
     let maj = {
         let ab = b4.and(&[ins4[0], ins4[1]]);
         let cd = b4.and(&[ins4[2], ins4[3]]);
@@ -284,16 +284,16 @@ fn kernel_seq_bitsim(c: &mut Criterion) {
     const VARS: usize = 10;
     const HALF: u64 = 500;
     let mut b = NetlistBuilder::new();
-    let clk = b.net("clk");
+    let clk = b.net();
     b.clock(clk, HALF, 0);
-    let inputs: Vec<NetId> = (0..VARS).map(|i| b.net(format!("i{i}"))).collect();
+    let inputs: Vec<NetId> = (0..VARS).map(|_| b.net()).collect();
     let mut level = inputs.clone();
     let mut depth = 0usize;
     while level.len() > 1 {
         let mut next = Vec::new();
         for pair in level.chunks(2) {
             let d = if pair.len() == 2 { b.xor(&[pair[0], pair[1]]) } else { pair[0] };
-            let q = b.net(format!("q{depth}_{}", next.len()));
+            let q = b.net();
             b.dff(d, clk, None, q);
             next.push(q);
         }
@@ -411,9 +411,9 @@ fn kernel_fabric_rotated_array(c: &mut Criterion) {
 fn kernel_datapath_ripple16(c: &mut Criterion) {
     const W: usize = 16;
     let mut b = NetlistBuilder::new();
-    let a_in: Vec<NetId> = (0..W).map(|i| b.net(format!("a{i}"))).collect();
-    let b_in: Vec<NetId> = (0..W).map(|i| b.net(format!("b{i}"))).collect();
-    let cin = b.net("cin");
+    let a_in: Vec<NetId> = (0..W).map(|_| b.net()).collect();
+    let b_in: Vec<NetId> = (0..W).map(|_| b.net()).collect();
+    let cin = b.net();
     let mut carry = cin;
     let mut sum = Vec::with_capacity(W);
     for i in 0..W {
@@ -494,10 +494,10 @@ fn kernel_micropipeline_deep(c: &mut Criterion) {
 fn kernel_alloc_free_steady_state(c: &mut Criterion) {
     let stages = 301usize;
     let mut nl = Netlist::new();
-    let en = nl.add_net("en");
-    let mut nets = vec![nl.add_net("n0")];
-    for i in 1..stages {
-        nets.push(nl.add_net(format!("n{i}")));
+    let en = nl.add_net();
+    let mut nets = vec![nl.add_net()];
+    for _ in 1..stages {
+        nets.push(nl.add_net());
     }
     nl.add_comp(Component::Nand { inputs: vec![en, nets[stages - 1]], output: nets[0] }, 5);
     for i in 1..stages {
@@ -535,10 +535,10 @@ fn kernel_alloc_free_steady_state(c: &mut Criterion) {
 fn kernel_obs_overhead(c: &mut Criterion) {
     let stages = 31usize;
     let mut nl = Netlist::new();
-    let en = nl.add_net("en");
-    let mut nets = vec![nl.add_net("n0")];
-    for i in 1..stages {
-        nets.push(nl.add_net(format!("n{i}")));
+    let en = nl.add_net();
+    let mut nets = vec![nl.add_net()];
+    for _ in 1..stages {
+        nets.push(nl.add_net());
     }
     nl.add_comp(Component::Nand { inputs: vec![en, nets[stages - 1]], output: nets[0] }, 5);
     for i in 1..stages {

@@ -143,16 +143,16 @@ fn sweeps_fig10_adder(c: &mut Criterion) {
 fn seq_pipeline() -> (pmorph_sim::SeqBitSim, Vec<pmorph_sim::NetId>, pmorph_sim::NetId, usize) {
     use pmorph_sim::{NetId, NetlistBuilder, SeqBitSim};
     let mut b = NetlistBuilder::new();
-    let clk = b.net("clk");
+    let clk = b.net();
     b.clock(clk, 500, 0);
-    let inputs: Vec<NetId> = (0..12).map(|i| b.net(format!("i{i}"))).collect();
+    let inputs: Vec<NetId> = (0..12).map(|_| b.net()).collect();
     let mut level = inputs.clone();
     let mut depth = 0usize;
     while level.len() > 1 {
         let mut next = Vec::new();
         for pair in level.chunks(2) {
             let d = if pair.len() == 2 { b.xor(&[pair[0], pair[1]]) } else { pair[0] };
-            let q = b.net(format!("q{depth}_{}", next.len()));
+            let q = b.net();
             b.dff(d, clk, None, q);
             next.push(q);
         }

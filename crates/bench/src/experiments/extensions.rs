@@ -163,12 +163,12 @@ pub fn study_clockless_power() -> Experiment {
     // Clocked: 8 behavioural DFF stages, free-running clock, no data
     // activity (idle), 100 ns.
     let mut b = pmorph_sim::NetlistBuilder::new();
-    let clk = b.net("clk");
-    let d0 = b.net("d0");
+    let clk = b.net();
+    let d0 = b.net();
     b.clock(clk, 500, 10); // 1 GHz
     let mut prev = d0;
-    for i in 0..8 {
-        let q = b.net(format!("q{i}"));
+    for _ in 0..8 {
+        let q = b.net();
         b.dff(prev, clk, None, q);
         prev = q;
     }

@@ -16,7 +16,9 @@
 //!   terms that still have an active output driver),
 //! * an inverter / buffer / pass-buffer per enabled output driver.
 //!
-//! Lanes driven by two blocks resolve through the kernel's wired logic —
+//! Nets are numbered in that order and carry no names; the accessors below
+//! map a lane or lfb coordinate to its net. Lanes driven by two blocks
+//! resolve through the kernel's wired logic —
 //! [`Elaborated::multiply_driven_lanes`] reports them so mapping tools can
 //! flag contention.
 
@@ -29,7 +31,7 @@ use pmorph_sim::{Component, Logic, NetId, Netlist};
 /// The result of elaborating a [`Fabric`].
 #[derive(Clone, Debug)]
 pub struct Elaborated {
-    /// The generated netlist (finalized).
+    /// The generated netlist.
     pub netlist: Netlist,
     width: usize,
     height: usize,
@@ -87,16 +89,16 @@ impl Elaborated {
             return; // already the same boundary: direct abutment
         }
         self.netlist.add_comp(Component::Buf { input: from, output: to }, delay_ps.max(1));
-        self.netlist.finalize();
     }
 
     /// Boundary lanes with more than one driver (potential contention).
     pub fn multiply_driven_lanes(&self) -> Vec<NetId> {
+        let conn = self.netlist.connectivity();
         self.vbound
             .iter()
             .chain(self.hbound.iter())
             .copied()
-            .filter(|n| self.netlist.nets[n.0 as usize].drivers.len() > 1)
+            .filter(|&n| conn.drivers(n).len() > 1)
             .collect()
     }
 }
@@ -106,31 +108,12 @@ pub fn elaborate(fabric: &Fabric, timing: &FabricTiming) -> Elaborated {
     let (w, h) = (fabric.width(), fabric.height());
     let mut nl = Netlist::new();
 
-    let mut vbound = Vec::with_capacity((w + 1) * h * LANES);
-    for x in 0..=w {
-        for y in 0..h {
-            for lane in 0..LANES {
-                vbound.push(nl.add_net(format!("vb_x{x}_y{y}_l{lane}")));
-            }
-        }
-    }
-    let mut hbound = Vec::with_capacity(w * (h + 1) * LANES);
-    for y in 0..=h {
-        for x in 0..w {
-            for lane in 0..LANES {
-                hbound.push(nl.add_net(format!("hb_x{x}_y{y}_l{lane}")));
-            }
-        }
-    }
-    let mut lfb = Vec::with_capacity(w * h * 2);
-    for y in 0..h {
-        for x in 0..w {
-            for k in 0..2 {
-                lfb.push(nl.add_net(format!("lfb_x{x}_y{y}_{k}")));
-            }
-        }
-    }
-    let one = nl.add_net("const_one");
+    // Net ids follow the accessors' index order: vertical boundaries
+    // (x, y, lane), horizontal boundaries (y, x, lane), lfb nets (y, x, k).
+    let vbound = (0..(w + 1) * h * LANES).map(|_| nl.add_net()).collect();
+    let hbound = (0..w * (h + 1) * LANES).map(|_| nl.add_net()).collect();
+    let lfb = (0..w * h * 2).map(|_| nl.add_net()).collect();
+    let one = nl.add_net();
     nl.add_comp(Component::Const { value: Logic::L1, output: one }, 1);
 
     let mut elab = Elaborated { netlist: nl, width: w, height: h, vbound, hbound, lfb, one };
@@ -152,7 +135,7 @@ pub fn elaborate(fabric: &Fabric, timing: &FabricTiming) -> Elaborated {
                 if cfg.drivers[t] == OutMode::Off {
                     continue; // nothing downstream: don't instantiate
                 }
-                let term_net = elab.netlist.add_net(format!("term_x{x}_y{y}_{t}"));
+                let term_net = elab.netlist.add_net();
                 let killed = cfg.crosspoints[t].contains(&CellMode::StuckOff);
                 if killed {
                     elab.netlist
@@ -195,7 +178,6 @@ pub fn elaborate(fabric: &Fabric, timing: &FabricTiming) -> Elaborated {
             }
         }
     }
-    elab.netlist.finalize();
     elab
 }
 

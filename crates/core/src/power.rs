@@ -83,9 +83,9 @@ mod tests {
         // A free-running clock into a DFF whose D never changes: the data
         // is idle but the clock net toggles forever.
         let mut b = NetlistBuilder::new();
-        let clk = b.net("clk");
-        let d = b.net("d");
-        let q = b.net("q");
+        let clk = b.net();
+        let d = b.net();
+        let q = b.net();
         b.clock(clk, 100, 10);
         b.dff(d, clk, None, q);
         let nl = b.build();
@@ -103,8 +103,8 @@ mod tests {
         // A micro-pipeline-style handshake circuit with no tokens: after
         // initialisation, zero toggles.
         let mut b = NetlistBuilder::new();
-        let r = b.net("req");
-        let a = b.net("ack");
+        let r = b.net();
+        let a = b.net();
         let c = b.celement(r, a);
         let _ = c;
         let nl = b.build();

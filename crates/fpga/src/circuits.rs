@@ -21,9 +21,9 @@ pub struct Circuit {
 /// (combinational: every CLB's FF slot will idle).
 pub fn ripple_adder_gates(n: usize) -> Circuit {
     let mut b = NetlistBuilder::new();
-    let a: Vec<_> = (0..n).map(|i| b.net(format!("a{i}"))).collect();
-    let bb: Vec<_> = (0..n).map(|i| b.net(format!("b{i}"))).collect();
-    let mut carry = b.net("cin");
+    let a: Vec<_> = (0..n).map(|_| b.net()).collect();
+    let bb: Vec<_> = (0..n).map(|_| b.net()).collect();
+    let mut carry = b.net();
     let mut outputs = Vec::new();
     for i in 0..n {
         let axb = b.xor(&[a[i], bb[i]]);
@@ -47,12 +47,12 @@ pub fn ripple_adder_gates(n: usize) -> Circuit {
 /// n-bit shift register (FF-dominated: most CLB LUT slots idle).
 pub fn shift_register(n: usize) -> Circuit {
     let mut b = NetlistBuilder::new();
-    let din = b.net("din");
-    let clk = b.net("clk");
+    let din = b.net();
+    let clk = b.net();
     let mut prev = din;
     let mut outputs = Vec::new();
-    for i in 0..n {
-        let q = b.net(format!("q{i}"));
+    for _ in 0..n {
+        let q = b.net();
         b.dff(prev, clk, None, q);
         prev = q;
         outputs.push(q);
@@ -69,7 +69,7 @@ pub fn shift_register(n: usize) -> Circuit {
 /// Parity tree over n inputs (LUT-rich, no state).
 pub fn parity_tree(n: usize) -> Circuit {
     let mut b = NetlistBuilder::new();
-    let mut level: Vec<_> = (0..n).map(|i| b.net(format!("i{i}"))).collect();
+    let mut level: Vec<_> = (0..n).map(|_| b.net()).collect();
     while level.len() > 1 {
         let mut next = Vec::new();
         for pair in level.chunks(2) {
@@ -95,17 +95,17 @@ pub fn parity_tree(n: usize) -> Circuit {
 /// Mixed datapath: registered 4-bit counter-ish pipeline (LUT+FF pairs).
 pub fn registered_pipeline(stages: usize) -> Circuit {
     let mut b = NetlistBuilder::new();
-    let clk = b.net("clk");
-    let x0 = b.net("x0");
-    let x1 = b.net("x1");
+    let clk = b.net();
+    let x0 = b.net();
+    let x1 = b.net();
     let mut d0 = x0;
     let mut d1 = x1;
     let mut outputs = Vec::new();
-    for i in 0..stages {
+    for _ in 0..stages {
         let g0 = b.xor(&[d0, d1]);
         let g1 = b.and(&[d0, d1]);
-        let q0 = b.net(format!("q0_{i}"));
-        let q1 = b.net(format!("q1_{i}"));
+        let q0 = b.net();
+        let q1 = b.net();
         b.dff(g0, clk, None, q0);
         b.dff(g1, clk, None, q1);
         d0 = q0;

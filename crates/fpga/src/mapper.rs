@@ -354,8 +354,8 @@ mod tests {
     /// 4-NAND XOR: should collapse into a single 4-LUT (2 inputs).
     fn xor_netlist() -> (Netlist, NetId) {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y");
+        let x = b.net();
+        let y = b.net();
         let t = b.nand(&[x, y]);
         let u = b.nand(&[x, t]);
         let v = b.nand(&[y, t]);
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn wide_and_tree_needs_multiple_luts() {
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..9).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..9).map(|_| b.net()).collect();
         // balanced AND tree of 2-input ANDs
         let mut level = ins.clone();
         while level.len() > 1 {
@@ -400,11 +400,11 @@ mod tests {
     #[test]
     fn ff_maps_and_packs_with_driver_lut() {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y");
-        let clk = b.net("clk");
+        let x = b.net();
+        let y = b.net();
+        let clk = b.net();
         let g = b.and(&[x, y]);
-        let q = b.net("q");
+        let q = b.net();
         b.dff(g, clk, None, q);
         let nl = b.build();
         let d = tech_map(&nl, &[q], 4).unwrap();
@@ -429,7 +429,7 @@ mod tests {
         // 6 leaves = the full-u64 boundary: the lane mask must be MAX,
         // not the old (1 << 64) - 1 overflow.
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..6).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..6).map(|_| b.net()).collect();
         let z = b.and(&ins);
         let nl = b.build();
         let d = tech_map(&nl, &[z], 6).unwrap();
@@ -448,7 +448,7 @@ mod tests {
         // leaves, so extraction must produce a two-word table. The old
         // u64 path panicked in debug (`1 << m` at m ≥ 64) here.
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..7).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..7).map(|_| b.net()).collect();
         let z = b.nand(&ins);
         let nl = b.build();
         let d = tech_map(&nl, &[z], 6).unwrap();
@@ -468,7 +468,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         for trial in 0..10 {
             let mut b = NetlistBuilder::new();
-            let mut nets: Vec<NetId> = (0..5).map(|i| b.net(format!("i{i}"))).collect();
+            let mut nets: Vec<NetId> = (0..5).map(|_| b.net()).collect();
             for _ in 0..12 {
                 let a = nets[rng.random_range(0..nets.len())];
                 let c = nets[rng.random_range(0..nets.len())];

@@ -565,7 +565,7 @@ mod tests {
 
     fn tree_design(width: usize) -> MappedDesign {
         let mut b = NetlistBuilder::new();
-        let ins: Vec<_> = (0..width).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<_> = (0..width).map(|_| b.net()).collect();
         let mut level = ins;
         while level.len() > 1 {
             let mut next = Vec::new();

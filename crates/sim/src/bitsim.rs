@@ -305,8 +305,7 @@ impl SeqBitSim {
     /// tri-states, C-elements, arbiters, stimulus players, gated clocks,
     /// computed resets, clocks feeding logic — is rejected with an error
     /// naming the offending component kind or control net.
-    pub fn new(mut netlist: Netlist) -> Result<Self, LevelizeError> {
-        netlist.finalize();
+    pub fn new(netlist: Netlist) -> Result<Self, LevelizeError> {
         let mut dffs = Vec::new();
         let mut initial = Vec::new();
         let mut clock_set: Vec<NetId> = Vec::new();
@@ -337,22 +336,23 @@ impl SeqBitSim {
         clock_set.dedup();
 
         // Control-net topology checks against the *original* connectivity.
+        let conn = netlist.connectivity();
         for comp in &netlist.comps {
             if let Component::Dff { clk, reset_n, q, .. } = comp {
-                let clk_drivers = &netlist.nets[clk.0 as usize].drivers;
-                let clocked_ok = clk_drivers
+                let clocked_ok = conn
+                    .drivers(*clk)
                     .iter()
                     .all(|p| matches!(netlist.comps[p.comp.0 as usize], Component::Clock { .. }));
                 if !clocked_ok {
                     return Err(LevelizeError::DrivenControl("clock", *clk));
                 }
                 if let Some(r) = reset_n {
-                    if !netlist.nets[r.0 as usize].drivers.is_empty() {
+                    if !conn.drivers(*r).is_empty() {
                         return Err(LevelizeError::DrivenControl("reset", *r));
                     }
                 }
                 // the flip-flop must be its Q net's only driver
-                if netlist.nets[q.0 as usize].drivers.len() > 1 {
+                if conn.drivers(*q).len() > 1 {
                     return Err(LevelizeError::MultipleDrivers(*q));
                 }
             }
@@ -373,9 +373,10 @@ impl SeqBitSim {
 
         // Build the combinational view: same nets, flip-flops and clock
         // generators stripped, so Q nets levelize as undriven sources.
+        let nets = netlist.net_count();
         let mut comb = Netlist::new();
-        for net in &netlist.nets {
-            comb.add_net(net.name.clone());
+        for _ in 0..nets {
+            comb.add_net();
         }
         for (i, comp) in netlist.comps.iter().enumerate() {
             if !matches!(comp, Component::Dff { .. } | Component::Clock { .. }) {
@@ -384,11 +385,9 @@ impl SeqBitSim {
         }
         let sim = BitSim::new(comb)?;
 
-        let nets = netlist.net_count();
-        let input_nets: Vec<NetId> = netlist
-            .undriven_nets()
-            .into_iter()
-            .filter(|n| clock_set.binary_search(n).is_err())
+        let input_nets: Vec<NetId> = (0..nets as u32)
+            .map(NetId)
+            .filter(|&n| conn.drivers(n).is_empty() && clock_set.binary_search(&n).is_err())
             .collect();
         pmorph_obs::gauge!("sim.bitsim.state_words").set(2.0 * dffs.len() as f64);
         let state = initial.clone();
@@ -627,7 +626,7 @@ mod tests {
         // 5-input mixed DAG evaluated both ways across every lane of the
         // (partial) word.
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..5).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..5).map(|_| b.net()).collect();
         let a = b.nand(&[ins[0], ins[1]]);
         let c = b.xor(&[a, ins[2]]);
         let d = b.or(&[c, ins[3]]);
@@ -653,8 +652,8 @@ mod tests {
     fn unknown_propagation_matches_kleene_dominance() {
         // g = AND(x, undriven): known only where x = 0.
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let u = b.net("u"); // never driven → X in every lane
+        let x = b.net();
+        let u = b.net(); // never driven → X in every lane
         let g = b.and(&[x, u]);
         let h = b.or(&[x, u]);
         let nl = b.build();
@@ -672,8 +671,8 @@ mod tests {
     #[test]
     fn const_z_is_unknown_to_gates() {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let z = b.net("z");
+        let x = b.net();
+        let z = b.net();
         b.constant(Logic::Z, z);
         let g = b.nand(&[x, z]);
         let nl = b.build();
@@ -688,7 +687,7 @@ mod tests {
     #[test]
     fn sweep_truth_is_geometry_independent() {
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..8).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..8).map(|_| b.net()).collect();
         let mut acc = ins[0];
         for &i in &ins[1..] {
             acc = b.xor(&[acc, i]);
@@ -711,10 +710,10 @@ mod tests {
     /// din → [dff q0] → [dff q1], clk undriven (virtualized).
     fn two_stage_shift() -> (Netlist, NetId, NetId, NetId) {
         let mut b = NetlistBuilder::new();
-        let din = b.net("din");
-        let clk = b.net("clk");
-        let q0 = b.net("q0");
-        let q1 = b.net("q1");
+        let din = b.net();
+        let clk = b.net();
+        let q0 = b.net();
+        let q1 = b.net();
         b.dff(din, clk, None, q0);
         b.dff(q0, clk, None, q1);
         (b.build(), din, q0, q1)
@@ -740,10 +739,10 @@ mod tests {
     #[test]
     fn per_lane_reset_is_independent_and_async() {
         let mut b = NetlistBuilder::new();
-        let din = b.net("din");
-        let clk = b.net("clk");
-        let rst_n = b.net("rst_n");
-        let q = b.net("q");
+        let din = b.net();
+        let clk = b.net();
+        let rst_n = b.net();
+        let q = b.net();
         b.dff(din, clk, Some(rst_n), q);
         let inv = b.inv(q);
         let mut seq = SeqBitSim::new(b.build()).unwrap();
@@ -792,35 +791,35 @@ mod tests {
     fn rejects_gated_clock_computed_reset_and_clock_into_logic() {
         // gated clock: clk driven by an AND
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let en = b.net("en");
-        let raw = b.net("raw");
+        let d = b.net();
+        let en = b.net();
+        let raw = b.net();
         let gclk = b.and(&[en, raw]);
-        let q = b.net("q");
+        let q = b.net();
         b.dff(d, gclk, None, q);
         assert!(matches!(SeqBitSim::new(b.build()), Err(LevelizeError::DrivenControl("clock", _))));
         // computed reset
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let clk = b.net("clk");
-        let a = b.net("a");
+        let d = b.net();
+        let clk = b.net();
+        let a = b.net();
         let r = b.inv(a);
-        let q = b.net("q");
+        let q = b.net();
         b.dff(d, clk, Some(r), q);
         assert!(matches!(SeqBitSim::new(b.build()), Err(LevelizeError::DrivenControl("reset", _))));
         // clock net read by a gate: levels are virtualized away, reject
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let clk = b.net("clk");
-        let q = b.net("q");
+        let d = b.net();
+        let clk = b.net();
+        let q = b.net();
         b.dff(d, clk, None, q);
         b.and(&[clk, q]);
         assert!(matches!(SeqBitSim::new(b.build()), Err(LevelizeError::NotCombinational("clock"))));
         // latches still name their kind
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let en = b.net("en");
-        let q = b.net("q");
+        let d = b.net();
+        let en = b.net();
+        let q = b.net();
         b.latch(d, en, q);
         assert!(matches!(SeqBitSim::new(b.build()), Err(LevelizeError::NotCombinational("latch"))));
     }

@@ -1,8 +1,8 @@
 //! Ergonomic netlist construction.
 //!
-//! [`NetlistBuilder`] wraps [`Netlist`] with name management, default delays
-//! and one-call gate constructors, so elaboration code in the fabric and
-//! FPGA crates reads like a structural HDL.
+//! [`NetlistBuilder`] wraps [`Netlist`] with a default delay and one-call
+//! gate constructors that make their own output nets, so elaboration code
+//! in the fabric and FPGA crates reads like a structural HDL.
 
 use crate::logic::Logic;
 use crate::netlist::{CompId, Component, DriveMode, NetId, Netlist};
@@ -10,19 +10,17 @@ use crate::netlist::{CompId, Component, DriveMode, NetId, Netlist};
 /// Default combinational gate delay in picoseconds.
 pub const DEFAULT_GATE_DELAY: u64 = 10;
 
-/// Builder over [`Netlist`] with automatic net naming and per-builder
-/// default delay.
+/// Builder over [`Netlist`] with a per-builder default delay.
 #[derive(Debug, Default)]
 pub struct NetlistBuilder {
     netlist: Netlist,
     default_delay: u64,
-    anon: u64,
 }
 
 impl NetlistBuilder {
     /// New builder with the default 10 ps gate delay.
     pub fn new() -> Self {
-        Self { netlist: Netlist::new(), default_delay: DEFAULT_GATE_DELAY, anon: 0 }
+        Self { netlist: Netlist::new(), default_delay: DEFAULT_GATE_DELAY }
     }
 
     /// Override the default delay applied by the gate helpers.
@@ -36,15 +34,9 @@ impl NetlistBuilder {
         self.default_delay
     }
 
-    /// Add a named net.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
-        self.netlist.add_net(name)
-    }
-
-    /// Add an anonymous net (named `_anon<N>`).
-    pub fn anon_net(&mut self) -> NetId {
-        self.anon += 1;
-        self.netlist.add_net(format!("_anon{}", self.anon))
+    /// Add a net.
+    pub fn net(&mut self) -> NetId {
+        self.netlist.add_net()
     }
 
     /// Raw component insertion with explicit delay.
@@ -54,7 +46,7 @@ impl NetlistBuilder {
 
     /// N-input NAND into a fresh net.
     pub fn nand(&mut self, inputs: &[NetId]) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.nand_into(inputs, output);
         output
     }
@@ -67,7 +59,7 @@ impl NetlistBuilder {
 
     /// N-input AND into a fresh net.
     pub fn and(&mut self, inputs: &[NetId]) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.netlist
             .add_comp(Component::And { inputs: inputs.to_vec(), output }, self.default_delay);
         output
@@ -75,7 +67,7 @@ impl NetlistBuilder {
 
     /// N-input OR into a fresh net.
     pub fn or(&mut self, inputs: &[NetId]) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.netlist
             .add_comp(Component::Or { inputs: inputs.to_vec(), output }, self.default_delay);
         output
@@ -83,7 +75,7 @@ impl NetlistBuilder {
 
     /// N-input XOR into a fresh net.
     pub fn xor(&mut self, inputs: &[NetId]) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.netlist
             .add_comp(Component::Xor { inputs: inputs.to_vec(), output }, self.default_delay);
         output
@@ -91,7 +83,7 @@ impl NetlistBuilder {
 
     /// Inverter into a fresh net.
     pub fn inv(&mut self, input: NetId) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.inv_into(input, output);
         output
     }
@@ -125,7 +117,7 @@ impl NetlistBuilder {
 
     /// Behavioural Muller C-element into a fresh net.
     pub fn celement(&mut self, a: NetId, b: NetId) -> NetId {
-        let output = self.anon_net();
+        let output = self.net();
         self.netlist
             .add_comp(Component::CElement { a, b, output, state: Logic::L0 }, self.default_delay);
         output
@@ -156,8 +148,7 @@ impl NetlistBuilder {
     }
 
     /// Finish building.
-    pub fn build(mut self) -> Netlist {
-        self.netlist.finalize();
+    pub fn build(self) -> Netlist {
         self.netlist
     }
 
@@ -176,8 +167,8 @@ mod tests {
     fn builds_xor_from_nands() {
         // classic 4-NAND XOR
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y");
+        let x = b.net();
+        let y = b.net();
         let t = b.nand(&[x, y]);
         let u = b.nand(&[x, t]);
         let v = b.nand(&[y, t]);
@@ -190,14 +181,5 @@ mod tests {
             sim.settle(10_000).unwrap();
             assert_eq!(sim.value(z), Logic::from_bool(vx ^ vy), "{vx}^{vy}");
         }
-    }
-
-    #[test]
-    fn anon_names_unique() {
-        let mut b = NetlistBuilder::new();
-        let n1 = b.anon_net();
-        let n2 = b.anon_net();
-        let nl = b.build();
-        assert_ne!(nl.nets[n1.0 as usize].name, nl.nets[n2.0 as usize].name);
     }
 }

@@ -13,11 +13,12 @@
 //!
 //! ## Kernel layout
 //!
-//! [`Simulator::new`] compiles the `Component` graph into CSR (compressed
-//! sparse row) arrays — fan-in (`comp → nets read`), fan-out (`net → comps
-//! reading`), and per-net driver-slot lists with the `(comp, port) → slot`
-//! arithmetic pre-applied — so the steady-state event loop touches only
-//! contiguous flat arrays. Component evaluation goes through the in-place
+//! [`Simulator::new`] takes the netlist's derived CSR (compressed sparse
+//! row) connectivity, [`Netlist::connectivity`], and keeps its rows: the
+//! fan-out rows (`net → comps reading`) as they are, and the driver rows
+//! with the `(comp, port) → slot` arithmetic pre-applied — so the
+//! steady-state event loop touches only contiguous flat arrays. Component
+//! evaluation goes through the in-place
 //! [`crate::netlist::Component::evaluate_into`] writing into a fixed
 //! `[Logic; MAX_OUTPUTS]` scratch, net resolution takes a two-read fast path
 //! for the dominant single-driver case, and scheduling runs on the calendar
@@ -29,7 +30,7 @@
 //! traces.
 
 use crate::logic::Logic;
-use crate::netlist::{CompId, CompState, NetId, Netlist, MAX_OUTPUTS};
+use crate::netlist::{CompId, CompState, Connectivity, NetId, Netlist, MAX_OUTPUTS};
 use crate::queue::{Event, EventKey, EventQueue, QueueCounters};
 use std::time::Instant;
 
@@ -138,10 +139,6 @@ pub struct Simulator {
     /// Driver slots: one per component output port, then one external slot
     /// per net (for primary-input stimulus).
     slots: Vec<Slot>,
-    /// CSR fan-in: nets read by component `c` are
-    /// `fanin[fanin_off[c]..fanin_off[c+1]]`.
-    fanin_off: Vec<u32>,
-    fanin: Vec<NetId>,
     /// CSR fan-out: components reading net `n` are
     /// `fanout[fanout_off[n]..fanout_off[n+1]]` (deduplicated).
     fanout_off: Vec<u32>,
@@ -175,8 +172,7 @@ impl Simulator {
     /// of their (empty) drivers; every component is evaluated once at t=0 so
     /// constants and initial gate outputs propagate, and generators arm
     /// their first event.
-    pub fn new(mut netlist: Netlist) -> Self {
-        netlist.finalize();
+    pub fn new(netlist: Netlist) -> Self {
         let n_nets = netlist.net_count();
         let n_comps = netlist.comp_count();
 
@@ -184,9 +180,7 @@ impl Simulator {
         let mut slot_net = Vec::new();
         comp_slot_base.push(0u32);
         for comp in &netlist.comps {
-            for out in comp.outputs() {
-                slot_net.push(out);
-            }
+            slot_net.extend(comp.outputs());
             comp_slot_base.push(slot_net.len() as u32);
         }
         let mut external_slot = Vec::with_capacity(n_nets);
@@ -195,36 +189,13 @@ impl Simulator {
             slot_net.push(NetId(i as u32));
         }
 
-        // CSR compilation: flatten the per-net Vec connectivity into
-        // contiguous offset/value arrays the hot loop can walk without
-        // pointer-chasing.
-        let mut fanin_off = Vec::with_capacity(n_comps + 1);
-        let mut fanin = Vec::new();
-        fanin_off.push(0u32);
-        for comp in &netlist.comps {
-            fanin.extend(comp.inputs());
-            fanin_off.push(fanin.len() as u32);
-        }
-        let mut fanout_off = Vec::with_capacity(n_nets + 1);
-        let mut fanout = Vec::new();
-        let mut driver_off = Vec::with_capacity(n_nets + 1);
-        let mut driver_slot = Vec::new();
-        fanout_off.push(0u32);
-        driver_off.push(0u32);
-        for net in &netlist.nets {
-            fanout.extend_from_slice(&net.fanout);
-            fanout_off.push(fanout.len() as u32);
-            for d in &net.drivers {
-                driver_slot.push(comp_slot_base[d.comp.0 as usize] + d.port as u32);
-            }
-            driver_off.push(driver_slot.len() as u32);
-        }
+        let Connectivity { fanout_off, fanout, driver_off, drivers } = netlist.connectivity();
+        let driver_slot =
+            drivers.iter().map(|d| comp_slot_base[d.comp.0 as usize] + d.port as u32).collect();
 
         let mut sim = Simulator {
             values: vec![Logic::Z; n_nets],
             slots: vec![Slot::default(); slot_net.len()],
-            fanin_off,
-            fanin,
             fanout_off,
             fanout,
             driver_off,
@@ -288,18 +259,6 @@ impl Simulator {
     /// Kernel statistics so far.
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// Nets read by a component (compiled CSR fan-in).
-    pub fn fanin(&self, comp: CompId) -> &[NetId] {
-        let c = comp.0 as usize;
-        &self.fanin[self.fanin_off[c] as usize..self.fanin_off[c + 1] as usize]
-    }
-
-    /// Components reading a net (compiled CSR fan-out, deduplicated).
-    pub fn fanout(&self, net: NetId) -> &[CompId] {
-        let n = net.0 as usize;
-        &self.fanout[self.fanout_off[n] as usize..self.fanout_off[n + 1] as usize]
     }
 
     /// Resolved value of a net.
@@ -668,9 +627,9 @@ mod tests {
 
     fn nand2() -> (Netlist, NetId, NetId, NetId) {
         let mut nl = Netlist::new();
-        let a = nl.add_net("a");
-        let b = nl.add_net("b");
-        let y = nl.add_net("y");
+        let a = nl.add_net();
+        let b = nl.add_net();
+        let y = nl.add_net();
         nl.add_comp(Component::Nand { inputs: vec![a, b], output: y }, 10);
         (nl, a, b, y)
     }
@@ -695,10 +654,10 @@ mod tests {
     #[test]
     fn inverter_chain_delay_accumulates() {
         let mut nl = Netlist::new();
-        let mut prev = nl.add_net("n0");
+        let mut prev = nl.add_net();
         let input = prev;
-        for i in 0..4 {
-            let next = nl.add_net(format!("n{}", i + 1));
+        for _ in 0..4 {
+            let next = nl.add_net();
             nl.add_comp(Component::Inv { input: prev, output: next }, 7);
             prev = next;
         }
@@ -720,8 +679,8 @@ mod tests {
     #[test]
     fn inertial_delay_swallows_short_glitch() {
         let mut nl = Netlist::new();
-        let a = nl.add_net("a");
-        let y = nl.add_net("y");
+        let a = nl.add_net();
+        let y = nl.add_net();
         nl.add_comp(Component::Buf { input: a, output: y }, 100);
         let mut sim = Simulator::new(nl);
         sim.drive(a, Logic::L0);
@@ -744,10 +703,10 @@ mod tests {
     /// NAND-gated ring oscillator: stable while `en=0`, oscillates at `en=1`.
     fn gated_ring(stage_delay: u64) -> (Netlist, NetId, NetId) {
         let mut nl = Netlist::new();
-        let en = nl.add_net("en");
-        let a = nl.add_net("a");
-        let b = nl.add_net("b");
-        let c = nl.add_net("c");
+        let en = nl.add_net();
+        let a = nl.add_net();
+        let b = nl.add_net();
+        let c = nl.add_net();
         nl.add_comp(Component::Nand { inputs: vec![en, c], output: a }, stage_delay);
         nl.add_comp(Component::Inv { input: a, output: b }, stage_delay);
         nl.add_comp(Component::Inv { input: b, output: c }, stage_delay);
@@ -804,11 +763,11 @@ mod tests {
     #[test]
     fn tristate_bus_resolution() {
         let mut nl = Netlist::new();
-        let d0 = nl.add_net("d0");
-        let d1 = nl.add_net("d1");
-        let e0 = nl.add_net("e0");
-        let e1 = nl.add_net("e1");
-        let bus = nl.add_net("bus");
+        let d0 = nl.add_net();
+        let d1 = nl.add_net();
+        let e0 = nl.add_net();
+        let e1 = nl.add_net();
+        let bus = nl.add_net();
         nl.add_comp(
             Component::TriBuf { input: d0, enable: e0, output: bus, mode: DriveMode::NonInverting },
             5,
@@ -837,7 +796,7 @@ mod tests {
     #[test]
     fn clock_generator_toggles() {
         let mut nl = Netlist::new();
-        let clk = nl.add_net("clk");
+        let clk = nl.add_net();
         nl.add_comp(
             Component::Clock { output: clk, half_period: 50, phase: 10, value: Logic::L0 },
             1,
@@ -857,7 +816,7 @@ mod tests {
         // Half-period far beyond the wheel window: every edge is scheduled
         // through the sorted overflow and refilled as the window advances.
         let mut nl = Netlist::new();
-        let clk = nl.add_net("clk");
+        let clk = nl.add_net();
         nl.add_comp(
             Component::Clock { output: clk, half_period: 7_000, phase: 3_000, value: Logic::L0 },
             1,
@@ -876,7 +835,7 @@ mod tests {
     #[test]
     fn stimulus_playback() {
         let mut nl = Netlist::new();
-        let s = nl.add_net("s");
+        let s = nl.add_net();
         nl.add_comp(
             Component::Stimulus {
                 output: s,
@@ -895,9 +854,9 @@ mod tests {
     #[test]
     fn dff_in_circuit_with_clock() {
         let mut nl = Netlist::new();
-        let d = nl.add_net("d");
-        let clk = nl.add_net("clk");
-        let q = nl.add_net("q");
+        let d = nl.add_net();
+        let clk = nl.add_net();
+        let q = nl.add_net();
         nl.add_comp(
             Component::Clock { output: clk, half_period: 100, phase: 100, value: Logic::L0 },
             1,
@@ -921,10 +880,10 @@ mod tests {
     fn determinism_identical_traces() {
         let build = || {
             let mut nl = Netlist::new();
-            let a = nl.add_net("a");
-            let b = nl.add_net("b");
-            let c = nl.add_net("c");
-            let d = nl.add_net("d");
+            let a = nl.add_net();
+            let b = nl.add_net();
+            let c = nl.add_net();
+            let d = nl.add_net();
             nl.add_comp(Component::Nand { inputs: vec![a, b], output: c }, 7);
             nl.add_comp(Component::Nand { inputs: vec![c, a], output: d }, 9);
             nl.add_comp(
@@ -945,23 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_accessors_match_netlist_connectivity() {
-        let mut nl = Netlist::new();
-        let a = nl.add_net("a");
-        let b = nl.add_net("b");
-        let y = nl.add_net("y");
-        let z = nl.add_net("z");
-        let g0 = nl.add_comp(Component::Nand { inputs: vec![a, b], output: y }, 5);
-        let g1 = nl.add_comp(Component::Inv { input: y, output: z }, 5);
-        let sim = Simulator::new(nl);
-        assert_eq!(sim.fanin(g0), &[a, b]);
-        assert_eq!(sim.fanin(g1), &[y]);
-        assert_eq!(sim.fanout(a), &[g0]);
-        assert_eq!(sim.fanout(y), &[g1]);
-        assert_eq!(sim.fanout(z), &[] as &[CompId]);
-    }
-
-    #[test]
     fn resolve_fast_path_dominates_single_driver_nets() {
         let (nl, a, b, _y) = nand2();
         let mut sim = Simulator::new(nl);
@@ -977,10 +919,10 @@ mod tests {
         // pending generator events and slot versions all matter.
         let build = || {
             let mut nl = Netlist::new();
-            let d = nl.add_net("d");
-            let clk = nl.add_net("clk");
-            let q = nl.add_net("q");
-            let nq = nl.add_net("nq");
+            let d = nl.add_net();
+            let clk = nl.add_net();
+            let q = nl.add_net();
+            let nq = nl.add_net();
             nl.add_comp(
                 Component::Clock { output: clk, half_period: 40, phase: 25, value: Logic::L0 },
                 1,

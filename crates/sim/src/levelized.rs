@@ -61,8 +61,7 @@ pub struct Levelized {
 impl Levelized {
     /// Levelize. Accepts only combinational components (gates, buffers,
     /// constants), single-driver nets, and an acyclic topology.
-    pub fn new(mut netlist: Netlist) -> Result<Self, LevelizeError> {
-        netlist.finalize();
+    pub fn new(netlist: Netlist) -> Result<Self, LevelizeError> {
         for comp in &netlist.comps {
             match comp {
                 Component::Nand { .. }
@@ -76,25 +75,20 @@ impl Levelized {
                 other => return Err(LevelizeError::NotCombinational(other.kind_name())),
             }
         }
-        for (i, net) in netlist.nets.iter().enumerate() {
-            if net.drivers.len() > 1 {
-                return Err(LevelizeError::MultipleDrivers(NetId(i as u32)));
-            }
-        }
-        // Kahn's algorithm over components.
+        let conn = netlist.connectivity();
+        // Kahn's algorithm over components. A component's in-degree counts
+        // each distinct driven net it reads once — a fan-out row lists a
+        // reader once even if it reads the net twice (e.g. NAND(x, x)), so
+        // each driven net decrements it once.
         let n = netlist.comp_count();
         let mut indegree = vec![0usize; n];
-        for (i, comp) in netlist.comps.iter().enumerate() {
-            // count each distinct driven input net once — a gate may list
-            // the same net twice (e.g. NAND(x, x)), but a net's fanout list
-            // is deduplicated, so it only decrements once
-            let mut ins: Vec<NetId> = comp.inputs().collect();
-            ins.sort_unstable();
-            ins.dedup();
-            indegree[i] = ins
-                .into_iter()
-                .filter(|inp| !netlist.nets[inp.0 as usize].drivers.is_empty())
-                .count();
+        for i in 0..netlist.net_count() {
+            let net = NetId(i as u32);
+            match conn.drivers(net).len() {
+                0 => {}
+                1 => conn.fanout(net).iter().for_each(|r| indegree[r.0 as usize] += 1),
+                _ => return Err(LevelizeError::MultipleDrivers(net)),
+            }
         }
         let mut ready: Vec<u32> = (0..n as u32).filter(|&i| indegree[i as usize] == 0).collect();
         let mut order = Vec::with_capacity(n);
@@ -104,7 +98,7 @@ impl Levelized {
             head += 1;
             order.push(c);
             for out in netlist.comps[c as usize].outputs() {
-                for &reader in &netlist.nets[out.0 as usize].fanout {
+                for &reader in conn.fanout(out) {
                     indegree[reader.0 as usize] -= 1;
                     if indegree[reader.0 as usize] == 0 {
                         ready.push(reader.0);
@@ -112,13 +106,13 @@ impl Levelized {
                 }
             }
         }
+        let first_output = |c: usize| netlist.comps[c].outputs().next().expect("one output");
         if order.len() != n {
-            // find a component still blocked and report one of its outputs
+            // find a component still blocked and report its output
             let blocked = (0..n).find(|&i| indegree[i] > 0).unwrap();
-            let out = netlist.comps[blocked].outputs()[0];
-            return Err(LevelizeError::Cycle(out));
+            return Err(LevelizeError::Cycle(first_output(blocked)));
         }
-        let out_net = order.iter().map(|&c| netlist.comps[c as usize].outputs()[0].0).collect();
+        let out_net = order.iter().map(|&c| first_output(c as usize).0).collect();
         let values = vec![Logic::X; netlist.net_count()];
         Ok(Levelized { netlist, order, out_net, values })
     }
@@ -160,7 +154,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1EE7);
         for trial in 0..10 {
             let mut b = NetlistBuilder::new();
-            let inputs: Vec<NetId> = (0..5).map(|i| b.net(format!("i{i}"))).collect();
+            let inputs: Vec<NetId> = (0..5).map(|_| b.net()).collect();
             let mut nets = inputs.clone();
             for _ in 0..15 {
                 let x = nets[rng.random_range(0..nets.len())];
@@ -201,9 +195,9 @@ mod tests {
     #[test]
     fn cycle_detected() {
         let mut b = NetlistBuilder::new();
-        let a = b.net("a");
-        let x = b.net("x");
-        let y = b.net("y");
+        let a = b.net();
+        let x = b.net();
+        let y = b.net();
         b.nand_into(&[a, y], x);
         b.inv_into(x, y);
         let err = Levelized::new(b.build()).unwrap_err();
@@ -213,9 +207,9 @@ mod tests {
     #[test]
     fn stateful_component_rejected() {
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let clk = b.net("clk");
-        let q = b.net("q");
+        let d = b.net();
+        let clk = b.net();
+        let q = b.net();
         b.dff(d, clk, None, q);
         assert!(matches!(Levelized::new(b.build()), Err(LevelizeError::NotCombinational(_))));
     }
@@ -223,8 +217,8 @@ mod tests {
     #[test]
     fn multiple_drivers_rejected() {
         let mut b = NetlistBuilder::new();
-        let a = b.net("a");
-        let y = b.net("y");
+        let a = b.net();
+        let y = b.net();
         b.inv_into(a, y);
         b.inv_into(a, y);
         assert!(matches!(Levelized::new(b.build()), Err(LevelizeError::MultipleDrivers(_))));

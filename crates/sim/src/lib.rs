@@ -7,14 +7,16 @@
 //!
 //! * [`Logic`] — a four-valued signal algebra (`0`, `1`, `X`, `Z`) with the
 //!   usual resolution semantics for multi-driver (tri-state) nets,
-//! * [`Netlist`] / [`NetlistBuilder`] — a flat component/net graph with NAND,
-//!   NOR, inverters, tri-state drivers, Muller C-elements, behavioural
-//!   flip-flops/latches, clock and stimulus generators; a component is
+//! * [`Netlist`] / [`NetlistBuilder`] — a net count plus a flat component
+//!   list (NAND, NOR, inverters, tri-state drivers, Muller C-elements,
+//!   behavioural flip-flops/latches, clock and stimulus generators), its
+//!   [`Connectivity`] derived where it is read; a component is
 //!   evaluated value by value through the one [`Component::evaluate_into`],
 //! * [`Simulator`] — a deterministic event-driven kernel with per-driver
 //!   inertial delay, oscillation detection and waveform probes,
 //! * [`vcd`] — Value-Change-Dump export for external waveform viewers, the
-//!   one exporter of the kernel's watched-net change logs,
+//!   one exporter of the kernel's watched-net change logs, under names the
+//!   caller gives,
 //! * [`vectors`] — exhaustive/functional test-vector helpers used by the
 //!   mapping flows to prove fabric configurations equivalent to their
 //!   specification truth tables.
@@ -41,5 +43,5 @@ pub use builder::NetlistBuilder;
 pub use engine::{SimError, SimSnapshot, SimStats, Simulator};
 pub use levelized::{LevelizeError, Levelized};
 pub use logic::Logic;
-pub use netlist::{CompId, CompState, Component, DriveMode, NetId, Netlist, PortRef};
+pub use netlist::{CompId, CompState, Component, Connectivity, DriveMode, NetId, Netlist, PortRef};
 pub use table::WideMask;

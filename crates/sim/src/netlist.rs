@@ -1,10 +1,12 @@
 //! Flat component/net graph.
 //!
-//! A [`Netlist`] is a set of nets (wires) and components (gates, drivers,
-//! state elements, stimulus generators). Components reference nets by
-//! [`NetId`]; the simulation engine owns all values. The component set is a
-//! closed enum — the hot evaluation path stays monomorphic and allocation
-//! free, per the HPC guidance this project follows.
+//! A [`Netlist`] is a net count plus components (gates, drivers, state
+//! elements, stimulus generators) and their delays. Components reference
+//! nets by [`NetId`]; who reads and drives each net is derived from them by
+//! [`Netlist::connectivity`]. The simulation engine owns all values. The
+//! component set is a closed enum — the hot evaluation path stays
+//! monomorphic and allocation free, per the HPC guidance this project
+//! follows.
 
 use crate::logic::Logic;
 
@@ -87,16 +89,16 @@ pub enum Component {
 /// allocates.
 pub const MAX_OUTPUTS: usize = 2;
 
-/// Borrowed, allocation-free iterator over a component's input nets.
+/// Borrowed, allocation-free iterator over the nets a component reads
+/// ([`Component::inputs`]) or drives ([`Component::outputs`]).
 ///
-/// Gate variants yield straight from their stored slice; fixed-arity
-/// components yield from an inline array. Either way no `Vec` is built,
-/// so netlist finalization and the builder stop allocating per query.
+/// Gate inputs yield straight from their stored slice; everything else
+/// yields from an inline array. Either way no `Vec` is built per query.
 #[derive(Debug, Clone)]
-pub enum InputIter<'a> {
+pub enum NetIter<'a> {
     /// Inputs stored as a slice (the N-input gate variants).
     Slice(std::slice::Iter<'a, NetId>),
-    /// Up to three inline input nets.
+    /// Up to three inline nets.
     Fixed {
         /// The nets, valid up to `len`.
         nets: [NetId; 3],
@@ -107,21 +109,21 @@ pub enum InputIter<'a> {
     },
 }
 
-impl InputIter<'_> {
+impl NetIter<'_> {
     fn fixed(nets: &[NetId]) -> Self {
         let mut buf = [NetId(0); 3];
         buf[..nets.len()].copy_from_slice(nets);
-        InputIter::Fixed { nets: buf, len: nets.len() as u8, next: 0 }
+        NetIter::Fixed { nets: buf, len: nets.len() as u8, next: 0 }
     }
 }
 
-impl Iterator for InputIter<'_> {
+impl Iterator for NetIter<'_> {
     type Item = NetId;
 
     fn next(&mut self) -> Option<NetId> {
         match self {
-            InputIter::Slice(it) => it.next().copied(),
-            InputIter::Fixed { nets, len, next } => {
+            NetIter::Slice(it) => it.next().copied(),
+            NetIter::Fixed { nets, len, next } => {
                 if next < len {
                     let n = nets[*next as usize];
                     *next += 1;
@@ -135,14 +137,14 @@ impl Iterator for InputIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = match self {
-            InputIter::Slice(it) => it.len(),
-            InputIter::Fixed { len, next, .. } => (*len - *next) as usize,
+            NetIter::Slice(it) => it.len(),
+            NetIter::Fixed { len, next, .. } => (*len - *next) as usize,
         };
         (n, Some(n))
     }
 }
 
-impl ExactSizeIterator for InputIter<'_> {}
+impl ExactSizeIterator for NetIter<'_> {}
 
 /// Compact snapshot of a component's mutable state (flip-flop contents,
 /// C-element keepers, generator cursors). [`Component::save_state`] /
@@ -179,32 +181,33 @@ impl Component {
     }
 
     /// Nets read by this component (borrowed; no allocation).
-    pub fn inputs(&self) -> InputIter<'_> {
+    pub fn inputs(&self) -> NetIter<'_> {
         match self {
             Component::Nand { inputs, .. }
             | Component::Nor { inputs, .. }
             | Component::And { inputs, .. }
             | Component::Or { inputs, .. }
-            | Component::Xor { inputs, .. } => InputIter::Slice(inputs.iter()),
+            | Component::Xor { inputs, .. } => NetIter::Slice(inputs.iter()),
             Component::Inv { input, .. } | Component::Buf { input, .. } => {
-                InputIter::fixed(&[*input])
+                NetIter::fixed(&[*input])
             }
-            Component::TriBuf { input, enable, .. } => InputIter::fixed(&[*input, *enable]),
+            Component::TriBuf { input, enable, .. } => NetIter::fixed(&[*input, *enable]),
             Component::Const { .. } | Component::Clock { .. } | Component::Stimulus { .. } => {
-                InputIter::fixed(&[])
+                NetIter::fixed(&[])
             }
-            Component::CElement { a, b, .. } => InputIter::fixed(&[*a, *b]),
+            Component::CElement { a, b, .. } => NetIter::fixed(&[*a, *b]),
             Component::Dff { d, clk, reset_n, .. } => match reset_n {
-                Some(r) => InputIter::fixed(&[*d, *clk, *r]),
-                None => InputIter::fixed(&[*d, *clk]),
+                Some(r) => NetIter::fixed(&[*d, *clk, *r]),
+                None => NetIter::fixed(&[*d, *clk]),
             },
-            Component::Latch { d, en, .. } => InputIter::fixed(&[*d, *en]),
-            Component::Mutex { r1, r2, .. } => InputIter::fixed(&[*r1, *r2]),
+            Component::Latch { d, en, .. } => NetIter::fixed(&[*d, *en]),
+            Component::Mutex { r1, r2, .. } => NetIter::fixed(&[*r1, *r2]),
         }
     }
 
-    /// Nets driven by this component, in port order.
-    pub fn outputs(&self) -> Vec<NetId> {
+    /// Nets driven by this component, in port order (borrowed; no
+    /// allocation).
+    pub fn outputs(&self) -> NetIter<'_> {
         match self {
             Component::Nand { output, .. }
             | Component::Nor { output, .. }
@@ -217,9 +220,9 @@ impl Component {
             | Component::Const { output, .. }
             | Component::CElement { output, .. }
             | Component::Clock { output, .. }
-            | Component::Stimulus { output, .. } => vec![*output],
-            Component::Dff { q, .. } | Component::Latch { q, .. } => vec![*q],
-            Component::Mutex { g1, g2, .. } => vec![*g1, *g2],
+            | Component::Stimulus { output, .. } => NetIter::fixed(&[*output]),
+            Component::Dff { q, .. } | Component::Latch { q, .. } => NetIter::fixed(&[*q]),
+            Component::Mutex { g1, g2, .. } => NetIter::fixed(&[*g1, *g2]),
         }
     }
 
@@ -428,27 +431,14 @@ impl Component {
     }
 }
 
-/// A named net plus its structural connectivity (filled by `finalize`).
-#[derive(Clone, Debug, Default)]
-pub struct Net {
-    /// Human-readable name (used in traces and VCD output).
-    pub name: String,
-    /// Components reading this net.
-    pub fanout: Vec<CompId>,
-    /// Driver endpoints writing this net.
-    pub drivers: Vec<PortRef>,
-}
-
-/// A complete circuit: nets, components and per-component delays.
+/// A complete circuit: a net count, the components and their delays.
 #[derive(Clone, Debug, Default)]
 pub struct Netlist {
-    /// All nets.
-    pub nets: Vec<Net>,
+    nets: usize,
     /// All components.
     pub comps: Vec<Component>,
     /// Propagation delay (picoseconds) of each component.
     pub delays: Vec<u64>,
-    finalized: bool,
 }
 
 impl Netlist {
@@ -457,12 +447,10 @@ impl Netlist {
         Self::default()
     }
 
-    /// Add a named net, returning its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net { name: name.into(), ..Net::default() });
-        self.finalized = false;
-        id
+    /// Add a net, returning its id.
+    pub fn add_net(&mut self) -> NetId {
+        self.nets += 1;
+        NetId(self.nets as u32 - 1)
     }
 
     /// Add a component with the given propagation delay (ps ≥ 1 enforced by
@@ -471,13 +459,12 @@ impl Netlist {
         let id = CompId(self.comps.len() as u32);
         self.comps.push(comp);
         self.delays.push(delay_ps);
-        self.finalized = false;
         id
     }
 
     /// Number of nets.
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.nets
     }
 
     /// Number of components.
@@ -485,38 +472,80 @@ impl Netlist {
         self.comps.len()
     }
 
-    /// Rebuild fanout and driver lists. Idempotent; called automatically by
-    /// the simulator constructor.
-    pub fn finalize(&mut self) {
-        for net in &mut self.nets {
-            net.fanout.clear();
-            net.drivers.clear();
-        }
-        for (i, comp) in self.comps.iter().enumerate() {
-            let cid = CompId(i as u32);
-            for n in comp.inputs() {
-                self.nets[n.0 as usize].fanout.push(cid);
+    /// Who reads and who drives each net, derived from the components as
+    /// they stand now: two counting passes, so build it once per use.
+    pub fn connectivity(&self) -> Connectivity {
+        let n = self.nets;
+        // `last[net]` is the last component counted or placed in the net's
+        // fan-out row: a component that lists a net twice reads it once.
+        let mut last = vec![u32::MAX; n];
+        let mut fanout_off = vec![0u32; n + 1];
+        let mut driver_off = vec![0u32; n + 1];
+        for (c, comp) in self.comps.iter().enumerate() {
+            for net in comp.inputs() {
+                let i = net.0 as usize;
+                if last[i] != c as u32 {
+                    last[i] = c as u32;
+                    fanout_off[i + 1] += 1;
+                }
             }
-            for (p, n) in comp.outputs().into_iter().enumerate() {
-                self.nets[n.0 as usize].drivers.push(PortRef { comp: cid, port: p as u8 });
+            for net in comp.outputs() {
+                driver_off[net.0 as usize + 1] += 1;
             }
         }
-        for net in &mut self.nets {
-            net.fanout.dedup();
+        for i in 0..n {
+            fanout_off[i + 1] += fanout_off[i];
+            driver_off[i + 1] += driver_off[i];
         }
-        self.finalized = true;
+        let mut fanout = vec![CompId(0); fanout_off[n] as usize];
+        let mut drivers = vec![PortRef { comp: CompId(0), port: 0 }; driver_off[n] as usize];
+        let mut fanout_fill = fanout_off[..n].to_vec();
+        let mut driver_fill = driver_off[..n].to_vec();
+        last.fill(u32::MAX);
+        for (c, comp) in self.comps.iter().enumerate() {
+            let comp_id = CompId(c as u32);
+            for net in comp.inputs() {
+                let i = net.0 as usize;
+                if last[i] != c as u32 {
+                    last[i] = c as u32;
+                    fanout[fanout_fill[i] as usize] = comp_id;
+                    fanout_fill[i] += 1;
+                }
+            }
+            for (port, net) in comp.outputs().enumerate() {
+                let i = net.0 as usize;
+                drivers[driver_fill[i] as usize] = PortRef { comp: comp_id, port: port as u8 };
+                driver_fill[i] += 1;
+            }
+        }
+        Connectivity { fanout_off, fanout, driver_off, drivers }
+    }
+}
+
+/// A netlist's connectivity as compressed rows (CSR), one fan-out row and
+/// one driver row per net, built by [`Netlist::connectivity`].
+#[derive(Clone, Debug)]
+pub struct Connectivity {
+    /// Net `n`'s readers are `fanout[fanout_off[n]..fanout_off[n + 1]]`.
+    pub(crate) fanout_off: Vec<u32>,
+    pub(crate) fanout: Vec<CompId>,
+    /// Net `n`'s drivers are `drivers[driver_off[n]..driver_off[n + 1]]`.
+    pub(crate) driver_off: Vec<u32>,
+    pub(crate) drivers: Vec<PortRef>,
+}
+
+impl Connectivity {
+    /// Components reading `net`, each once, in component order.
+    pub fn fanout(&self, net: NetId) -> &[CompId] {
+        let n = net.0 as usize;
+        &self.fanout[self.fanout_off[n] as usize..self.fanout_off[n + 1] as usize]
     }
 
-    /// Nets with no drivers at all — these are the circuit's primary inputs
-    /// (they can only change via [`crate::Simulator::drive`]).
-    pub fn undriven_nets(&self) -> Vec<NetId> {
-        assert!(self.finalized, "call finalize() first");
-        self.nets
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.drivers.is_empty())
-            .map(|(i, _)| NetId(i as u32))
-            .collect()
+    /// Output ports driving `net`, in component and port order; none for
+    /// a primary input.
+    pub fn drivers(&self, net: NetId) -> &[PortRef] {
+        let n = net.0 as usize;
+        &self.drivers[self.driver_off[n] as usize..self.driver_off[n + 1] as usize]
     }
 }
 
@@ -527,24 +556,29 @@ mod tests {
     #[test]
     fn connectivity_tables() {
         let mut nl = Netlist::new();
-        let a = nl.add_net("a");
-        let b = nl.add_net("b");
-        let y = nl.add_net("y");
-        let g = nl.add_comp(Component::Nand { inputs: vec![a, b], output: y }, 10);
-        nl.finalize();
-        assert_eq!(nl.nets[a.0 as usize].fanout, vec![g]);
-        assert_eq!(nl.nets[y.0 as usize].drivers, vec![PortRef { comp: g, port: 0 }]);
-        assert_eq!(nl.undriven_nets(), vec![a, b]);
+        let a = nl.add_net();
+        let b = nl.add_net();
+        let y = nl.add_net();
+        let z = nl.add_net();
+        let g0 = nl.add_comp(Component::Nand { inputs: vec![a, b], output: y }, 10);
+        assert_eq!(nl.connectivity().fanout(y), &[] as &[CompId]);
+        // a component added later shows in the next view
+        let g1 = nl.add_comp(Component::Inv { input: y, output: z }, 5);
+        let conn = nl.connectivity();
+        assert_eq!(conn.fanout(a), &[g0]);
+        assert_eq!(conn.fanout(y), &[g1]);
+        assert_eq!(conn.fanout(z), &[] as &[CompId]);
+        assert_eq!(conn.drivers(y), &[PortRef { comp: g0, port: 0 }]);
+        assert_eq!(conn.drivers(a), &[] as &[PortRef]);
     }
 
     #[test]
     fn duplicate_input_single_fanout_entry() {
         let mut nl = Netlist::new();
-        let a = nl.add_net("a");
-        let y = nl.add_net("y");
+        let a = nl.add_net();
+        let y = nl.add_net();
         nl.add_comp(Component::Nand { inputs: vec![a, a], output: y }, 1);
-        nl.finalize();
-        assert_eq!(nl.nets[a.0 as usize].fanout.len(), 1);
+        assert_eq!(nl.connectivity().fanout(a).len(), 1);
     }
 
     /// The output ports `evaluate_into` writes for `values`.

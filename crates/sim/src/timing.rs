@@ -42,19 +42,17 @@ fn is_combinational(c: &Component) -> bool {
 /// Longest-path analysis. Combinational cycles (asynchronous loops) are
 /// broken by ignoring back-edges discovered during the traversal — their
 /// contribution is reported separately as `has_loops`.
-pub fn analyze(netlist: &Netlist) -> (TimingReport, bool) {
-    let mut nl = netlist.clone();
-    nl.finalize();
+pub fn analyze(nl: &Netlist) -> (TimingReport, bool) {
     let n_nets = nl.net_count();
+    let conn = nl.connectivity();
     // arrival[net]: Option<(time, predecessor net)>
     let mut arrival: Vec<Option<(u64, Option<NetId>)>> = vec![None; n_nets];
     // Sources: undriven nets and outputs of non-combinational components
     // start at t = 0.
-    for (i, net) in nl.nets.iter().enumerate() {
-        let comb_driven =
-            net.drivers.iter().any(|d| is_combinational(&nl.comps[d.comp.0 as usize]));
-        if !comb_driven {
-            arrival[i] = Some((0, None));
+    for (i, a) in arrival.iter_mut().enumerate() {
+        let drivers = conn.drivers(NetId(i as u32));
+        if !drivers.iter().any(|d| is_combinational(&nl.comps[d.comp.0 as usize])) {
+            *a = Some((0, None));
         }
     }
     // Iterate to fixed point with a bound (loop breaker): at most n_comps
@@ -149,7 +147,7 @@ mod tests {
     #[test]
     fn chain_delay_adds_up() {
         let mut b = NetlistBuilder::new().with_default_delay(7);
-        let a = b.net("a");
+        let a = b.net();
         let mut cur = a;
         for _ in 0..5 {
             cur = b.inv(cur);
@@ -163,7 +161,7 @@ mod tests {
     #[test]
     fn diamond_takes_longer_branch() {
         let mut b = NetlistBuilder::new();
-        let a = b.net("a");
+        let a = b.net();
         // short branch: 1 gate; long branch: 3 gates; join NAND
         let s = b.inv(a);
         let l1 = b.inv(a);
@@ -178,14 +176,14 @@ mod tests {
     #[test]
     fn ff_outputs_are_path_sources() {
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let clk = b.net("clk");
-        let q = b.net("q");
+        let d = b.net();
+        let clk = b.net();
+        let q = b.net();
         b.dff(d, clk, None, q);
         let z = b.inv(q); // one gate after the FF
         let _ = z;
         let y = b.inv(d); // one gate before it too
-        let q2 = b.net("q2");
+        let q2 = b.net();
         b.dff(y, clk, None, q2);
         let (report, loops) = analyze(&b.build());
         assert!(!loops);
@@ -195,9 +193,9 @@ mod tests {
     #[test]
     fn loops_flagged() {
         let mut b = NetlistBuilder::new();
-        let a = b.net("a");
-        let x = b.net("x");
-        let y = b.net("y");
+        let a = b.net();
+        let x = b.net();
+        let y = b.net();
         b.nand_into(&[a, y], x);
         b.inv_into(x, y);
         let (_report, loops) = analyze(&b.build());
@@ -210,7 +208,7 @@ mod tests {
         // input flip must never exceed the STA bound, and for a pure tree
         // it matches exactly on the worst-case toggle.
         let mut b = NetlistBuilder::new().with_default_delay(9);
-        let inputs: Vec<_> = (0..8).map(|i| b.net(format!("i{i}"))).collect();
+        let inputs: Vec<_> = (0..8).map(|_| b.net()).collect();
         let mut level = inputs.clone();
         while level.len() > 1 {
             let mut next = Vec::new();

@@ -10,27 +10,27 @@ use crate::netlist::NetId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Produce a VCD document for the given watched nets.
+/// Produce a VCD document for the given watched nets, each under the name
+/// the caller gives it (whitespace becomes `_`).
 ///
 /// Nets that were never watched contribute only their current value at time
 /// zero. The timescale is 1 ps to match the kernel's time unit.
-pub fn dump_vcd(sim: &Simulator, nets: &[NetId], module: &str) -> String {
+pub fn dump_vcd(sim: &Simulator, nets: &[(NetId, &str)], module: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "$date polymorphic-hw simulation $end");
     let _ = writeln!(out, "$version pmorph-sim $end");
     let _ = writeln!(out, "$timescale 1ps $end");
     let _ = writeln!(out, "$scope module {module} $end");
     let codes: Vec<String> = (0..nets.len()).map(ident_code).collect();
-    for (i, &n) in nets.iter().enumerate() {
-        let name = sanitize(&sim.netlist().nets[n.0 as usize].name);
-        let _ = writeln!(out, "$var wire 1 {} {} $end", codes[i], name);
+    for (code, &(_, name)) in codes.iter().zip(nets) {
+        let _ = writeln!(out, "$var wire 1 {} {} $end", code, sanitize(name));
     }
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
 
     // Merge all traces into a single time-ordered change list.
     let mut timeline: BTreeMap<u64, Vec<(usize, char)>> = BTreeMap::new();
-    for (i, &n) in nets.iter().enumerate() {
+    for (i, &(n, _)) in nets.iter().enumerate() {
         let trace = sim.trace(n);
         if trace.is_empty() {
             timeline.entry(0).or_default().push((i, sim.value(n).to_char()));
@@ -86,8 +86,8 @@ mod tests {
     #[test]
     fn vcd_contains_transitions() {
         let mut b = NetlistBuilder::new();
-        let a = b.net("a");
-        let y = b.net("y out");
+        let a = b.net();
+        let y = b.net();
         b.inv_into(a, y);
         let nl = b.build();
         let mut sim = Simulator::new(nl);
@@ -97,7 +97,7 @@ mod tests {
         sim.settle(1000).unwrap();
         sim.drive_at(a, Logic::L1, 100);
         sim.settle(1000).unwrap();
-        let vcd = dump_vcd(&sim, &[a, y], "top");
+        let vcd = dump_vcd(&sim, &[(a, "a"), (y, "y out")], "top");
         assert!(vcd.contains("$timescale 1ps $end"));
         assert!(vcd.contains("$var wire 1 ! a $end"));
         assert!(vcd.contains("y_out"), "whitespace sanitised");

@@ -101,8 +101,8 @@ mod tests {
     #[test]
     fn exhaustive_truth_of_and() {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y");
+        let x = b.net();
+        let y = b.net();
         let z = b.and(&[x, y]);
         let nl = b.build();
         let masks = exhaustive_truth(&nl, &[x, y], &[z]).unwrap();
@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn exhaustive_truth_three_input_majority() {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y");
-        let z = b.net("z");
+        let x = b.net();
+        let y = b.net();
+        let z = b.net();
         let xy = b.and(&[x, y]);
         let xz = b.and(&[x, z]);
         let yz = b.and(&[y, z]);
@@ -132,7 +132,7 @@ mod tests {
         // true only at assignment 127 — bit 63 of word 1. The old sweep
         // paths returned Some(0) here after burning all 128 simulations.
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..7).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..7).map(|_| b.net()).collect();
         let z = b.and(&ins);
         let nl = b.build();
         let expect = WideMask::from_words(7, vec![0, 0x8000_0000_0000_0000]);
@@ -147,7 +147,7 @@ mod tests {
         // 10-input XOR tree: odd-parity mask across 16 words, non-zero in
         // every word — the acceptance-criteria regression circuit.
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..10).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..10).map(|_| b.net()).collect();
         let mut acc = ins[0];
         for &i in &ins[1..] {
             acc = b.xor(&[acc, i]);
@@ -167,9 +167,9 @@ mod tests {
         // error naming the component kind, rather than falling back to
         // 2^n event-driven simulations.
         let mut b = NetlistBuilder::new();
-        let d = b.net("d");
-        let en = b.net("en");
-        let q = b.net("q");
+        let d = b.net();
+        let en = b.net();
+        let q = b.net();
         b.latch(d, en, q);
         let g = b.and(&[q, d]);
         let nl = b.build();
@@ -181,8 +181,8 @@ mod tests {
     #[test]
     fn undriven_input_reports_none() {
         let mut b = NetlistBuilder::new();
-        let x = b.net("x");
-        let y = b.net("y"); // never driven
+        let x = b.net();
+        let y = b.net(); // never driven
         let z = b.and(&[x, y]);
         let nl = b.build();
         let masks = exhaustive_truth(&nl, &[x], &[z]).unwrap();
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn oversized_sweeps_return_typed_errors_on_every_path() {
         let mut b = NetlistBuilder::new();
-        let ins: Vec<NetId> = (0..21).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<NetId> = (0..21).map(|_| b.net()).collect();
         let z = b.and(&ins);
         let nl = b.build();
         // 21 inputs: over MAX_SWEEP_VARS, even though 1·2^21 < 2^26

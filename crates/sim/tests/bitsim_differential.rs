@@ -99,8 +99,8 @@ fn ten_input_ripple_carry_three_ways() {
     // Deterministic 10-input case at full width: a 5+5 ripple-carry
     // adder's carry-out — non-trivial in every one of the 16 words.
     let mut b = pmorph_sim::NetlistBuilder::new();
-    let a: Vec<NetId> = (0..5).map(|i| b.net(format!("a{i}"))).collect();
-    let x: Vec<NetId> = (0..5).map(|i| b.net(format!("b{i}"))).collect();
+    let a: Vec<NetId> = (0..5).map(|_| b.net()).collect();
+    let x: Vec<NetId> = (0..5).map(|_| b.net()).collect();
     let mut carry: Option<NetId> = None;
     for i in 0..5 {
         let (p, q) = (a[i], x[i]);
@@ -131,7 +131,7 @@ fn partial_final_word_lanes_are_masked() {
     // n = 3: only 8 of 64 lanes are live. Dead lanes must be zero in the
     // mask and must not poison the known test.
     let mut b = pmorph_sim::NetlistBuilder::new();
-    let ins: Vec<NetId> = (0..3).map(|i| b.net(format!("i{i}"))).collect();
+    let ins: Vec<NetId> = (0..3).map(|_| b.net()).collect();
     let z = b.nand(&ins);
     let nl = b.build();
     let bits = BitSim::new(nl.clone()).unwrap();
@@ -154,13 +154,12 @@ fn x_poisoned_outputs_agree_across_paths() {
         // (or all) assignments; the poisoning rule (any X ⇒ None) must
         // agree across all paths.
         let (mut nl, inputs, mut outputs) = random_combinational(g, 7);
-        let floating = nl.add_net("floating");
-        let poisoned = nl.add_net("poisoned");
+        let floating = nl.add_net();
+        let poisoned = nl.add_net();
         nl.add_comp(
             pmorph_sim::Component::And { inputs: vec![outputs[0], floating], output: poisoned },
             1,
         );
-        nl.finalize();
         outputs.push(poisoned);
         let bits = BitSim::new(nl.clone()).unwrap();
         let wide = sweep_truth(&bits, &inputs, &outputs, &SweepConfig::new());

@@ -12,7 +12,9 @@
 //! netlist, runs both engines through an identical stimulus schedule, and
 //! compares everything observable. The random netlists never build some
 //! component kinds (NOR, BUF, constants, C-elements, stimulus players,
-//! mutexes), so the evaluators are also compared kind by kind.
+//! mutexes), so the evaluators are also compared kind by kind, and the
+//! netlist's derived connectivity against the reference's own per-net
+//! lists.
 
 mod support;
 
@@ -22,7 +24,7 @@ use pmorph_sim::Simulator;
 use pmorph_util::prop::{self, Gen};
 use pmorph_util::{prop_assert, prop_assert_eq};
 use support::reference::{self, ReferenceSimulator};
-use support::testgen::{random_netlist, random_schedule};
+use support::testgen::{random_combinational, random_netlist, random_registered, random_schedule};
 
 #[test]
 fn kernel_matches_reference_engine_bit_for_bit() {
@@ -133,6 +135,39 @@ fn snapshot_restore_matches_reference_fresh_instance() {
                 fast.stats().resolve_fast_hits <= fast.stats().events,
                 "fast-path counter stays within applied events"
             );
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn connectivity_rows_match_the_reference_per_net_lists() {
+    // Random netlists of each generator, plus gates that list a net twice,
+    // a two-output mutex, a multi-driven net and nets nothing touches.
+    prop::check("connectivity_vs_reference_lists", 64, |g| {
+        let mut netlist = match g.in_range(0u32..3) {
+            0 => random_combinational(g, 6).0,
+            1 => random_registered(g).netlist,
+            _ => random_netlist(g).0,
+        };
+        let n = netlist.net_count() as u32;
+        let pick = |g: &mut Gen| NetId(g.in_range(0..n));
+        let (x, y, shared) = (pick(g), pick(g), pick(g));
+        let out = netlist.add_net();
+        netlist.add_comp(Component::Nand { inputs: vec![x, x, y], output: out }, 1);
+        netlist.add_comp(Component::Xor { inputs: vec![y, out, y], output: shared }, 1);
+        let (g1, g2) = (netlist.add_net(), netlist.add_net());
+        netlist.add_comp(Component::Mutex { r1: x, r2: out, g1, g2, owner: 0 }, 1);
+        netlist.add_comp(Component::Inv { input: g2, output: shared }, 1);
+        for _ in 0..g.in_range(0usize..=3) {
+            netlist.add_net();
+        }
+        let conn = netlist.connectivity();
+        let (fanout, drivers) = reference::net_lists(&netlist);
+        for i in 0..netlist.net_count() {
+            let net = NetId(i as u32);
+            prop_assert_eq!(conn.fanout(net), &fanout[i][..], "fan-out row of net {}", i);
+            prop_assert_eq!(conn.drivers(net), &drivers[i][..], "driver row of net {}", i);
         }
         Ok(())
     });

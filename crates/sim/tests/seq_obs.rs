@@ -32,11 +32,11 @@ fn cycle_counters_split_logical_from_evaluated_edges() {
     // nothing, so 65 edges run however many more are asked for, and all
     // of them run when fewer are asked for.
     let mut b = NetlistBuilder::new();
-    let din = b.net("din");
-    let clk = b.net("clk");
+    let din = b.net();
+    let clk = b.net();
     let mut prev = din;
-    for i in 0..64 {
-        let q = b.net(format!("q{i}"));
+    for _ in 0..64 {
+        let q = b.net();
         b.dff(prev, clk, None, q);
         prev = q;
     }

@@ -177,9 +177,9 @@ fn events_spanning_wheel_overflow_restore_exactly() {
     // snapshot time; restore must reproduce them and their wheel refill.
     use pmorph_sim::NetlistBuilder;
     let mut b = NetlistBuilder::new().with_default_delay(3);
-    let d = b.net("d");
-    let clk = b.net("clk");
-    let q = b.net("q");
+    let d = b.net();
+    let clk = b.net();
+    let q = b.net();
     b.clock(clk, 2500, 1); // half-period 2500 ≫ 256-slot wheel window
     b.dff(d, clk, None, q);
     let _inv = b.inv(q);

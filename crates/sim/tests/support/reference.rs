@@ -13,7 +13,7 @@
 //! suite runs random netlists on both and asserts equal traces, values
 //! and event counts. It carries none of the fast-path statistics.
 
-use pmorph_sim::netlist::{CompId, Component, DriveMode, NetId, Netlist};
+use pmorph_sim::netlist::{CompId, Component, DriveMode, NetId, Netlist, PortRef};
 use pmorph_sim::{Logic, SimError, SimStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -136,6 +136,26 @@ pub fn evaluate<F: Fn(NetId) -> Logic>(comp: &mut Component, read: F) -> Vec<(u8
     }
 }
 
+/// Per-net connectivity built one `Vec` per net, apart from the production
+/// `Netlist::connectivity` (the differential suite holds the two equal):
+/// each net's readers, a component listed once however often it reads the
+/// net, and its `(component, port)` drivers, both in component order.
+pub fn net_lists(netlist: &Netlist) -> (Vec<Vec<CompId>>, Vec<Vec<PortRef>>) {
+    let n = netlist.net_count();
+    let (mut fanout, mut drivers) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    for (i, comp) in netlist.comps.iter().enumerate() {
+        let cid = CompId(i as u32);
+        for net in comp.inputs() {
+            fanout[net.0 as usize].push(cid);
+        }
+        for (p, net) in comp.outputs().enumerate() {
+            drivers[net.0 as usize].push(PortRef { comp: cid, port: p as u8 });
+        }
+    }
+    fanout.iter_mut().for_each(Vec::dedup);
+    (fanout, drivers)
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     time: u64,
@@ -179,6 +199,8 @@ struct Slot {
 /// The original heap-scheduled simulator; see the module docs.
 pub struct ReferenceSimulator {
     netlist: Netlist,
+    fanout: Vec<Vec<CompId>>,
+    drivers: Vec<Vec<PortRef>>,
     values: Vec<Logic>,
     slots: Vec<Slot>,
     external_slot: Vec<u32>,
@@ -196,8 +218,7 @@ pub struct ReferenceSimulator {
 }
 
 impl ReferenceSimulator {
-    pub fn new(mut netlist: Netlist) -> Self {
-        netlist.finalize();
+    pub fn new(netlist: Netlist) -> Self {
         let n_nets = netlist.net_count();
         let n_comps = netlist.comp_count();
 
@@ -216,7 +237,10 @@ impl ReferenceSimulator {
             slot_net.push(NetId(i as u32));
         }
 
+        let (fanout, drivers) = net_lists(&netlist);
         let mut sim = ReferenceSimulator {
+            fanout,
+            drivers,
             values: vec![Logic::Z; n_nets],
             slots: vec![Slot::default(); slot_net.len()],
             external_slot,
@@ -377,8 +401,8 @@ impl ReferenceSimulator {
                 if let Some(tr) = &mut self.traces[*n as usize] {
                     tr.push((t, resolved));
                 }
-                for f in 0..self.netlist.nets[*n as usize].fanout.len() {
-                    let cid = self.netlist.nets[*n as usize].fanout[f];
+                for f in 0..self.fanout[*n as usize].len() {
+                    let cid = self.fanout[*n as usize][f];
                     self.mark_comp_dirty(cid.0);
                 }
             }
@@ -391,9 +415,8 @@ impl ReferenceSimulator {
     }
 
     fn resolve_net(&self, net: NetId) -> Logic {
-        let n = &self.netlist.nets[net.0 as usize];
         let mut acc = self.slots[self.external_slot[net.0 as usize] as usize].value;
-        for d in &n.drivers {
+        for d in &self.drivers[net.0 as usize] {
             let slot = self.comp_slot_base[d.comp.0 as usize] + d.port as u32;
             acc = acc.resolve(self.slots[slot as usize].value);
         }

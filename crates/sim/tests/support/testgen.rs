@@ -16,12 +16,12 @@ use pmorph_util::prop::Gen;
 /// heap). Returns the netlist plus the externally-driven nets.
 pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
     let mut b = NetlistBuilder::new().with_default_delay(g.in_range(1u64..=9));
-    let inputs: Vec<NetId> = (0..4).map(|i| b.net(format!("in{i}"))).collect();
+    let inputs: Vec<NetId> = (0..4).map(|_| b.net()).collect();
     let mut pool = inputs.clone();
 
     // A handful of pre-allocated nets that gates may drive *into*, so the
     // generator can close combinational feedback loops.
-    let loop_nets: Vec<NetId> = (0..3).map(|i| b.net(format!("loop{i}"))).collect();
+    let loop_nets: Vec<NetId> = (0..3).map(|_| b.net()).collect();
     pool.extend(&loop_nets);
 
     let n_gates = g.in_range(6usize..=20);
@@ -45,7 +45,7 @@ pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
 
     if g.bool() {
         // shared tri-state bus with two drivers and complementary enables
-        let bus = b.net("bus");
+        let bus = b.net();
         let en = pool[g.in_range(0..pool.len())];
         let nen = b.inv(en);
         let d0 = pool[g.in_range(0..pool.len())];
@@ -57,11 +57,11 @@ pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
 
     if g.bool() {
         // clock + DFF; half-period occasionally beyond the 256-slot wheel
-        let clk = b.net("clk");
+        let clk = b.net();
         let half = if g.bool() { g.in_range(2100u64..=6000) } else { g.in_range(3u64..=40) };
         b.clock(clk, half, g.in_range(0u64..=5));
         let d = pool[g.in_range(0..pool.len())];
-        let q = b.net("q");
+        let q = b.net();
         b.dff(d, clk, None, q);
         pool.push(q);
     }
@@ -69,7 +69,7 @@ pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
     if g.bool() {
         let d = pool[g.in_range(0..pool.len())];
         let en = pool[g.in_range(0..pool.len())];
-        let q = b.net("lq");
+        let q = b.net();
         b.latch(d, en, q);
         pool.push(q);
     }
@@ -86,7 +86,7 @@ pub fn random_netlist(g: &mut Gen) -> (Netlist, Vec<NetId>) {
 pub fn random_combinational(g: &mut Gen, max_inputs: usize) -> (Netlist, Vec<NetId>, Vec<NetId>) {
     let mut b = NetlistBuilder::new().with_default_delay(g.in_range(1u64..=9));
     let n_in = g.in_range(1usize..=max_inputs);
-    let inputs: Vec<NetId> = (0..n_in).map(|i| b.net(format!("in{i}"))).collect();
+    let inputs: Vec<NetId> = (0..n_in).map(|_| b.net()).collect();
     let mut pool = inputs.clone();
 
     let n_gates = g.in_range(4usize..=24);
@@ -142,17 +142,17 @@ pub struct RegisteredCircuit {
 pub fn random_registered(g: &mut Gen) -> RegisteredCircuit {
     let mut b = NetlistBuilder::new().with_default_delay(g.in_range(1u64..=9));
     let n_in = g.in_range(1usize..=3);
-    let inputs: Vec<NetId> = (0..n_in).map(|i| b.net(format!("in{i}"))).collect();
-    let clk = b.net("clk");
+    let inputs: Vec<NetId> = (0..n_in).map(|_| b.net()).collect();
+    let clk = b.net();
     let half = if g.bool() { g.in_range(300u64..=900) } else { g.in_range(2100u64..=6000) };
     b.clock(clk, half, 0);
-    let reset_n = if g.bool() { Some(b.net("rst_n")) } else { None };
+    let reset_n = if g.bool() { Some(b.net()) } else { None };
 
     // Pre-allocate the register outputs so gates can read them before the
     // flip-flops are instantiated (register feedback stays sequential —
     // the combinational part is still a DAG).
     let n_ff = g.in_range(1usize..=4);
-    let registers: Vec<NetId> = (0..n_ff).map(|i| b.net(format!("q{i}"))).collect();
+    let registers: Vec<NetId> = (0..n_ff).map(|_| b.net()).collect();
     let mut pool = inputs.clone();
     pool.extend(&registers);
 

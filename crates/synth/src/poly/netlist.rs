@@ -228,14 +228,14 @@ impl PolyNetlist {
     pub fn netlist_for_mode(&self, mode: usize) -> (Netlist, Vec<NetId>, NetId) {
         assert!(mode < self.modes.len(), "mode {mode} out of range");
         let mut nl = Netlist::new();
-        let inputs: Vec<NetId> = (0..self.vars).map(|v| nl.add_net(format!("x{v}"))).collect();
+        let inputs: Vec<NetId> = (0..self.vars).map(|_| nl.add_net()).collect();
         let mut cell_nets = Vec::with_capacity(self.cells.len());
         let wire = |cell_nets: &[NetId], w: PNet| match w {
             PNet::Input(v) => inputs[v],
             PNet::Cell(j) => cell_nets[j],
         };
-        for (i, c) in self.cells.iter().enumerate() {
-            let out = nl.add_net(format!("c{i}"));
+        for c in &self.cells {
+            let out = nl.add_net();
             let (a, b) = (wire(&cell_nets, c.a), wire(&cell_nets, c.b));
             let comp = match c.personalities[mode] {
                 NandOutput::NandAB => Component::Nand { inputs: vec![a, b], output: out },
@@ -252,12 +252,11 @@ impl PolyNetlist {
             PNet::Cell(j) => cell_nets[j],
             PNet::Input(v) => {
                 // identity wiring still needs a driven net for the sweep
-                let out = nl.add_net("out");
+                let out = nl.add_net();
                 nl.add_comp(Component::Buf { input: inputs[v], output: out }, 1);
                 out
             }
         };
-        nl.finalize();
         (nl, inputs, output)
     }
 

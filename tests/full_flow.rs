@@ -89,7 +89,7 @@ fn fabric_lut_agrees_with_fpga_mapping_of_same_function() {
         // FPGA side: build gate netlist from the SOP, then tech-map it
         let sop = minimize(&tt);
         let mut b = NetlistBuilder::new();
-        let ins: Vec<_> = (0..3).map(|i| b.net(format!("i{i}"))).collect();
+        let ins: Vec<_> = (0..3).map(|_| b.net()).collect();
         let invs: Vec<_> = ins.iter().map(|&n| b.inv(n)).collect();
         let mut products = Vec::new();
         for cube in &sop.cubes {
@@ -100,7 +100,7 @@ fn fabric_lut_agrees_with_fpga_mapping_of_same_function() {
                 .collect();
             products.push(if lits.is_empty() {
                 // tautology cube: constant 1 product
-                let one = b.net("one");
+                let one = b.net();
                 b.constant(Logic::L1, one);
                 one
             } else {
@@ -108,7 +108,7 @@ fn fabric_lut_agrees_with_fpga_mapping_of_same_function() {
             });
         }
         let out = if products.is_empty() {
-            let zero = b.net("zero");
+            let zero = b.net();
             b.constant(Logic::L0, zero);
             zero
         } else {

@@ -17,14 +17,15 @@ fn vcd_of_a_running_accumulator_is_well_formed() {
     sim.reset();
     sim.step(1);
     sim.step(2);
-    let nets = sim.q.clone();
+    let names: Vec<String> = (0..sim.q.len()).map(|i| format!("q{i}")).collect();
+    let nets: Vec<_> = sim.q.iter().copied().zip(names.iter().map(String::as_str)).collect();
     let doc = vcd::dump_vcd(&sim.sim, &nets, "accumulator");
     assert!(doc.contains("$timescale 1ps $end"));
     assert!(doc.contains("$enddefinitions $end"));
     // at least one timestamped change per register
     assert!(doc.matches('#').count() >= 2, "{doc}");
-    for code in ["$var wire 1 ! ", "$var wire 1 \" "] {
-        assert!(doc.contains(code), "two vars declared: {doc}");
+    for var in ["$var wire 1 ! q0 $end", "$var wire 1 \" q1 $end"] {
+        assert!(doc.contains(var), "two named vars declared: {doc}");
     }
 }
 
