@@ -29,6 +29,17 @@
 //!   evaluation, and it finds the list once per bracket and budget. A
 //!   first midpoint that is not strictly inside the bracket is never
 //!   exceeded: the bisection settles or closes on it at once.
+//!
+//! [`Bisection`] is the resumable form: the bracket and the budget left,
+//! advanced one halving at a time by [`Bisection::step`]. The answer is
+//! always the current bracket's midpoint. Each step keeps one half of
+//! the bracket, and the midpoint of two floats in `[lo, hi]` lies in
+//! `[lo, hi]` (rounded addition and halving are monotone), so every
+//! bracket the bisection passes through holds its final answer. A caller
+//! can therefore stop a solve, bound its answer by the bracket, and
+//! resume it later with no evaluation repeated. [`bisect_until`] is a
+//! loop over it, so the halving rule and the closed exit are written
+//! once.
 
 /// Bisect `[lo, hi]` for at most `steps` halvings. `root_below(mid)` says
 /// the root lies at or below `mid`, which moves the upper end down to
@@ -42,27 +53,67 @@ pub(crate) fn bisect(lo: f64, hi: f64, steps: u32, root_below: impl FnMut(f64) -
 /// returns the current bracket's midpoint, which lies in `[lo, hi]` like
 /// the full-count answer does.
 pub(crate) fn bisect_until(
-    mut lo: f64,
-    mut hi: f64,
+    lo: f64,
+    hi: f64,
     steps: u32,
     mut root_below: impl FnMut(f64) -> bool,
     mut settled: impl FnMut(f64, f64) -> bool,
 ) -> f64 {
-    for _ in 0..steps {
-        if settled(lo, hi) {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        if closed(mid, lo, hi) {
-            return mid;
-        }
-        if eval(&mut root_below, mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
+    let mut bisection = Bisection::new(lo, hi, steps);
+    while !settled(bisection.lo, bisection.hi) && bisection.step(&mut root_below) {}
+    bisection.answer()
+}
+
+/// A bisection that can stop after any halving and resume later, the
+/// form [`bisect_until`] loops over. Stepped until [`Self::step`] returns
+/// false, it ends on the answer [`bisect`] returns, bit for bit.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Bisection {
+    lo: f64,
+    hi: f64,
+    /// Halvings left in the budget.
+    steps: u32,
+}
+
+impl Bisection {
+    /// A bisection of `[lo, hi]` with at most `steps` halvings.
+    pub(crate) fn new(lo: f64, hi: f64, steps: u32) -> Self {
+        Bisection { lo, hi, steps }
     }
-    0.5 * (lo + hi)
+
+    /// The current bracket `(lo, hi)`, which holds the final answer.
+    pub(crate) fn bracket(&self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
+
+    /// Whether no halving is left: the budget is spent or the bracket
+    /// has closed. [`Self::answer`] is then the final answer.
+    pub(crate) fn ended(&self) -> bool {
+        self.steps == 0 || closed(self.answer(), self.lo, self.hi)
+    }
+
+    /// One halving of [`bisect_until`]: evaluate `root_below` at the
+    /// midpoint and move one end to it. Returns false, evaluating
+    /// nothing, once the bisection has ended.
+    pub(crate) fn step(&mut self, mut root_below: impl FnMut(f64) -> bool) -> bool {
+        if self.ended() {
+            return false;
+        }
+        let mid = self.answer();
+        self.steps -= 1;
+        if eval(&mut root_below, mid) {
+            self.hi = mid;
+        } else {
+            self.lo = mid;
+        }
+        true
+    }
+
+    /// The current bracket's midpoint: what the bisection returns if it
+    /// stops now, and the final answer once it has ended.
+    pub(crate) fn answer(&self) -> f64 {
+        0.5 * (self.lo + self.hi)
+    }
 }
 
 /// The first-midpoint rule for one bracket and step budget: whether
@@ -96,14 +147,16 @@ impl FirstMidpoint {
         let (mut n, mut last, mut end) = (0, hi, level);
         // once `root_below(level)` fails, `lo` is `level` and the upper
         // end walks down towards it while `root_below` holds
-        while open {
-            let m = 0.5 * (level + last);
-            if n + 2 > steps || closed(m, level, last) {
-                end = m;
-                break;
+        if open {
+            loop {
+                let m = 0.5 * (level + last);
+                if n + 2 > steps || closed(m, level, last) {
+                    end = m;
+                    break;
+                }
+                n += 1;
+                last = m;
             }
-            n += 1;
-            last = m;
         }
         FirstMidpoint { hi, level, open, n, last, end_above: end > level }
     }
@@ -161,8 +214,8 @@ pub(crate) mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Predicate evaluations made by [`bisect_until`] and
-        /// [`FirstMidpoint::above`] on this thread.
+        /// Predicate evaluations made by [`Bisection::step`] (and so
+        /// [`bisect_until`]) and [`FirstMidpoint::above`] on this thread.
         pub(crate) static EVALS: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -236,6 +289,109 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// Oracle: [`bisect_until`] as one loop with its exits written out,
+    /// and the predicate evaluations it made.
+    fn settled_loop(
+        mut lo: f64,
+        mut hi: f64,
+        steps: u32,
+        mut root_below: impl FnMut(f64) -> bool,
+        mut settled: impl FnMut(f64, f64) -> bool,
+    ) -> (f64, u64) {
+        let mut evals = 0;
+        for _ in 0..steps {
+            if settled(lo, hi) {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+                return (mid, evals);
+            }
+            evals += 1;
+            if root_below(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        (0.5 * (lo + hi), evals)
+    }
+
+    #[test]
+    fn the_resumable_bisection_matches_the_loop_under_every_exit() {
+        let mut rng = StdRng::seed_from_u64(0x2e5);
+        let (mut closed_exits, mut budget_exits, mut settled_exits) = (0, 0, 0);
+        for case in 0..6000 {
+            let (lo, hi) = bracket(&mut rng);
+            let steps = [0, 1, 5, 40, 60, 80, 200][case % 7];
+            let root = match case % 5 {
+                0 => (lo + hi).signum() * 1e-30 * rng.random_range(0.0..1.0),
+                1 => lo,
+                2 => hi,
+                _ => lo + (hi - lo) * rng.random_range(0.0..1.0),
+            };
+            let salt = rng.random_range(0u64..u64::MAX);
+            // monotone, or not at all: each midpoint's answer a hash of its bits
+            let root_below = |m: f64| {
+                if case % 3 == 2 {
+                    mix_seed(salt, m.to_bits()) & 1 == 1
+                } else {
+                    m >= root
+                }
+            };
+
+            // stepped to its end: the fixed-count answer, the loop's
+            // evaluations, and every bracket on the way holds the answer
+            let mut run = Bisection::new(lo, hi, steps);
+            let mut brackets = vec![run.bracket()];
+            let n = evals_of(|| {
+                while run.step(root_below) {
+                    brackets.push(run.bracket());
+                }
+            });
+            let answer = run.answer();
+            let (want, want_n) = settled_loop(lo, hi, steps, root_below, |_, _| false);
+            assert_eq!(answer.to_bits(), want.to_bits(), "[{lo}, {hi}] steps {steps}");
+            assert_eq!(n, want_n, "[{lo}, {hi}] steps {steps}");
+            assert_eq!(answer.to_bits(), fixed_count(lo, hi, steps, root_below).to_bits());
+            assert!(run.ended() && !run.step(|_| panic!("an ended bisection evaluates")));
+            for (l, h) in brackets {
+                assert!(l.min(h) <= answer && answer <= l.max(h), "{answer} outside [{l}, {h}]");
+            }
+            if n < u64::from(steps) {
+                closed_exits += 1;
+            } else {
+                budget_exits += 1;
+            }
+
+            // stopped once settled about a level
+            let level = match case % 4 {
+                0 => root,
+                1 => answer,
+                _ => lo + (hi - lo) * rng.random_range(-0.5..1.5),
+            };
+            let settled = |l: f64, h: f64| h <= level || l > level;
+            let mut run = Bisection::new(lo, hi, steps);
+            let n = evals_of(|| {
+                let (mut l, mut h) = run.bracket();
+                while !settled(l, h) && run.step(root_below) {
+                    (l, h) = run.bracket();
+                }
+            });
+            let (want, want_n) = settled_loop(lo, hi, steps, root_below, settled);
+            assert_eq!(run.answer().to_bits(), want.to_bits(), "[{lo}, {hi}] level {level}");
+            assert_eq!(n, want_n, "[{lo}, {hi}] level {level}");
+            let until = bisect_until(lo, hi, steps, root_below, settled);
+            assert_eq!(until.to_bits(), want.to_bits());
+            let (l, h) = run.bracket();
+            assert!(l.min(h) <= answer && answer <= l.max(h), "settled off the answer");
+            if !run.ended() {
+                settled_exits += 1;
+            }
+        }
+        assert!(closed_exits > 100 && budget_exits > 100 && settled_exits > 100);
     }
 
     /// Both settled comparisons the device solvers make, `> level` and

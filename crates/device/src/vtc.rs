@@ -28,12 +28,30 @@
 //! the bracket, so a threshold finds it once for all its questions.
 //!
 //! The noise margins and the peak gain read one [`GainScan`]: the gain
-//! at `GAIN_STEPS + 1` evenly spaced inputs. The peak's grid `vdd·k/200`
-//! is the scan's even samples `vdd·2k/400` to the bit (doubling is exact,
-//! and both quotients round the same rational), so the peak reads those.
+//! `|(V_out(V_in + h) − V_out(V_in − h))/(2h)|` at `GAIN_STEPS + 1`
+//! evenly spaced inputs. The peak's grid `vdd·k/200` is the scan's even
+//! samples `vdd·2k/400` to the bit (doubling is exact, and both
+//! quotients round the same rational), so the peak reads those.
+//!
+//! The scan decides each gain instead of solving it. The unity-gain
+//! points read only the side of 1.0 on which each gain lies, and the
+//! peak is the largest even-sample gain, so only that one value is
+//! needed exactly. Each sample holds its two output solves as resumable
+//! `crate::bisect::Bisection`s and halves the wider bracket at a time.
+//! Bounds on its gain follow from the bracket ends alone: rounded
+//! subtraction is monotone in each operand, and so is rounded division
+//! by the positive constant `2h`, so the float difference of the two
+//! final answers lies between the rounded differences of the ends, and
+//! its quotient between theirs. No monotonicity of the device model is
+//! assumed. A sample stops as soon as its bounds lie wholly on one side
+//! of 1.0. Every evaluation it makes is one the full solve makes at the
+//! same midpoint, so the decided side is the full solve's. For the peak,
+//! an even sample whose upper bound lies below another's lower bound
+//! cannot hold the maximum and is dropped; the rest run, highest upper
+//! bound first, until they end or fall below the best gain found.
 
-use crate::bisect::{bisect, bisect_until, FirstMidpoint};
-use crate::mosfet::DgMosfet;
+use crate::bisect::{bisect, bisect_until, Bisection, FirstMidpoint};
+use crate::mosfet::{Channel, DgMosfet};
 
 /// One sample of a voltage transfer curve.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -98,16 +116,17 @@ impl ConfigurableInverter {
         vg_p: f64,
         settled: impl FnMut(f64, f64) -> bool,
     ) -> f64 {
-        bisect_until(0.0, self.vdd, OUTPUT_STEPS, self.root_below(vin, vg_n, vg_p), settled)
+        let balance = self.balance(vin, vg_n, vg_p);
+        bisect_until(0.0, self.vdd, OUTPUT_STEPS, |vout| balance.root_below(vout), settled)
     }
 
-    /// The output solve's question at a candidate `V_out`: does the
-    /// pull-down out-drive the pull-up there? `f(0) ≤ 0` (no NMOS current,
-    /// PMOS sourcing) and `f(VDD) ≥ 0`.
-    fn root_below(&self, vin: f64, vg_n: f64, vg_p: f64) -> impl Fn(f64) -> bool {
-        let (pull_down, pull_up) =
-            (self.nmos.channel(vin, 0.0, vg_n), self.pmos.channel(vin, self.vdd, vg_p));
-        move |vout| pull_down.current(vout) - pull_up.current(vout) > 0.0
+    /// The output solve's question at input `vin`, with both devices'
+    /// channels taken once.
+    fn balance(&self, vin: f64, vg_n: f64, vg_p: f64) -> Balance {
+        Balance {
+            pull_down: self.nmos.channel(vin, 0.0, vg_n),
+            pull_up: self.pmos.channel(vin, self.vdd, vg_p),
+        }
     }
 
     /// `crate::bisect`'s first-midpoint rule over the output bracket
@@ -119,7 +138,8 @@ impl ConfigurableInverter {
     /// Whether `solve_vout(vin, vg2) > VDD/2`, decided by `half`, the rule
     /// from [`Self::above_half`].
     fn vout_above(&self, half: &FirstMidpoint, vin: f64, vg2: f64) -> bool {
-        half.above(self.root_below(vin, vg2, vg2))
+        let balance = self.balance(vin, vg2, vg2);
+        half.above(|vout| balance.root_below(vout))
     }
 
     /// Whether `solve_vout(vin, vg2) < level`, decided as soon as the
@@ -190,19 +210,34 @@ impl ConfigurableInverter {
         at(0.0).max(at(self.vdd))
     }
 
-    /// Small-signal voltage gain `|dV_out/dV_in|` at input `vin`.
-    pub fn gain(&self, vin: f64, vg2: f64) -> f64 {
-        let h = 1e-4;
-        ((self.solve_vout(vin + h, vg2) - self.solve_vout(vin - h, vg2)) / (2.0 * h)).abs()
-    }
-
-    /// The gain at the `GAIN_STEPS + 1` inputs `vdd·k/GAIN_STEPS`, the one
-    /// sweep behind the noise margins and the peak gain.
+    /// The small-signal gain `|dV_out/dV_in|` at the `GAIN_STEPS + 1`
+    /// inputs `vdd·k/GAIN_STEPS`, the one sweep behind the noise margins
+    /// and the peak gain. Each gain is decided, not solved: only its side
+    /// of 1.0 is found, and the exact value of the even samples' largest
+    /// (the module doc says why that is exact).
     pub fn gain_scan(&self, vg2: f64) -> GainScan {
-        let gains = (0..=GAIN_STEPS)
-            .map(|k| self.gain(self.vdd * k as f64 / GAIN_STEPS as f64, vg2))
-            .collect();
-        GainScan { inv: *self, vg2, gains }
+        let (mut vil, mut vih) = (None, None);
+        let mut prev_at_least_one = false;
+        let mut peak = PeakSearch { best: 0.0, candidates: Vec::new() };
+        for k in 0..=GAIN_STEPS {
+            let vin = self.vdd * k as f64 / GAIN_STEPS as f64;
+            let mut sample = GainSample::new(self, vin, vg2);
+            let (lo, hi) = sample.refine_until(|lo, hi| lo >= 1.0 || hi < 1.0);
+            let at_least_one = lo >= 1.0;
+            if k > 0 {
+                if vil.is_none() && !prev_at_least_one && at_least_one {
+                    vil = Some(vin);
+                }
+                if vil.is_some() && prev_at_least_one && !at_least_one {
+                    vih = Some(vin);
+                }
+            }
+            prev_at_least_one = at_least_one;
+            if k % 2 == 0 {
+                peak.offer(sample, lo, hi);
+            }
+        }
+        GainScan { inv: *self, vg2, unity: vil.zip(vih), peak: peak.finish() }
     }
 }
 
@@ -214,35 +249,172 @@ const OUTPUT_STEPS: u32 = 80;
 /// intervals.
 const GAIN_STEPS: usize = 400;
 
+/// Half the input step of the gain's central difference (V).
+const GAIN_H: f64 = 1e-4;
+
+/// The output solve's question at a candidate `V_out`: does the
+/// pull-down out-drive the pull-up there? `f(0) ≤ 0` (no NMOS current,
+/// PMOS sourcing) and `f(VDD) ≥ 0`.
+#[derive(Copy, Clone, Debug)]
+struct Balance {
+    pull_down: Channel,
+    pull_up: Channel,
+}
+
+impl Balance {
+    fn root_below(&self, vout: f64) -> bool {
+        self.pull_down.current(vout) - self.pull_up.current(vout) > 0.0
+    }
+}
+
+/// An output solve that can stop and resume: the bisection over
+/// `[0, VDD]` and its question.
+#[derive(Copy, Clone, Debug)]
+struct OutputSolve {
+    bisection: Bisection,
+    balance: Balance,
+}
+
+impl OutputSolve {
+    /// Bounds on the solve's final answer: the bracket, or the answer
+    /// itself once the solve has ended.
+    fn bounds(&self) -> (f64, f64) {
+        if self.bisection.ended() {
+            let v = self.bisection.answer();
+            (v, v)
+        } else {
+            let (lo, hi) = self.bisection.bracket();
+            (lo.min(hi), lo.max(hi))
+        }
+    }
+
+    fn width(&self) -> f64 {
+        let (lo, hi) = self.bounds();
+        hi - lo
+    }
+
+    fn step(&mut self) -> bool {
+        let balance = self.balance;
+        self.bisection.step(|vout| balance.root_below(vout))
+    }
+}
+
+/// The two output solves behind one gain sample, at `V_in ± GAIN_H`.
+#[derive(Copy, Clone, Debug)]
+struct GainSample {
+    up: OutputSolve,
+    down: OutputSolve,
+}
+
+impl GainSample {
+    fn new(inv: &ConfigurableInverter, vin: f64, vg2: f64) -> Self {
+        let solve = |vin| OutputSolve {
+            bisection: Bisection::new(0.0, inv.vdd, OUTPUT_STEPS),
+            balance: inv.balance(vin, vg2, vg2),
+        };
+        GainSample { up: solve(vin + GAIN_H), down: solve(vin - GAIN_H) }
+    }
+
+    /// Bounds `(lo, hi)` on the float gain `|(v_up − v_down)/(2h)|` of the
+    /// two final answers, both that gain once both solves have ended.
+    fn bounds(&self) -> (f64, f64) {
+        let ((up_lo, up_hi), (down_lo, down_hi)) = (self.up.bounds(), self.down.bounds());
+        let two_h = 2.0 * GAIN_H;
+        let (lo, hi) = ((up_lo - down_hi) / two_h, (up_hi - down_lo) / two_h);
+        if lo >= 0.0 {
+            (lo.abs(), hi.abs())
+        } else if hi <= 0.0 {
+            (hi.abs(), lo.abs())
+        } else {
+            (0.0, hi.max(-lo))
+        }
+    }
+
+    /// Halve the wider bracket until `decided(lo, hi)` holds for the gain
+    /// bounds or both solves have ended, and return the bounds.
+    fn refine_until(&mut self, decided: impl Fn(f64, f64) -> bool) -> (f64, f64) {
+        loop {
+            let (lo, hi) = self.bounds();
+            if decided(lo, hi) {
+                return (lo, hi);
+            }
+            let (wider, other) = if self.up.width() >= self.down.width() {
+                (&mut self.up, &mut self.down)
+            } else {
+                (&mut self.down, &mut self.up)
+            };
+            if !wider.step() && !other.step() {
+                return (lo, hi);
+            }
+        }
+    }
+}
+
+/// The even samples that may hold the peak gain, and the best lower
+/// bound on it so far. A sample whose upper bound lies below some
+/// gain's lower bound cannot be the maximum, so it is dropped.
+struct PeakSearch {
+    best: f64,
+    /// Samples whose upper bound reaches `best`, with that bound.
+    candidates: Vec<(GainSample, f64)>,
+}
+
+impl PeakSearch {
+    /// Take an even sample whose gain lies in `[lo, hi]`.
+    fn offer(&mut self, sample: GainSample, lo: f64, hi: f64) {
+        if hi < self.best {
+            return;
+        }
+        if lo > self.best {
+            self.best = lo;
+            self.candidates.retain(|&(_, hi)| hi >= lo);
+        }
+        self.candidates.push((sample, hi));
+    }
+
+    /// The largest gain, bit for bit `fold(0.0, f64::max)` over every
+    /// even sample's full-solve gain. The candidates run, highest upper
+    /// bound first, until both solves end or the upper bound falls below
+    /// the best gain found.
+    fn finish(self) -> f64 {
+        let PeakSearch { mut best, mut candidates } = self;
+        candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut peak = 0.0;
+        for (mut sample, hi) in candidates {
+            if hi < best {
+                break;
+            }
+            let (gain, hi) = sample.refine_until(|_, hi| hi < best);
+            if hi >= best {
+                // both solves ended: `gain` is the sample's gain
+                peak = f64::max(peak, gain);
+                best = best.max(gain);
+            }
+        }
+        peak
+    }
+}
+
 /// Small-signal gain sampled across the input range under one bias,
-/// from [`ConfigurableInverter::gain_scan`].
+/// from [`ConfigurableInverter::gain_scan`]: the unity-gain points and
+/// the peak gain, decided in the scan.
 #[derive(Clone, Debug)]
 pub struct GainScan {
     inv: ConfigurableInverter,
     vg2: f64,
-    /// `gains[k]` is the gain at `V_in = vdd·k/GAIN_STEPS`.
-    gains: Vec<f64>,
+    unity: Option<(f64, f64)>,
+    peak: f64,
 }
 
 impl GainScan {
     /// Unity-gain input levels `(V_IL, V_IH)` — the classic noise-margin
     /// boundaries where `|dV_out/dV_in|` crosses one, to the grid's
-    /// resolution. Returns `None` for stuck configurations (gain never
-    /// reaches one).
+    /// resolution: `V_IL` is the first sample whose gain reaches 1.0
+    /// after one below it, and `V_IH` the last after it whose gain falls
+    /// below 1.0 after one at or above it. Returns `None` for stuck
+    /// configurations (gain never reaches one).
     pub fn unity_gain_points(&self) -> Option<(f64, f64)> {
-        let mut vil = None;
-        let mut vih = None;
-        for (k, w) in self.gains.windows(2).enumerate() {
-            let (prev_gain, g) = (w[0], w[1]);
-            let vin = self.inv.vdd * (k + 1) as f64 / GAIN_STEPS as f64;
-            if vil.is_none() && prev_gain < 1.0 && g >= 1.0 {
-                vil = Some(vin);
-            }
-            if vil.is_some() && prev_gain >= 1.0 && g < 1.0 {
-                vih = Some(vin);
-            }
-        }
-        vil.zip(vih)
+        self.unity
     }
 
     /// Static noise margins `(NM_L, NM_H)` from the unity-gain points:
@@ -259,7 +431,7 @@ impl GainScan {
     /// read from every second sample, a grid of `GAIN_STEPS / 2`
     /// intervals.
     pub fn peak_gain(&self) -> f64 {
-        self.gains.iter().step_by(2).copied().fold(0.0, f64::max)
+        self.peak
     }
 }
 
@@ -268,6 +440,16 @@ pub(crate) mod tests {
     use super::*;
     use crate::bisect::tests::{evals_of, fixed_count};
     use crate::thermal::ThermalCorner;
+    use pmorph_util::rng::{Rng, StdRng};
+
+    impl ConfigurableInverter {
+        /// Oracle: the small-signal voltage gain `|dV_out/dV_in|` at input
+        /// `vin`, from two full output solves.
+        fn gain(&self, vin: f64, vg2: f64) -> f64 {
+            let h = 1e-4;
+            ((self.solve_vout(vin + h, vg2) - self.solve_vout(vin - h, vg2)) / (2.0 * h)).abs()
+        }
+    }
 
     /// Oracle for the output solve: 80 fixed halvings, no early exit.
     fn fixed_count_vout(inv: &ConfigurableInverter, vin: f64, vg2: f64) -> f64 {
@@ -418,6 +600,62 @@ pub(crate) mod tests {
             }
         }
         assert!(stuck >= 2, "the sweep must reach both stuck extremes");
+    }
+
+    /// A random inverter: supply, and each device's threshold, slope
+    /// factor and back-gate coupling, drawn from wide ranges.
+    fn random_inverter(rng: &mut StdRng) -> ConfigurableInverter {
+        let mut device = |base: DgMosfet| DgMosfet {
+            vt0: rng.random_range(0.05..0.5),
+            n: rng.random_range(1.0..2.0),
+            gamma: rng.random_range(0.2..0.7),
+            ..base
+        };
+        let (nmos, pmos) = (device(DgMosfet::nmos()), device(DgMosfet::pmos()));
+        ConfigurableInverter { nmos, pmos, vdd: rng.random_range(0.5..1.5) }
+    }
+
+    #[test]
+    fn the_decided_gain_scan_matches_the_per_sample_oracles_bit_for_bit() {
+        let bits = |p: Option<(f64, f64)>| p.map(|(a, b)| (a.to_bits(), b.to_bits()));
+        let base = ConfigurableInverter::default();
+        let mut cases: Vec<(ConfigurableInverter, f64)> = [250.0, 300.0, 350.0, 400.0]
+            .into_iter()
+            .map(|t| (ThermalCorner { temperature_k: t }.inverter(&base), 0.0))
+            .collect();
+        cases.extend((0..=12).map(|k| (base, -1.5 + 0.25 * k as f64)));
+        let mut rng = StdRng::seed_from_u64(0x6a1_5ca9);
+        cases.extend((0..600).map(|_| (random_inverter(&mut rng), rng.random_range(-1.5..1.5))));
+        let (mut active, mut stuck) = (0, 0);
+        for (inv, vg2) in cases {
+            let scan = inv.gain_scan(vg2);
+            let unity = unity_gain_points_loop(&inv, vg2);
+            assert_eq!(bits(scan.unity_gain_points()), bits(unity), "{inv:?} vg2 {vg2}");
+            let margins = unity.map(|(vil, vih)| {
+                (vil - inv.solve_vout(inv.vdd, vg2), inv.solve_vout(0.0, vg2) - vih)
+            });
+            assert_eq!(bits(scan.noise_margins()), bits(margins), "{inv:?} vg2 {vg2}");
+            let peak = peak_gain_loop(&inv, vg2);
+            assert_eq!(scan.peak_gain().to_bits(), peak.to_bits(), "{inv:?} vg2 {vg2}");
+            if inv.behaviour(vg2) == InverterBehaviour::Active {
+                active += 1;
+            } else {
+                stuck += 1;
+            }
+        }
+        assert!(active >= 100 && stuck >= 100, "{active} active and {stuck} stuck inverters");
+    }
+
+    #[test]
+    fn e23_corners_take_at_most_50000_evaluations() {
+        let base = ConfigurableInverter::default();
+        let n = evals_of(|| {
+            for t in [250.0, 300.0, 350.0, 400.0] {
+                let scan = ThermalCorner { temperature_k: t }.inverter(&base).gain_scan(0.0);
+                assert!(scan.noise_margins().is_some() && scan.peak_gain() > 1.0);
+            }
+        });
+        assert!(n <= 50_000, "{n} predicate evaluations for E23's four corners");
     }
 
     #[test]

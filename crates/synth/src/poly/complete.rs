@@ -22,7 +22,10 @@
 //!
 //! `composition` is substitution: `(G ∘ (u, v))_m(a, b) = G_m(u_m(a, b),
 //! v_m(a, b))` — the mode is global, so the same `m` selects
-//! personalities in the gate and in both arguments at once.
+//! personalities in the gate and in both arguments at once. One mode's
+//! result depends only on the three nibbles `(G_m, u_m, v_m)`, so a
+//! 4 KiB table of all 4,096 nibble triples, built at compile time, gives
+//! it in one lookup.
 
 use super::PolyError;
 
@@ -144,22 +147,37 @@ impl PolyGateSet {
     }
 }
 
-/// Apply gate vector `g` to argument vectors `(u, v)`, mode-wise.
+/// Apply gate vector `g` to argument vectors `(u, v)`, mode-wise: each
+/// mode's nibble is one [`COMPOSE`] lookup.
 fn compose(k: usize, g: u32, u: u32, v: u32) -> u32 {
     let mut out = 0u32;
     for m in 0..k {
-        let gm = g >> (4 * m) & 0xF;
-        let um = u >> (4 * m) & 0xF;
-        let vm = v >> (4 * m) & 0xF;
-        let mut wm = 0u32;
-        for i in 0..4 {
-            let j = ((vm >> i & 1) << 1) | (um >> i & 1);
-            wm |= (gm >> j & 1) << i;
-        }
-        out |= wm << (4 * m);
+        let nibble = |x: u32| (x >> (4 * m) & 0xF) as usize;
+        out |= u32::from(COMPOSE[nibble(g) << 8 | nibble(u) << 4 | nibble(v)]) << (4 * m);
     }
     out
 }
+
+/// One mode's composition for every nibble triple: entry
+/// `g << 8 | u << 4 | v` is the table of `g(u(a, b), v(a, b))`. Minterm
+/// `i`'s bit is `g`'s bit at the minterm `(v_i, u_i)` selects.
+const COMPOSE: [u8; 4096] = {
+    let mut table = [0u8; 4096];
+    let mut nibbles = 0;
+    while nibbles < 4096 {
+        let (g, u, v) = (nibbles >> 8, nibbles >> 4 & 0xF, nibbles & 0xF);
+        let mut w = 0;
+        let mut i = 0;
+        while i < 4 {
+            let j = (v >> i & 1) << 1 | u >> i & 1;
+            w |= (g >> j & 1) << i;
+            i += 1;
+        }
+        table[nibbles] = w as u8;
+        nibbles += 1;
+    }
+    table
+};
 
 /// Decide completeness: can the set realise every polymorphic function
 /// vector? Early-exits once the generating basis (invariant NAND + all
@@ -252,6 +270,43 @@ fn closure_until(set: &PolyGateSet, targets: Option<&[u32]>) -> Option<Vec<u32>>
 mod tests {
     use super::tables::*;
     use super::*;
+    use pmorph_util::rng::StdRng;
+
+    /// Oracle: the mode-wise bit loop, four minterms per mode.
+    fn compose_by_bits(k: usize, g: u32, u: u32, v: u32) -> u32 {
+        let mut out = 0u32;
+        for m in 0..k {
+            let gm = g >> (4 * m) & 0xF;
+            let um = u >> (4 * m) & 0xF;
+            let vm = v >> (4 * m) & 0xF;
+            let mut wm = 0u32;
+            for i in 0..4 {
+                let j = ((vm >> i & 1) << 1) | (um >> i & 1);
+                wm |= (gm >> j & 1) << i;
+            }
+            out |= wm << (4 * m);
+        }
+        out
+    }
+
+    #[test]
+    fn the_compose_table_matches_the_bit_loop() {
+        for g in 0..16 {
+            for u in 0..16 {
+                for v in 0..16 {
+                    assert_eq!(compose(1, g, u, v), compose_by_bits(1, g, u, v), "{g} {u} {v}");
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xc0_4b05e);
+        for k in 1..=MAX_MODES {
+            let mask = (1u64 << (4 * k)) - 1;
+            for _ in 0..2000 {
+                let [g, u, v] = [(); 3].map(|_| (rng.next_u64() & mask) as u32);
+                assert_eq!(compose(k, g, u, v), compose_by_bits(k, g, u, v), "k {k}");
+            }
+        }
+    }
 
     #[test]
     fn composition_is_substitution() {

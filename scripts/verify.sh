@@ -12,6 +12,12 @@ export CARGO_NET_OFFLINE=true
 echo "== format =="
 cargo fmt --all --check
 
+echo "== clippy (deny-level lints fail the gate) =="
+# Warnings stay warnings. A deny-by-default lint is an error, and clippy
+# stops at the crate that has it, so it would also leave every crate that
+# depends on that one unchecked.
+cargo clippy --workspace --all-targets
+
 echo "== build (release, all targets) =="
 cargo build --release --workspace
 cargo build --workspace --benches --examples
